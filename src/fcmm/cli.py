@@ -30,7 +30,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
+from .dataset import (DataMatrix, SyntheticSpec, load_csv, make_blobs, read_csv_rows,
+                      standardize)
 from .membership import init_random
 from .oracle import run_suite
 from .solvers import SOLVERS, SolverConfig, SolverResult
@@ -90,10 +91,11 @@ def iris_manifest(csv_path, output_dir, algorithms=("irw", "mm"),
 
 
 def _csv_has_header(path) -> bool:
-    """A file whose first row contains any non-numeric cell has a header."""
-    with open(path, newline="") as fh:
-        first = fh.readline()
-    for cell in first.strip().split(","):
+    """A file whose first non-empty row contains any non-numeric cell has a header."""
+    rows = read_csv_rows(path)
+    first = next(rows, [])
+    rows.close()
+    for cell in first:
         try:
             float(cell)
         except ValueError:
@@ -120,10 +122,14 @@ def execute(manifest: RunManifest) -> dict:
 
 
 def _atomic_write(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_trace_csv(result: SolverResult, path) -> None:
@@ -134,39 +140,41 @@ def write_trace_csv(result: SolverResult, path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _algorithm_row(result: SolverResult) -> dict:
+    last = result.trace.records[-1] if result.trace.records else None
+    return {"final_objective": result.objective_final,
+            "termination": result.termination,
+            "total_membership_updates": result.trace.total_membership_updates(),
+            "outer_iters": last.outer_iter if last else 0,
+            "wall_time_ns": last.elapsed_ns if last else 0}
+
+
 def _summary_payload(manifest: RunManifest, results: dict) -> dict:
     payload = {"config": {**dataclasses.asdict(manifest.cfg),
                           "algorithms": list(manifest.algorithms),
                           "output_dir": manifest.output_dir,
                           "dataset": manifest.dataset_descriptor()}}
     for name, result in results.items():
-        last = result.trace.records[-1] if result.trace.records else None
-        payload[name] = {
-            "final_objective": result.objective_final,
-            "termination": result.termination,
-            "total_membership_updates": result.trace.total_membership_updates(),
-            "outer_iters": last.outer_iter if last else 0,
-            "wall_time_ns": last.elapsed_ns if last else 0,
-        }
+        payload[name] = _algorithm_row(result)
     return payload
 
 
 def cmd_run(manifest: RunManifest):
     """Execute the manifest and write trace CSVs plus summary.json.
 
-    Returns ``(exit_status, results)``; nonzero status only for dataset
-    load failures (degenerate terminations are recorded in the summary).
+    Returns ``(exit_status, results)``; status 1 on a dataset load or output
+    write failure (degenerate terminations are recorded in the summary).
     """
     try:
         results = execute(manifest)
+        os.makedirs(manifest.output_dir, exist_ok=True)
+        for name, result in results.items():
+            write_trace_csv(result, os.path.join(manifest.output_dir, f"{name}_trace.csv"))
+        _atomic_write(os.path.join(manifest.output_dir, "summary.json"),
+                      json.dumps(_summary_payload(manifest, results), indent=2) + "\n")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
-    os.makedirs(manifest.output_dir, exist_ok=True)
-    for name, result in results.items():
-        write_trace_csv(result, os.path.join(manifest.output_dir, f"{name}_trace.csv"))
-    _atomic_write(os.path.join(manifest.output_dir, "summary.json"),
-                  json.dumps(_summary_payload(manifest, results), indent=2) + "\n")
     return 0, results
 
 
@@ -194,16 +202,9 @@ def cmd_compare(manifest: RunManifest):
         print("error: no solver produced a usable trace", file=sys.stderr)
         return 1, None
     best = min(finals)
-    per_algorithm = {}
-    for name, result in results.items():
-        last = result.trace.records[-1] if result.trace.records else None
-        per_algorithm[name] = {
-            "final_objective": result.objective_final,
-            "termination": result.termination,
-            "outer_iters": last.outer_iter if last else 0,
-            "wall_time_ns": last.elapsed_ns if last else 0,
-            "updates_to_best": updates_to_reach(result, best),
-        }
+    per_algorithm = {name: {**_algorithm_row(result),
+                            "updates_to_best": updates_to_reach(result, best)}
+                     for name, result in results.items()}
     reached = {name: row["updates_to_best"] for name, row in per_algorithm.items()
                if row["updates_to_best"] is not None}
     fewest = min(reached.values())
@@ -250,8 +251,7 @@ def _parse_config_file(path) -> dict:
             values[key.strip()] = value.strip()
     return values
 
-# Option name -> (config file key, parser). Defaults live in _OPTION_DEFAULTS
-# so that file values can sit between built-in defaults and explicit flags.
+
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
              "false": False, "0": False, "no": False, "off": False}
 
@@ -271,47 +271,51 @@ def _parse_str_list(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip() != "")
 
 
-_OPTION_PARSERS = {
-    "data": str, "drop_cols": _parse_int_list, "synthetic": str,
-    "c": int, "r": float, "seed": int, "algos": _parse_str_list,
-    "outer_tol": float, "inner_tol": float, "max_outer": int,
-    "max_inner": int, "standardize": _parse_bool, "out": str,
-}
+_CFG = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
 
-_OPTION_DEFAULTS = {
-    "data": None, "drop_cols": (), "synthetic": None,
-    "c": 3, "r": 2.0, "seed": 0, "algos": ("classic", "irw", "mm"),
-    "outer_tol": 1e-8, "inner_tol": 1e-8, "max_outer": 500,
-    "max_inner": 100, "standardize": True, "out": "runs",
+# Option key -> (parser, default, SolverConfig field or None, argparse kwargs).
+# The key is the config-file key and the flag's dest; the flag is --key with
+# dashes unless the kwargs name it. Flags default to None so that config-file
+# values sit between these defaults and explicit flags.
+_OPTIONS = {
+    "data": (str, None, None, dict(help="CSV dataset path (header auto-detected)")),
+    "drop_cols": (_parse_int_list, (), None,
+                  dict(help="comma-separated 0-based column indices to drop")),
+    "synthetic": (str, None, None, dict(choices=sorted(SYNTHETIC_PRESETS),
+                                        help="synthetic dataset preset")),
+    "c": (int, 3, "c", dict(help="cluster count (default 3)")),
+    "r": (float, _CFG["r"], "r", dict(help=f"fuzziness exponent (default {_CFG['r']:g})")),
+    "seed": (int, _CFG["seed"], "seed",
+             dict(help=f"seed for the shared start (default {_CFG['seed']})")),
+    "algos": (_parse_str_list, ("classic", "irw", "mm"), None,
+              dict(help="comma-separated subset of classic,irw,mm")),
+    "outer_tol": (float, _CFG["outer_tol"], "outer_tol", {}),
+    "inner_tol": (float, _CFG["inner_tol"], "inner_tol", {}),
+    "max_outer": (int, _CFG["max_outer_iters"], "max_outer_iters", {}),
+    "max_inner": (int, _CFG["max_inner_iters"], "max_inner_iters", {}),
+    "standardize": (_parse_bool, _CFG["standardize"], "standardize",
+                    dict(flag="--no-standardize", action="store_const", const=False,
+                         help="skip feature standardization")),
+    "out": (str, "runs", None, dict(help="output directory (default runs/)")),
 }
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
-    resolved = dict(_OPTION_DEFAULTS)
+    resolved = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
     if args.config:
         for key, text in _parse_config_file(args.config).items():
-            if key not in _OPTION_PARSERS:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            resolved[key] = _OPTION_PARSERS[key](text)
-    overrides = {
-        "data": args.data, "drop_cols": args.drop_cols, "synthetic": args.synthetic,
-        "c": args.c, "r": args.r, "seed": args.seed, "algos": args.algos,
-        "outer_tol": args.outer_tol, "inner_tol": args.inner_tol,
-        "max_outer": args.max_outer, "max_inner": args.max_inner,
-        "standardize": False if args.no_standardize else None, "out": args.out,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            resolved[key] = value
+            resolved[key] = _OPTIONS[key][0](text)
+    for key in _OPTIONS:
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
     return resolved
 
 
 def manifest_from_options(options: dict) -> RunManifest:
-    cfg = SolverConfig(c=options["c"], r=options["r"],
-                       outer_tol=options["outer_tol"], inner_tol=options["inner_tol"],
-                       max_outer_iters=options["max_outer"],
-                       max_inner_iters=options["max_inner"], seed=options["seed"],
-                       standardize=options["standardize"])
+    cfg = SolverConfig(**{field: options[key]
+                          for key, (_, _, field, _) in _OPTIONS.items() if field})
     synthetic = None
     if options["synthetic"] is not None:
         preset = SYNTHETIC_PRESETS.get(options["synthetic"])
@@ -326,33 +330,21 @@ def manifest_from_options(options: dict) -> RunManifest:
 
 def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--data", help="CSV dataset path (header auto-detected)")
-    parser.add_argument("--drop-cols", dest="drop_cols", type=_parse_int_list,
-                        help="comma-separated 0-based column indices to drop")
-    parser.add_argument("--synthetic", choices=sorted(SYNTHETIC_PRESETS),
-                        help="synthetic dataset preset")
-    parser.add_argument("--c", type=int, help="cluster count (default 3)")
-    parser.add_argument("--r", type=float, help="fuzziness exponent (default 2)")
-    parser.add_argument("--seed", type=int, help="seed for the shared start (default 0)")
-    parser.add_argument("--algos", type=_parse_str_list,
-                        help="comma-separated subset of classic,irw,mm")
-    parser.add_argument("--outer-tol", dest="outer_tol", type=float)
-    parser.add_argument("--inner-tol", dest="inner_tol", type=float)
-    parser.add_argument("--max-outer", dest="max_outer", type=int)
-    parser.add_argument("--max-inner", dest="max_inner", type=int)
-    parser.add_argument("--no-standardize", action="store_true",
-                        help="skip feature standardization")
-    parser.add_argument("--out", help="output directory (default runs/)")
+    for key, (parse, _, _, kwargs) in _OPTIONS.items():
+        kwargs = dict(kwargs)
+        flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
+        if "action" not in kwargs:
+            kwargs["type"] = parse
+        parser.add_argument(flag, dest=key, **kwargs)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fcmm", description="Fuzzy c-means solver benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run solvers from one shared start")
-    _add_manifest_flags(run_p)
-    cmp_p = sub.add_parser("compare", help="run and rank solvers by work")
-    _add_manifest_flags(cmp_p)
+    for name, text in (("run", "run solvers from one shared start"),
+                       ("compare", "run and rank solvers by work")):
+        _add_manifest_flags(sub.add_parser(name, help=text))
     val_p = sub.add_parser("validate", help="run the verification battery")
     val_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     val_p.add_argument("--seed", type=int, default=0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -115,18 +115,24 @@ def make_blobs(spec: SyntheticSpec) -> DataMatrix:
     return DataMatrix.from_points(np.vstack(blocks))
 
 
+def read_csv_rows(path) -> Iterator[list]:
+    """Yield the non-empty rows of a CSV file, dropping a UTF-8 byte-order mark."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        yield from filter(None, csv.reader(fh))
+
+
 def load_csv(path, drop_columns: Iterable[int] = (), has_header: bool = False) -> DataMatrix:
     """Load a plain comma-separated numeric file into a :class:`DataMatrix`.
 
     Comma delimiter only, '.' decimal point, optionally one header row.
-    ``drop_columns`` holds 0-based indices of columns to exclude (labels,
-    ids). Row/column positions in error messages are 1-based and count
-    data rows, i.e. the header row is not counted.
+    Blank lines and a UTF-8 byte-order mark are skipped. ``drop_columns``
+    holds 0-based indices of columns to exclude (labels, ids). Row/column
+    positions in error messages are 1-based and count data rows, i.e. the
+    header row is not counted.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = list(read_csv_rows(path))
     if has_header:
         rows = rows[1:]
     if not rows:

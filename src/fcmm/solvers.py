@@ -58,10 +58,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.c < 2:
             raise ValueError(f"need at least 2 clusters, got {self.c}")
-        if not self.r > 1.0:
-            raise ValueError(f"fuzziness exponent must exceed 1, got {self.r}")
-        if not (self.outer_tol > 0 and self.inner_tol > 0 and self.dist_floor > 0):
-            raise ValueError("tolerances must be positive")
+        if not 1.0 < self.r < np.inf:
+            raise ValueError(f"fuzziness exponent must be finite and exceed 1, got {self.r}")
+        for name in ("outer_tol", "inner_tol", "dist_floor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.seed < 0:

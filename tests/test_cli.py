@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fcmm.cli import (RunManifest, SYNTHETIC_PRESETS, TRACE_HEADER, cmd_compare,
-                      cmd_run, cmd_validate, iris_manifest, main,
-                      manifest_from_options, _resolve_options, updates_to_reach)
+                      cmd_run, cmd_validate, iris_manifest, load_manifest_dataset, main,
+                      manifest_from_options, _atomic_write, _OPTIONS, _resolve_options,
+                      updates_to_reach)
 from fcmm.dataset import SyntheticSpec
 from fcmm.solvers import SolverConfig
 
@@ -89,6 +90,21 @@ class TestCmdRun:
         assert status == 1 and results is None
         assert "error" in capsys.readouterr().err
 
+    def test_failed_summary_write_is_write_error(self, tmp_path, capsys):
+        (tmp_path / "summary.json").mkdir()
+        status, results = cmd_run(blobs_manifest(tmp_path, algorithms=("mm",)))
+        assert status == 1 and results is None
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_atomic_write_leaves_other_temp_files_alone(self, tmp_path):
+        target = tmp_path / "summary.json"
+        other = tmp_path / "summary.json.tmp"
+        other.write_text("another run's half-written file")
+        _atomic_write(target, "mine\n")
+        assert target.read_text() == "mine\n"
+        assert other.read_text() == "another run's half-written file"
+
     def test_shared_start_across_algorithms(self, tmp_path, iris_path):
         # all selected solvers consume one F0: classic and mm coincide exactly
         manifest = iris_manifest(iris_path, tmp_path, algorithms=("classic", "mm"))
@@ -138,7 +154,52 @@ def main_args(argv):
     return parser.parse_args(argv)
 
 
+# Option key -> (flag argv, the same value as a config-file line, another
+# config-file value that the flag must override).
+OPTION_CASES = {
+    "data": (["--data", "a.csv"], "data=a.csv", "data=b.csv"),
+    "drop_cols": (["--drop-cols", "0,2"], "drop_cols=0,2", "drop_cols=1"),
+    "synthetic": (["--synthetic", "blobs-large"], "synthetic=blobs-large",
+                  "synthetic=blobs-small"),
+    "c": (["--c", "4"], "c=4", "c=5"),
+    "r": (["--r", "1.5"], "r=1.5", "r=3"),
+    "seed": (["--seed", "7"], "seed=7", "seed=9"),
+    "algos": (["--algos", "irw,mm"], "algos=irw,mm", "algos=mm"),
+    "outer_tol": (["--outer-tol", "1e-6"], "outer_tol=1e-6", "outer_tol=1e-4"),
+    "inner_tol": (["--inner-tol", "1e-6"], "inner_tol=1e-6", "inner_tol=1e-4"),
+    "max_outer": (["--max-outer", "50"], "max_outer=50", "max_outer=60"),
+    "max_inner": (["--max-inner", "20"], "max_inner=20", "max_inner=30"),
+    "standardize": (["--no-standardize"], "standardize=false", "standardize=true"),
+    "out": (["--out", "x"], "out=x", "out=y"),
+}
+
+
 class TestOptionResolution:
+    def test_cases_cover_every_option(self):
+        assert set(OPTION_CASES) == set(_OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(OPTION_CASES))
+    def test_file_and_flag_agree_and_flag_wins(self, key, tmp_path):
+        flag, line, other_line = OPTION_CASES[key]
+        source = [] if key in ("data", "synthetic") else ["--synthetic", "blobs-small"]
+
+        def manifest(config_line, flags):
+            argv = ["run", *source, *flags]
+            if config_line is not None:
+                config = tmp_path / "run.cfg"
+                config.write_text(config_line + "\n")
+                argv += ["--config", str(config)]
+            return manifest_from_options(_resolve_options(main_args(argv)))
+
+        from_flag = manifest(None, flag)
+        assert manifest(line, []) == from_flag
+        assert manifest(other_line, []) != from_flag
+        assert manifest(other_line, flag) == from_flag
+
+    def test_defaults_match_solver_config(self):
+        options = _resolve_options(main_args(["run", "--synthetic", "blobs-small"]))
+        assert manifest_from_options(options).cfg == SolverConfig(c=3)
+
     def test_config_file_under_flags(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("c=4\nseed=9\nalgos=mm\nouter_tol=1e-6\n# comment\n\n")
@@ -188,9 +249,39 @@ class TestMainEntryPoint:
         assert status == 2
         assert "at least one algorithm" in capsys.readouterr().err
 
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys):
+        status = main(["run", "--synthetic", "blobs-small", "--outer-tol", "inf",
+                       "--out", str(tmp_path / "out")])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_existing_file_as_out_is_write_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        status = main(["run", "--synthetic", "blobs-small", "--algos", "mm",
+                       "--out", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_validate_quick(self, capsys):
         assert main(["validate", "--scale", "quick"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content, rows", [
+    (b"\xef\xbb\xbf1,2\n3,4\n5,6\n", 3),
+    (b"\n1,2\n3,4\n5,6\n", 3),
+    (b"\xef\xbb\xbfa,b\n1,2\n3,4\n", 2),
+], ids=["bom", "blank-first-line", "bom-header"])
+def test_manifest_dataset_keeps_every_data_row(tmp_path, content, rows):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    manifest = RunManifest(cfg=SolverConfig(c=2, standardize=False), algorithms=("mm",),
+                           output_dir=str(tmp_path), csv_path=str(path))
+    data = load_manifest_dataset(manifest)
+    assert data.n == rows
+    np.testing.assert_array_equal(data.points[0], [1.0, 2.0])
 
 
 def test_updates_to_reach_uses_relative_landmark():

@@ -340,6 +340,12 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             SolverConfig(c=2, max_outer_iters=0)
 
+    @pytest.mark.parametrize("field", ["r", "outer_tol", "inner_tol", "dist_floor"])
+    def test_config_rejects_non_finite(self, field):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(c=2, **{field: value})
+
     def test_max_iters_termination(self):
         data = blob_instance(seed=24)
         result = solve_fcm_mm(data, init_random(data.n, 2, 25),

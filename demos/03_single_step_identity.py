@@ -4,7 +4,7 @@ Three routes to the same membership update, all starting from the same
 powered matrix G:
 
   * surrogate route: minimize the tangent-plane upper bound in closed form;
-  * re-weighting route: form the auxiliaries s_j, a_j and apply the
+  * re-weighting route: freeze the scalars s_j and apply the
     linearized-subproblem update once;
   * classic route: compute the optimal centers and apply the classic
     inverse-distance update.
@@ -36,7 +36,7 @@ for _ in range(200):
     G = to_power(F, r)
 
     F_mm = update_membership_mm(data, G, r)
-    F_irw = update_membership_irw(data, irw_auxiliary(data, G), r)
+    F_irw = update_membership_irw(data, G, irw_auxiliary(data, G), r)
     F_classic = update_membership_classic(data, compute_centers(aggregates(data, G)), r)
 
     worst_irw = max(worst_irw, np.max(np.abs(F_mm.values - F_irw.values)))

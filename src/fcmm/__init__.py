@@ -20,11 +20,10 @@ from .objective import (ClusterAggregates, ClusterCenters, aggregates,
 from .oracle import (OracleReport, descent_chain_audit, finite_diff_gradient,
                      gram_quad_oracle, gram_vector_oracle, run_suite,
                      surrogate_argmin_oracle)
-from .solvers import (SOLVERS, IrwAuxiliary, SolverConfig, SolverResult,
-                      SolverTrace, TraceRecord, TERMINATION_CONVERGED,
-                      TERMINATION_DEGENERATE, TERMINATION_MAX_ITERS,
-                      irw_auxiliary, solve_fcm_classic, solve_fcm_mm,
-                      solve_irw_fcm, update_membership_classic,
+from .solvers import (SOLVERS, SolverConfig, SolverResult, SolverTrace,
+                      TraceRecord, TERMINATION_CONVERGED, TERMINATION_DEGENERATE,
+                      TERMINATION_MAX_ITERS, irw_auxiliary, solve_fcm_classic,
+                      solve_fcm_mm, solve_irw_fcm, update_membership_classic,
                       update_membership_irw, update_membership_mm)
 
 __version__ = "0.1.0"
@@ -39,10 +38,9 @@ __all__ = [
     "OracleReport", "descent_chain_audit", "finite_diff_gradient",
     "gram_quad_oracle", "gram_vector_oracle", "run_suite",
     "surrogate_argmin_oracle",
-    "SOLVERS", "IrwAuxiliary", "SolverConfig", "SolverResult", "SolverTrace",
-    "TraceRecord", "TERMINATION_CONVERGED", "TERMINATION_DEGENERATE",
-    "TERMINATION_MAX_ITERS", "irw_auxiliary", "solve_fcm_classic",
-    "solve_fcm_mm", "solve_irw_fcm", "update_membership_classic",
-    "update_membership_irw", "update_membership_mm",
+    "SOLVERS", "SolverConfig", "SolverResult", "SolverTrace", "TraceRecord",
+    "TERMINATION_CONVERGED", "TERMINATION_DEGENERATE", "TERMINATION_MAX_ITERS",
+    "irw_auxiliary", "solve_fcm_classic", "solve_fcm_mm", "solve_irw_fcm",
+    "update_membership_classic", "update_membership_irw", "update_membership_mm",
     "__version__",
 ]

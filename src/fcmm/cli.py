@@ -70,6 +70,8 @@ class RunManifest:
             raise ValueError("duplicate algorithm selected")
         if (self.csv_path is None) == (self.synthetic is None):
             raise ValueError("specify exactly one data source (CSV path or synthetic spec)")
+        if self.drop_columns and self.csv_path is None:
+            raise ValueError("drop columns apply only to a CSV data source")
 
     def dataset_descriptor(self) -> dict:
         if self.csv_path is not None:
@@ -240,7 +242,7 @@ def cmd_validate(scale: str = "quick", seed: int = 0) -> int:
 
 def _parse_config_file(path) -> dict:
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -70,19 +70,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class IrwAuxiliary:
-    """Per-cluster re-weighting auxiliaries.
-
-    ``s[j] = sqrt(quad_j) / mass_j`` and ``a[j]`` is the n-vector
-    ``X'X g_j / sqrt(quad_j)``, both computed without the Gram matrix.
-    Undefined when quad_j = 0 (all-zero weighted cluster image).
-    """
-
-    s: np.ndarray
-    a: np.ndarray
-
-
-@dataclass(frozen=True)
 class TraceRecord:
     """One outer-iteration snapshot of a solve."""
 
@@ -136,6 +123,8 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     bracket negative): membership splits uniformly over the near clusters
     and is 0 elsewhere, which keeps the row on the simplex.
     """
+    if not r > 1.0:
+        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
     near = brackets < dist_floor
     values = np.empty_like(brackets)
     split = near.any(axis=1)
@@ -151,6 +140,19 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     return MembershipMatrix.from_values(values)
 
 
+def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
+                    dist_floor: float) -> MembershipMatrix:
+    """Closed-form update from c x d centers, distances in expanded form.
+
+    Brackets ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` take one n x d by d x c
+    product; they equal the squared point-center distances analytically
+    but may round negative, which the shared floor rule handles.
+    """
+    brackets = (data.sq_norms[:, None] + np.einsum("cd,cd->c", centers, centers)[None, :]
+                - 2.0 * (data.points @ centers.T))
+    return _memberships_from_brackets(brackets, r, dist_floor)
+
+
 def update_membership_classic(data: DataMatrix, centers: ClusterCenters,
                               r: float, dist_floor: float = 1e-12) -> MembershipMatrix:
     """Classic closed-form update from explicit centers.
@@ -159,8 +161,6 @@ def update_membership_classic(data: DataMatrix, centers: ClusterCenters,
     this is the reference route the expanded-form updates are checked
     against.
     """
-    if not r > 1.0:
-        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
     sq_dists = np.empty((data.n, centers.c))
     for j in range(centers.c):
         diff = data.points - centers.centers[j]
@@ -168,48 +168,39 @@ def update_membership_classic(data: DataMatrix, centers: ClusterCenters,
     return _memberships_from_brackets(sq_dists, r, dist_floor)
 
 
-def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> IrwAuxiliary:
-    """Compute the re-weighting scalars s_j and linearization vectors a_j."""
+def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
+    """Re-weighting scalars ``s_j = sqrt(quad_j) / mass_j``, Gram-free."""
+    agg = aggregates(data, G)
+    return np.sqrt(agg.quad) / agg.mass
+
+
+def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
+                          r: float, dist_floor: float = 1e-12) -> MembershipMatrix:
+    """Linearized-subproblem update at G with the scalars s frozen.
+
+    The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
+    the squared distance to the center ``s_j y_j / |y_j|``: its direction
+    comes from G and its norm is held at s_j. Undefined where quad_j = 0
+    (all-zero weighted cluster image).
+    """
     agg = aggregates(data, G)
     dead = np.flatnonzero(agg.quad <= 0.0)
     if dead.size:
         raise DegenerateClusterError(
-            f"cluster(s) {dead.tolist()} have zero weighted image, auxiliaries undefined")
-    root = np.sqrt(agg.quad)
-    s = root / agg.mass
-    a = (data.points @ agg.y.T).T / root[:, None]
-    return IrwAuxiliary(s, a)
-
-
-def update_membership_irw(data: DataMatrix, aux: IrwAuxiliary, r: float,
-                          dist_floor: float = 1e-12) -> MembershipMatrix:
-    """Linearized-subproblem update from the auxiliaries.
-
-    Brackets ``x_i.x_i + s_j^2 - 2 s_j a_ij`` equal squared point-center
-    distances analytically but may round negative; the shared floor rule
-    handles that.
-    """
-    if not r > 1.0:
-        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    brackets = (data.sq_norms[:, None] + (aux.s ** 2)[None, :]
-                - 2.0 * aux.a.T * aux.s[None, :])
-    return _memberships_from_brackets(brackets, r, dist_floor)
+            f"cluster(s) {dead.tolist()} have zero weighted image, re-weighting undefined")
+    centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
+    return _memberships_at(data, centers, r, dist_floor)
 
 
 def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float,
                          dist_floor: float = 1e-12) -> MembershipMatrix:
     """Surrogate-minimizing update anchored at G_t.
 
-    Brackets ``x_i.x_i + quad_j/mass_j^2 - 2 x_i.y_j/mass_j`` come straight
-    from the cluster aggregates, Gram-free.
+    The surrogate's minimizer is the update at the centers ``y_j / mass_j``
+    of the classic step; only the distance form differs.
     """
-    if not r > 1.0:
-        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    agg = aggregates(data, G_t)
-    cross = data.points @ agg.y.T
-    brackets = (data.sq_norms[:, None] + (agg.quad / agg.mass ** 2)[None, :]
-                - 2.0 * cross / agg.mass[None, :])
-    return _memberships_from_brackets(brackets, r, dist_floor)
+    return _memberships_at(data, compute_centers(aggregates(data, G_t)).centers,
+                           r, dist_floor)
 
 
 def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
@@ -280,26 +271,23 @@ def solve_irw_fcm(data: DataMatrix, F0: MembershipMatrix,
     """Double-loop re-weighting solver.
 
     Each outer iteration freezes s_j at the current memberships, then the
-    inner loop alternates recomputing a_j with the linearized update until
-    the max elementwise membership change drops to ``inner_tol`` or the
-    inner cap is hit. Every inner update counts toward the work total.
+    inner loop repeats the linearized update until the max elementwise
+    membership change drops to ``inner_tol`` or the inner cap is hit.
+    Every inner update counts toward the work total.
     """
 
     def step(F, G):
-        aux = irw_auxiliary(data, G)
-        s = aux.s
+        s = irw_auxiliary(data, G)
         F_in, G_in = F, G
         inner = 0
         while True:
-            F_next = update_membership_irw(data, IrwAuxiliary(s, aux.a),
-                                           cfg.r, cfg.dist_floor)
+            F_next = update_membership_irw(data, G_in, s, cfg.r, cfg.dist_floor)
             inner += 1
             delta = float(np.max(np.abs(F_next.values - F_in.values)))
             F_in = F_next
             G_in = to_power(F_in, cfg.r)
             if delta <= cfg.inner_tol or inner >= cfg.max_inner_iters:
                 break
-            aux = irw_auxiliary(data, G_in)
         return F_in, G_in, inner, inner
 
     return _run_outer(data, F0, cfg, step)

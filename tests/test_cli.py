@@ -181,7 +181,8 @@ class TestOptionResolution:
     @pytest.mark.parametrize("key", sorted(OPTION_CASES))
     def test_file_and_flag_agree_and_flag_wins(self, key, tmp_path):
         flag, line, other_line = OPTION_CASES[key]
-        source = [] if key in ("data", "synthetic") else ["--synthetic", "blobs-small"]
+        source = {"data": [], "synthetic": [],
+                  "drop_cols": ["--data", "a.csv"]}.get(key, ["--synthetic", "blobs-small"])
 
         def manifest(config_line, flags):
             argv = ["run", *source, *flags]
@@ -220,6 +221,12 @@ class TestOptionResolution:
         options = _resolve_options(args)
         assert options["standardize"] is False
 
+    def test_config_file_with_bom(self, tmp_path):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfc=4\n")
+        options = _resolve_options(main_args(["run", "--config", str(config)]))
+        assert options["c"] == 4
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("clusters=4\n")
@@ -253,6 +260,19 @@ class TestMainEntryPoint:
         status = main(["run", "--synthetic", "blobs-small", "--outer-tol", "inf",
                        "--out", str(tmp_path / "out")])
         assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_drop_cols_without_csv_is_config_error(self, tmp_path, capsys, how):
+        argv = ["run", "--synthetic", "blobs-small", "--out", str(tmp_path / "out")]
+        if how == "flag":
+            argv += ["--drop-cols", "0"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("drop_cols=0\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 

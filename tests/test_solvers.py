@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
+from fcmm.cli import SYNTHETIC_PRESETS
+from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
 from fcmm.objective import ClusterCenters, aggregates, compute_centers, phi
-from fcmm.oracle import gram_vector_oracle, gram_quad_oracle
-from fcmm.solvers import (IrwAuxiliary, SolverConfig, irw_auxiliary,
+from fcmm.oracle import gram_quad_oracle
+from fcmm.solvers import (SolverConfig, irw_auxiliary,
                           solve_fcm_classic, solve_fcm_mm, solve_irw_fcm,
                           update_membership_classic, update_membership_irw,
                           update_membership_mm)
@@ -43,49 +44,53 @@ class TestClassicUpdate:
 
 class TestIrwAuxiliary:
     def test_single_point_indicator(self):
+        # s = (|(3,4)| / 1, |(1,0)| / 1), so the centers are points 0 and 1
         data = DataMatrix.from_points([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
-        G = PowerMembership.from_values(np.array([[1.0], [0.0], [0.0]]), R)
-        aux = irw_auxiliary(data, G)
-        assert aux.s[0] == pytest.approx(5.0, rel=1e-15)
-        np.testing.assert_allclose(aux.a[0], [5.0, 0.6, 1.6], rtol=1e-15)
+        G = PowerMembership.from_values(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), R)
+        s = irw_auxiliary(data, G)
+        np.testing.assert_allclose(s, [5.0, 1.0], rtol=1e-15)
+        F = update_membership_irw(data, G, s, R)
+        # point 2 sits at squared distances 13 and 5
+        np.testing.assert_allclose(F.values, [[1.0, 0.0], [0.0, 1.0], [5 / 18, 13 / 18]],
+                                   rtol=1e-14)
 
     def test_identical_points(self):
         data = DataMatrix.from_points([[3.0, 4.0]] * 4)
         G = PowerMembership.from_values(np.array([[0.5], [1.0], [2.0], [0.25]]), R)
-        aux = irw_auxiliary(data, G)
-        assert aux.s[0] == pytest.approx(5.0, rel=1e-12)
-        np.testing.assert_allclose(aux.a[0], np.full(4, 5.0), rtol=1e-12)
+        assert irw_auxiliary(data, G)[0] == pytest.approx(5.0, rel=1e-12)
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(50)
         data, _, G = random_instance(rng, 12, 3, 3)
-        aux = irw_auxiliary(data, G)
+        s = irw_auxiliary(data, G)
         for j in range(3):
             g = G.values[:, j]
-            ref = gram_vector_oracle(data, g) / np.sqrt(gram_quad_oracle(data, g))
-            assert np.max(np.abs(aux.a[j] - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+            ref = np.sqrt(gram_quad_oracle(data, g)) / g.sum()
+            assert abs(s[j] - ref) <= 1e-10 * (1.0 + ref)
 
     def test_zero_weighted_image_is_degenerate(self):
         from fcmm.exceptions import DegenerateClusterError
         data = DataMatrix.from_points(np.zeros((4, 2)))
         G = PowerMembership.from_values(np.full((4, 2), 0.25), R)
         with pytest.raises(DegenerateClusterError):
-            irw_auxiliary(data, G)
+            update_membership_irw(data, G, irw_auxiliary(data, G), R)
 
 
 class TestIrwUpdate:
     def test_equal_brackets_give_uniform_row(self):
+        # identical columns of G and equal s put both centers in one place
         data = DataMatrix.from_points([[1.0], [2.0]])
-        aux = IrwAuxiliary(s=np.array([1.0, 1.0]), a=np.array([[0.3, 0.4], [0.3, 0.4]]))
-        F = update_membership_irw(data, aux, R)
+        G = PowerMembership.from_values(np.full((2, 2), 0.25), R)
+        F = update_membership_irw(data, G, np.array([1.0, 1.0]), R)
         np.testing.assert_allclose(F.values, 0.5, rtol=1e-12)
 
     def test_negative_bracket_wins_row(self):
-        # bracket_0 = 1 + 1 - 2*1.0000001 < 0 rounds through the floor rule
-        data = DataMatrix.from_points([[1.0]])
-        aux = IrwAuxiliary(s=np.array([1.0, 5.0]), a=np.array([[1.0000001], [0.0]]))
-        F = update_membership_irw(data, aux, R)
-        np.testing.assert_array_equal(F.values, [[1.0, 0.0]])
+        # point 0 is its own re-weighting center; its expanded bracket
+        # rounds to about -4e-16 and goes through the floor rule
+        data = DataMatrix.from_points([[0.4, -1.1], [50.0, 50.0]])
+        G = PowerMembership.from_values(np.eye(2), R)
+        F = update_membership_irw(data, G, irw_auxiliary(data, G), R)
+        np.testing.assert_array_equal(F.values, np.eye(2))
 
     def test_matches_classic_at_anchor_centers(self):
         rng = np.random.default_rng(51)
@@ -93,9 +98,24 @@ class TestIrwUpdate:
             data, _, G = random_instance(rng, int(rng.integers(5, 40)),
                                          int(rng.integers(1, 5)),
                                          int(rng.integers(2, 5)))
-            F_irw = update_membership_irw(data, irw_auxiliary(data, G), R)
+            F_irw = update_membership_irw(data, G, irw_auxiliary(data, G), R)
             centers = compute_centers(aggregates(data, G))
             F_classic = update_membership_classic(data, centers, R)
+            assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
+
+    def test_matches_classic_away_from_anchor(self):
+        # s frozen at one G, update taken at another: the inner steps past the first
+        rng = np.random.default_rng(54)
+        for _ in range(20):
+            r = float(rng.choice([1.5, 2.0, 3.0]))
+            n, d, c = int(rng.integers(5, 40)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            data, _, G_anchor = random_instance(rng, n, d, c, r)
+            G = to_power(MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n)), r)
+            s = irw_auxiliary(data, G_anchor)
+            F_irw = update_membership_irw(data, G, s, r)
+            y = aggregates(data, G).y
+            centers = ClusterCenters(y * (s / np.linalg.norm(y, axis=1))[:, None])
+            F_classic = update_membership_classic(data, centers, r)
             assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
 
 
@@ -108,7 +128,7 @@ class TestMmUpdate:
                                          int(rng.integers(1, 5)),
                                          int(rng.integers(2, 5)), r)
             F_mm = update_membership_mm(data, G, r)
-            F_irw = update_membership_irw(data, irw_auxiliary(data, G), r)
+            F_irw = update_membership_irw(data, G, irw_auxiliary(data, G), r)
             assert np.max(np.abs(F_mm.values - F_irw.values)) <= 1e-12
 
     def test_matches_classic_at_anchor_centers(self):
@@ -186,6 +206,21 @@ class TestSolveIrw:
             irw_k = solve_irw_fcm(data, F0, capped)
             mm_k = solve_fcm_mm(data, F0, SolverConfig(c=2, max_outer_iters=k))
             assert np.max(np.abs(irw_k.F_final.values - mm_k.F_final.values)) <= 1e-12
+
+    @pytest.mark.parametrize("dataset", ["iris", "blobs-small"])
+    def test_one_inner_step_is_the_single_loop(self, dataset, iris_data):
+        for seed in range(10):
+            if dataset == "iris":
+                data = iris_data
+            else:
+                spec = SyntheticSpec(seed=seed, **SYNTHETIC_PRESETS["blobs-small"])
+                data = standardize(make_blobs(spec))
+            F0 = init_random(data.n, 3, seed)
+            irw = solve_irw_fcm(data, F0, SolverConfig(c=3, max_inner_iters=1))
+            mm = solve_fcm_mm(data, F0, SolverConfig(c=3))
+            assert len(irw.trace) == len(mm.trace)
+            assert irw.termination == mm.termination
+            assert np.max(np.abs(irw.F_final.values - mm.F_final.values)) <= 1e-12
 
     def test_agrees_with_mm_on_iris(self, iris_data):
         F0 = init_random(iris_data.n, 3, 42)

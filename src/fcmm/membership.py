@@ -77,10 +77,14 @@ class PowerMembership:
 
     @classmethod
     def from_values(cls, values, r: float) -> "PowerMembership":
-        arr = np.array(values, dtype=np.float64, order="C")
+        return cls._adopt(np.array(values, dtype=np.float64, order="C"), r)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, r: float) -> "PowerMembership":
+        """Wrap ``arr`` without copying and freeze it; no one else may hold it."""
         if arr.ndim != 2:
             raise ValueError("powered membership values must be a 2-D array")
-        sums = arr.sum(axis=0)
+        sums = np.ones(arr.shape[0]) @ arr
         dead = np.flatnonzero(sums <= 0.0)
         if dead.size:
             raise DegenerateClusterError(
@@ -109,7 +113,7 @@ def to_power(F: MembershipMatrix, r: float) -> PowerMembership:
     """Compute G with g_ij = f_ij ** r and the per-cluster column sums."""
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    return PowerMembership.from_values(F.values ** r, r)
+    return PowerMembership._adopt(F.values ** r, r)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def phi(data: DataMatrix, G: PowerMembership) -> float:
     :func:`fcm_objective` at the centers of :func:`compute_centers`.
     """
     agg = aggregates(data, G)
-    linear = float(data.sq_norms @ G.values.sum(axis=1))
+    linear = float(np.sum(data.sq_norms @ G.values))
     return linear - float(np.sum(agg.quad / agg.mass))
 
 

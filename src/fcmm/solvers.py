@@ -117,27 +117,32 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     """Closed-form row update shared by all three solvers.
 
     Rows with every bracket (squared point-center distance) at least
-    ``dist_floor`` get f_ij proportional to bracket^(1/(1-r)), evaluated
-    in log space so extreme exponents stay finite. If any bracket falls
-    below the floor the point sits on a center (or rounding drove the
-    bracket negative): membership splits uniformly over the near clusters
-    and is 0 elsewhere, which keeps the row on the simplex.
+    ``dist_floor`` get f_ij proportional to bracket^(1/(1-r)). At r = 2
+    that is the reciprocal; otherwise each row is scaled by its smallest
+    bracket first, ``(min_j b_ij / b_ij)^(1/(r-1))``, so the largest
+    weight is exactly 1 and extreme exponents stay finite. If any bracket
+    falls below the floor the point sits on a center (or rounding drove
+    the bracket negative): membership splits uniformly over the near
+    clusters and is 0 elsewhere, which keeps the row on the simplex.
     """
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    near = brackets < dist_floor
-    values = np.empty_like(brackets)
-    split = near.any(axis=1)
-    regular = ~split
-    if np.any(regular):
-        logw = np.log(brackets[regular]) * (1.0 / (1.0 - r))
-        logw -= logw.max(axis=1, keepdims=True)
-        w = np.exp(logw)
-        values[regular] = w / w.sum(axis=1, keepdims=True)
-    if np.any(split):
+    c = brackets.shape[1]
+    # Split rows may turn inf, nan or negative here; they are overwritten below.
+    with np.errstate(all="ignore"):
+        if r == 2.0 and np.isfinite(c / dist_floor):
+            values = np.reciprocal(brackets)
+        else:
+            values = np.min(brackets, axis=1, keepdims=True) / brackets
+            np.power(values, 1.0 / (r - 1.0), out=values)
+        values /= (values @ np.ones(c))[:, None]
+    if brackets.min() < dist_floor:
+        near = brackets < dist_floor
+        split = near.any(axis=1)
         hits = near[split]
         values[split] = hits / hits.sum(axis=1, keepdims=True)
-    return MembershipMatrix.from_values(values)
+    values.setflags(write=False)
+    return MembershipMatrix(values)
 
 
 def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
@@ -146,11 +151,30 @@ def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
 
     Brackets ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` take one n x d by d x c
     product; they equal the squared point-center distances analytically
-    but may round negative, which the shared floor rule handles.
+    but may round negative, which the shared floor rule handles. The
+    expanded form rounds at about eps (x_i.x_i + m_j.m_j), so near a center
+    it loses digits to cancellation: rows with a bracket below
+    ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
+    ~1e-12 of the bracket, are recomputed from the point-center differences.
     """
-    brackets = (data.sq_norms[:, None] + np.einsum("cd,cd->c", centers, centers)[None, :]
-                - 2.0 * (data.points @ centers.T))
-    return _memberships_from_brackets(brackets, r, dist_floor)
+    center_sq = np.einsum("cd,cd->c", centers, centers)
+    # Built c x n, so broadcasts and per-point scans run along n.
+    brackets = (-2.0 * centers) @ data.points.T
+    brackets += center_sq[:, None] + data.sq_norms
+    close = brackets < 1e-4 * (data.sq_norms + center_sq.max())
+    if close.any():
+        rows = np.flatnonzero(close.any(axis=0))
+        brackets[:, rows] = _difference_brackets(data.points[rows], centers)
+    return _memberships_from_brackets(brackets.T, r, dist_floor)
+
+
+def _difference_brackets(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """c x n squared point-center distances through the differences."""
+    sq_dists = np.empty((centers.shape[0], points.shape[0]))
+    for j, center in enumerate(centers):
+        diff = points - center
+        sq_dists[j] = np.einsum("id,id->i", diff, diff)
+    return sq_dists
 
 
 def update_membership_classic(data: DataMatrix, centers: ClusterCenters,
@@ -161,11 +185,8 @@ def update_membership_classic(data: DataMatrix, centers: ClusterCenters,
     this is the reference route the expanded-form updates are checked
     against.
     """
-    sq_dists = np.empty((data.n, centers.c))
-    for j in range(centers.c):
-        diff = data.points - centers.centers[j]
-        sq_dists[:, j] = np.einsum("id,id->i", diff, diff)
-    return _memberships_from_brackets(sq_dists, r, dist_floor)
+    sq_dists = _difference_brackets(data.points, centers.centers)
+    return _memberships_from_brackets(sq_dists.T, r, dist_floor)
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:

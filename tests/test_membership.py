@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fcmm.exceptions import DegenerateClusterError
-from fcmm.membership import (MembershipMatrix, dump_csv, init_random, to_power,
-                             validate)
+from fcmm.membership import (MembershipMatrix, PowerMembership, dump_csv, init_random,
+                             to_power, validate)
 
 
 class TestInitRandom:
@@ -69,6 +69,26 @@ class TestToPower:
         F = MembershipMatrix.from_values([[0.5, 0.5]])
         with pytest.raises(ValueError):
             to_power(F, 1.0)
+
+    def test_result_is_read_only(self):
+        G = to_power(MembershipMatrix.from_values([[0.5, 0.5]]), 2.0)
+        assert not G.values.flags.writeable and not G.col_sums.flags.writeable
+
+
+class TestFromValues:
+    def test_membership_copies_and_leaves_input_writeable(self):
+        a = np.array([[0.25, 0.75]])
+        F = MembershipMatrix.from_values(a)
+        assert a.flags.writeable and not F.values.flags.writeable
+        a[0, 0] = 0.5
+        assert F.values[0, 0] == 0.25
+
+    def test_power_copies_and_leaves_input_writeable(self):
+        a = np.array([[0.25, 0.75]])
+        G = PowerMembership.from_values(a, 2.0)
+        assert a.flags.writeable and not G.values.flags.writeable
+        a[0, 0] = 0.5
+        assert G.values[0, 0] == 0.25
 
 
 class TestValidate:

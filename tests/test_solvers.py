@@ -354,6 +354,12 @@ class TestSolverContracts:
         assert [r.membership_updates for r in a.trace.records] == \
                [r.membership_updates for r in b.trace.records]
 
+    @pytest.mark.parametrize("solve", [solve_fcm_classic, solve_irw_fcm, solve_fcm_mm])
+    def test_final_memberships_are_read_only(self, solve):
+        data = blob_instance(seed=23)
+        result = solve(data, init_random(data.n, 2, 24), SolverConfig(c=2, max_outer_iters=3))
+        assert not result.F_final.values.flags.writeable
+
     def test_start_matrix_must_be_row_stochastic(self):
         data = blob_instance(seed=22)
         bad = MembershipMatrix.from_values(np.full((data.n, 2), 0.4))

@@ -47,7 +47,7 @@ for it in range(width):
     print(" ".join(row))
 
 print("\nrecovered centers vs blob means (single-loop solver):")
-found = results["mm"].centers_final.centers
+found = results["mm"].centers_final
 for center in truth:
     j = int(np.argmin(np.linalg.norm(found - center, axis=1)))
     err = np.linalg.norm(found[j] - center)

@@ -14,9 +14,8 @@ from .dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardiz
 from .exceptions import DegenerateClusterError
 from .membership import (MembershipMatrix, MembershipReport, PowerMembership,
                          dump_csv, init_random, to_power, validate)
-from .objective import (ClusterAggregates, ClusterCenters, aggregates,
-                        compute_centers, fcm_objective, majorizer_h, phi, psi,
-                        tangent_gradient)
+from .objective import (ClusterAggregates, aggregates, compute_centers,
+                        fcm_objective, majorizer_h, phi, psi, tangent_gradient)
 from .oracle import (OracleReport, descent_chain_audit, finite_diff_gradient,
                      gram_quad_oracle, gram_vector_oracle, run_suite,
                      surrogate_argmin_oracle)
@@ -33,7 +32,7 @@ __all__ = [
     "DegenerateClusterError",
     "MembershipMatrix", "MembershipReport", "PowerMembership",
     "dump_csv", "init_random", "to_power", "validate",
-    "ClusterAggregates", "ClusterCenters", "aggregates", "compute_centers",
+    "ClusterAggregates", "aggregates", "compute_centers",
     "fcm_objective", "majorizer_h", "phi", "psi", "tangent_gradient",
     "OracleReport", "descent_chain_audit", "finite_diff_gradient",
     "gram_quad_oracle", "gram_vector_oracle", "run_suite",

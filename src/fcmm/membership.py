@@ -64,7 +64,6 @@ class PowerMembership:
     """
 
     values: np.ndarray
-    r: float
     col_sums: np.ndarray
 
     @property
@@ -76,11 +75,11 @@ class PowerMembership:
         return self.values.shape[1]
 
     @classmethod
-    def from_values(cls, values, r: float) -> "PowerMembership":
-        return cls._adopt(np.array(values, dtype=np.float64, order="C"), r)
+    def from_values(cls, values) -> "PowerMembership":
+        return cls._adopt(np.array(values, dtype=np.float64, order="C"))
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, r: float) -> "PowerMembership":
+    def _adopt(cls, arr: np.ndarray) -> "PowerMembership":
         """Wrap ``arr`` without copying and freeze it; no one else may hold it."""
         if arr.ndim != 2:
             raise ValueError("powered membership values must be a 2-D array")
@@ -91,7 +90,7 @@ class PowerMembership:
                 f"cluster(s) {dead.tolist()} have zero mass (column sum of g is 0)")
         arr.setflags(write=False)
         sums.setflags(write=False)
-        return cls(arr, float(r), sums)
+        return cls(arr, sums)
 
 
 def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
@@ -113,7 +112,7 @@ def to_power(F: MembershipMatrix, r: float) -> PowerMembership:
     """Compute G with g_ij = f_ij ** r and the per-cluster column sums."""
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    return PowerMembership._adopt(F.values ** r, r)
+    return PowerMembership._adopt(F.values ** r)
 
 
 @dataclass(frozen=True)

@@ -27,21 +27,6 @@ from .membership import MembershipMatrix, PowerMembership
 
 
 @dataclass(frozen=True)
-class ClusterCenters:
-    """c cluster centers in d dimensions, one per row."""
-
-    centers: np.ndarray
-
-    @property
-    def c(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.centers.shape[1]
-
-
-@dataclass(frozen=True)
 class ClusterAggregates:
     """Per-cluster sufficient statistics of (data, G).
 
@@ -74,14 +59,14 @@ def aggregates(data: DataMatrix, G: PowerMembership) -> ClusterAggregates:
     return ClusterAggregates(y, quad, mass)
 
 
-def compute_centers(agg: ClusterAggregates) -> ClusterCenters:
-    """Optimal centers for fixed memberships: m_j = y_j / mass_j."""
+def compute_centers(agg: ClusterAggregates) -> np.ndarray:
+    """Optimal c x d centers for fixed memberships: m_j = y_j / mass_j."""
     if np.any(agg.mass <= 0.0):
         raise DegenerateClusterError("zero cluster mass, centers undefined")
-    return ClusterCenters(agg.y / agg.mass[:, None])
+    return agg.y / agg.mass[:, None]
 
 
-def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: ClusterCenters,
+def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
                   r: float) -> float:
     """Fuzzy-means cost sum_j sum_i f_ij^r |x_i - m_j|^2 at explicit centers.
 
@@ -91,12 +76,12 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: ClusterCenters
     """
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    if F.n != data.n or centers.d != data.d:
+    if F.n != data.n or centers.shape[1] != data.d:
         raise ValueError("dimension mismatch between data, memberships and centers")
     G = F.values ** r
     total = 0.0
-    for j in range(centers.c):
-        diff = data.points - centers.centers[j]
+    for j, center in enumerate(centers):
+        diff = data.points - center
         total += float(G[:, j] @ np.einsum("id,id->i", diff, diff))
     return total
 

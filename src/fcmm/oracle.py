@@ -53,18 +53,23 @@ def _gram_matrix(points: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _quad_form(gram: np.ndarray, g) -> float:
+    """g' gram g by double loop, summed over i, then k."""
+    n = gram.shape[0]
+    total = 0.0
+    for i in range(n):
+        for k in range(n):
+            total += g[i] * gram[i, k] * g[k]
+    return total
+
+
 def gram_quad_oracle(data: DataMatrix, g) -> float:
     """Evaluate g'(X'X)g through the materialized Gram matrix.
 
     Intended for n <= 200; the optimized path never forms this matrix.
     """
     g = np.asarray(g, dtype=np.float64)
-    gram = _gram_matrix(data.points)
-    total = 0.0
-    for i in range(data.n):
-        for k in range(data.n):
-            total += g[i] * gram[i, k] * g[k]
-    return total
+    return _quad_form(_gram_matrix(data.points), g)
 
 
 def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
@@ -86,10 +91,7 @@ def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarra
     gram = _gram_matrix(data.points)
 
     def ratio(g):
-        num = 0.0
-        for i in range(data.n):
-            for k in range(data.n):
-                num += g[i] * gram[i, k] * g[k]
+        num = _quad_form(gram, g)
         den = 0.0
         for i in range(data.n):
             den += g[i]
@@ -125,7 +127,7 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     worst = h_star - majorizer_h(data, G_star, G_t)  # self sample, exactly 0
     for _ in range(trials):
         F = rng.dirichlet(np.ones(G_t.c), size=G_t.n)
-        h = majorizer_h(data, PowerMembership.from_values(F ** r, r), G_t)
+        h = majorizer_h(data, PowerMembership.from_values(F ** r), G_t)
         worst = max(worst, h_star - h)
     return OracleReport.from_error("surrogate_argmin", max(0.0, worst),
                                    tolerance, trials + 1)
@@ -149,7 +151,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     worst = 0.0
     for _ in range(steps):
         obj = phi(data, G)
-        F_next = update_membership_mm(data, G, cfg.r, cfg.dist_floor)
+        F_next = update_membership_mm(data, G, cfg.r)
         G_next = to_power(F_next, cfg.r)
         h_next = majorizer_h(data, G_next, G)
         h_self = majorizer_h(data, G, G)

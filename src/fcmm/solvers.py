@@ -25,7 +25,7 @@ import numpy as np
 from .dataset import DataMatrix
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership, to_power, validate
-from .objective import (ClusterCenters, aggregates, compute_centers, phi)
+from .objective import aggregates, compute_centers, phi
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITERS = "max_iters"
@@ -39,10 +39,8 @@ class SolverConfig:
     ``outer_tol`` stops the outer loop once the reduced objective changes
     by no more than ``outer_tol * (1 + |objective|)``; ``inner_tol`` stops
     the re-weighting inner loop on the max elementwise membership change.
-    ``dist_floor`` is the squared-distance level below which a point
-    counts as sitting on a center. ``standardize`` is honored by the
-    harness when preparing datasets; the solve functions use the data as
-    given.
+    ``standardize`` is honored by the harness when preparing datasets; the
+    solve functions use the data as given.
     """
 
     c: int
@@ -52,7 +50,6 @@ class SolverConfig:
     max_outer_iters: int = 500
     max_inner_iters: int = 100
     seed: int = 0
-    dist_floor: float = 1e-12
     standardize: bool = True
 
     def __post_init__(self):
@@ -60,7 +57,7 @@ class SolverConfig:
             raise ValueError(f"need at least 2 clusters, got {self.c}")
         if not 1.0 < self.r < np.inf:
             raise ValueError(f"fuzziness exponent must be finite and exceed 1, got {self.r}")
-        for name in ("outer_tol", "inner_tol", "dist_floor"):
+        for name in ("outer_tol", "inner_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
@@ -106,38 +103,39 @@ class SolverResult:
     """
 
     F_final: MembershipMatrix
-    centers_final: Optional[ClusterCenters]
+    centers_final: Optional[np.ndarray]
     objective_final: float
     trace: SolverTrace
     termination: str
 
 
-def _memberships_from_brackets(brackets: np.ndarray, r: float,
-                               dist_floor: float) -> MembershipMatrix:
+def _memberships_from_brackets(brackets: np.ndarray, r: float) -> MembershipMatrix:
     """Closed-form row update shared by all three solvers.
 
-    Rows with every bracket (squared point-center distance) at least
-    ``dist_floor`` get f_ij proportional to bracket^(1/(1-r)). At r = 2
-    that is the reciprocal; otherwise each row is scaled by its smallest
-    bracket first, ``(min_j b_ij / b_ij)^(1/(r-1))``, so the largest
-    weight is exactly 1 and extreme exponents stay finite. If any bracket
-    falls below the floor the point sits on a center (or rounding drove
-    the bracket negative): membership splits uniformly over the near
-    clusters and is 0 elsewhere, which keeps the row on the simplex.
+    Rows with every bracket (squared point-center distance) positive get
+    f_ij proportional to bracket^(1/(1-r)). At r = 2 that is the
+    reciprocal, taken when no reciprocal row sum can overflow (``c`` over
+    the smallest bracket is finite); otherwise each row is scaled by its
+    smallest bracket first, ``(min_j b_ij / b_ij)^(1/(r-1))``, so the
+    largest weight is exactly 1 and the result is finite at any data scale.
+    A row with a bracket at or below 0 has its point on a center:
+    membership splits uniformly over those clusters and is 0 elsewhere,
+    which keeps the row on the simplex.
     """
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
     c = brackets.shape[1]
+    low = brackets.min()
     # Split rows may turn inf, nan or negative here; they are overwritten below.
     with np.errstate(all="ignore"):
-        if r == 2.0 and np.isfinite(c / dist_floor):
+        if r == 2.0 and low > 0.0 and np.isfinite(c / low):
             values = np.reciprocal(brackets)
         else:
             values = np.min(brackets, axis=1, keepdims=True) / brackets
             np.power(values, 1.0 / (r - 1.0), out=values)
         values /= (values @ np.ones(c))[:, None]
-    if brackets.min() < dist_floor:
-        near = brackets < dist_floor
+    if low <= 0.0:
+        near = brackets <= 0.0
         split = near.any(axis=1)
         hits = near[split]
         values[split] = hits / hits.sum(axis=1, keepdims=True)
@@ -145,17 +143,17 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     return MembershipMatrix(values)
 
 
-def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
-                    dist_floor: float) -> MembershipMatrix:
+def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float) -> MembershipMatrix:
     """Closed-form update from c x d centers, distances in expanded form.
 
     Brackets ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` take one n x d by d x c
-    product; they equal the squared point-center distances analytically
-    but may round negative, which the shared floor rule handles. The
-    expanded form rounds at about eps (x_i.x_i + m_j.m_j), so near a center
-    it loses digits to cancellation: rows with a bracket below
-    ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
-    ~1e-12 of the bracket, are recomputed from the point-center differences.
+    product; they equal the squared point-center distances analytically,
+    but the expanded form rounds at about eps (x_i.x_i + m_j.m_j), so near a
+    center it loses digits to cancellation and may even round negative.
+    Rows with a bracket below ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that
+    rounding would exceed ~1e-12 of the bracket, are recomputed from the
+    point-center differences; so the kernel sees no negative bracket, and
+    a zero one only where a point equals a center.
     """
     center_sq = np.einsum("cd,cd->c", centers, centers)
     # Built c x n, so broadcasts and per-point scans run along n.
@@ -165,7 +163,7 @@ def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
     if close.any():
         rows = np.flatnonzero(close.any(axis=0))
         brackets[:, rows] = _difference_brackets(data.points[rows], centers)
-    return _memberships_from_brackets(brackets.T, r, dist_floor)
+    return _memberships_from_brackets(brackets.T, r)
 
 
 def _difference_brackets(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -177,16 +175,16 @@ def _difference_brackets(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return sq_dists
 
 
-def update_membership_classic(data: DataMatrix, centers: ClusterCenters,
-                              r: float, dist_floor: float = 1e-12) -> MembershipMatrix:
+def update_membership_classic(data: DataMatrix, centers: np.ndarray,
+                              r: float) -> MembershipMatrix:
     """Classic closed-form update from explicit centers.
 
     Squared distances are evaluated through the point-center differences;
     this is the reference route the expanded-form updates are checked
     against.
     """
-    sq_dists = _difference_brackets(data.points, centers.centers)
-    return _memberships_from_brackets(sq_dists.T, r, dist_floor)
+    sq_dists = _difference_brackets(data.points, centers)
+    return _memberships_from_brackets(sq_dists.T, r)
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
@@ -196,7 +194,7 @@ def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
 
 
 def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
-                          r: float, dist_floor: float = 1e-12) -> MembershipMatrix:
+                          r: float) -> MembershipMatrix:
     """Linearized-subproblem update at G with the scalars s frozen.
 
     The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
@@ -210,18 +208,16 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
         raise DegenerateClusterError(
             f"cluster(s) {dead.tolist()} have zero weighted image, re-weighting undefined")
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
-    return _memberships_at(data, centers, r, dist_floor)
+    return _memberships_at(data, centers, r)
 
 
-def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float,
-                         dist_floor: float = 1e-12) -> MembershipMatrix:
+def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> MembershipMatrix:
     """Surrogate-minimizing update anchored at G_t.
 
     The surrogate's minimizer is the update at the centers ``y_j / mass_j``
     of the classic step; only the distance form differs.
     """
-    return _memberships_at(data, compute_centers(aggregates(data, G_t)).centers,
-                           r, dist_floor)
+    return _memberships_at(data, compute_centers(aggregates(data, G_t)), r)
 
 
 def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
@@ -281,7 +277,7 @@ def solve_fcm_classic(data: DataMatrix, F0: MembershipMatrix,
 
     def step(F, G):
         centers = compute_centers(aggregates(data, G))
-        F_new = update_membership_classic(data, centers, cfg.r, cfg.dist_floor)
+        F_new = update_membership_classic(data, centers, cfg.r)
         return F_new, to_power(F_new, cfg.r), 1, 0
 
     return _run_outer(data, F0, cfg, step)
@@ -302,7 +298,7 @@ def solve_irw_fcm(data: DataMatrix, F0: MembershipMatrix,
         F_in, G_in = F, G
         inner = 0
         while True:
-            F_next = update_membership_irw(data, G_in, s, cfg.r, cfg.dist_floor)
+            F_next = update_membership_irw(data, G_in, s, cfg.r)
             inner += 1
             delta = float(np.max(np.abs(F_next.values - F_in.values)))
             F_in = F_next
@@ -319,7 +315,7 @@ def solve_fcm_mm(data: DataMatrix, F0: MembershipMatrix,
     """Single-loop surrogate solver: one membership update per iteration."""
 
     def step(F, G):
-        F_new = update_membership_mm(data, G, cfg.r, cfg.dist_floor)
+        F_new = update_membership_mm(data, G, cfg.r)
         return F_new, to_power(F_new, cfg.r), 1, 0
 
     return _run_outer(data, F0, cfg, step)

@@ -55,7 +55,7 @@ class TestCmdRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert set(summary) == {"config", "irw", "mm"}
         for key in ("c", "r", "outer_tol", "inner_tol", "max_outer_iters",
-                    "max_inner_iters", "seed", "dist_floor", "standardize",
+                    "max_inner_iters", "seed", "standardize",
                     "algorithms", "dataset", "output_dir"):
             assert key in summary["config"]
         for name in ("irw", "mm"):

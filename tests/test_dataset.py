@@ -113,7 +113,7 @@ class TestMakeBlobs:
         truth = np.array([data.points[k * 50:(k + 1) * 50].mean(axis=0) for k in range(3)])
         result = solve_fcm_mm(data, init_random(data.n, 3, 0), SolverConfig(c=3))
         assert result.termination == "converged"
-        found = result.centers_final.centers
+        found = result.centers_final
         taken = set()
         for center in truth:
             dists = np.linalg.norm(found - center, axis=1)

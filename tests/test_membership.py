@@ -85,7 +85,7 @@ class TestFromValues:
 
     def test_power_copies_and_leaves_input_writeable(self):
         a = np.array([[0.25, 0.75]])
-        G = PowerMembership.from_values(a, 2.0)
+        G = PowerMembership.from_values(a)
         assert a.flags.writeable and not G.values.flags.writeable
         a[0, 0] = 0.5
         assert G.values[0, 0] == 0.25

@@ -5,9 +5,8 @@ from conftest import random_instance
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
-from fcmm.objective import (ClusterCenters, aggregates, compute_centers,
-                            fcm_objective, majorizer_h, phi, psi,
-                            tangent_gradient)
+from fcmm.objective import (aggregates, compute_centers, fcm_objective,
+                            majorizer_h, phi, psi, tangent_gradient)
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
                           update_membership_classic)
@@ -15,8 +14,8 @@ from fcmm.solvers import (SolverConfig, solve_fcm_classic,
 TWO_POINTS_1D = DataMatrix.from_points([[-1.0], [1.0]])
 
 
-def single_cluster(g, r=2.0):
-    return PowerMembership.from_values(np.asarray(g, dtype=float)[:, None], r)
+def single_cluster(g):
+    return PowerMembership.from_values(np.asarray(g, dtype=float)[:, None])
 
 
 class TestAggregates:
@@ -53,7 +52,7 @@ class TestComputeCenters:
     def test_uniform_centroid(self):
         data = DataMatrix.from_points([[0.0, 0.0], [2.0, 2.0]])
         centers = compute_centers(aggregates(data, single_cluster([1.0, 1.0])))
-        np.testing.assert_array_equal(centers.centers, [[1.0, 1.0]])
+        np.testing.assert_array_equal(centers, [[1.0, 1.0]])
 
     def test_indicator_reproduces_point(self):
         rng = np.random.default_rng(23)
@@ -62,12 +61,12 @@ class TestComputeCenters:
             g = np.zeros(6)
             g[i] = 1.0
             centers = compute_centers(aggregates(data, single_cluster(g)))
-            np.testing.assert_allclose(centers.centers[0], data.points[i], rtol=1e-15)
+            np.testing.assert_allclose(centers[0], data.points[i], rtol=1e-15)
 
     def test_centers_in_data_bounding_box(self):
         rng = np.random.default_rng(24)
         data, _, G = random_instance(rng, 40, 3, 4)
-        centers = compute_centers(aggregates(data, G)).centers
+        centers = compute_centers(aggregates(data, G))
         lo, hi = data.points.min(axis=0), data.points.max(axis=0)
         assert np.all(centers >= lo - 1e-12) and np.all(centers <= hi + 1e-12)
 
@@ -85,9 +84,9 @@ class TestComputeCenters:
                 F = F_next
                 break
             F = F_next
-        c0 = compute_centers(aggregates(data, to_power(F, 2.0))).centers
+        c0 = compute_centers(aggregates(data, to_power(F, 2.0)))
         F1 = update_membership_classic(data, compute_centers(aggregates(data, to_power(F, 2.0))), 2.0)
-        c1 = compute_centers(aggregates(data, to_power(F1, 2.0))).centers
+        c1 = compute_centers(aggregates(data, to_power(F1, 2.0)))
         assert np.max(np.abs(c1 - c0)) <= 1e-9
 
 
@@ -101,7 +100,7 @@ class TestObjectiveValues:
     def test_symmetric_two_point_instance(self):
         # one cluster holding both points, centered at the origin
         F = MembershipMatrix.from_values([[1.0], [1.0]])
-        centers = ClusterCenters(np.array([[0.0]]))
+        centers = np.array([[0.0]])
         assert fcm_objective(TWO_POINTS_1D, F, centers, 2.0) == pytest.approx(2.0)
 
     def test_phi_two_point_instance(self):

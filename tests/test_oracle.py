@@ -82,7 +82,7 @@ class TestSurrogateArgmin:
 
     def test_symmetric_instance(self):
         data = DataMatrix.from_points([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        G = PowerMembership.from_values(np.full((4, 2), 0.25), 2.0)
+        G = PowerMembership.from_values(np.full((4, 2), 0.25))
         report = surrogate_argmin_oracle(data, G, 2.0, trials=200, seed=1)
         assert report.passed
 

@@ -6,7 +6,7 @@ from fcmm.cli import SYNTHETIC_PRESETS
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
-from fcmm.objective import ClusterCenters, aggregates, compute_centers, phi
+from fcmm.objective import aggregates, compute_centers, phi
 from fcmm.oracle import gram_quad_oracle
 from fcmm.solvers import (SolverConfig, irw_auxiliary,
                           solve_fcm_classic, solve_fcm_mm, solve_irw_fcm,
@@ -24,19 +24,19 @@ class TestClassicUpdate:
     def test_two_center_hand_case(self):
         # x=0, centers 1 and 2: inverse squared distances (1, 1/4)
         data = DataMatrix.from_points([[0.0]])
-        centers = ClusterCenters(np.array([[1.0], [2.0]]))
+        centers = np.array([[1.0], [2.0]])
         F = update_membership_classic(data, centers, R)
         np.testing.assert_allclose(F.values, [[0.8, 0.2]], rtol=1e-12)
 
     def test_equidistant_point_gets_uniform_row(self):
         data = DataMatrix.from_points([[0.0, 0.0]])
-        centers = ClusterCenters(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+        centers = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         F = update_membership_classic(data, centers, R)
         np.testing.assert_allclose(F.values, [[1 / 3] * 3], rtol=1e-12)
 
     def test_point_on_center_goes_one_hot(self):
         data = DataMatrix.from_points([[1.0], [5.0]])
-        centers = ClusterCenters(np.array([[1.0], [3.0]]))
+        centers = np.array([[1.0], [3.0]])
         F = update_membership_classic(data, centers, R)
         np.testing.assert_array_equal(F.values[0], [1.0, 0.0])
         assert 0 < F.values[1, 0] < F.values[1, 1]
@@ -46,7 +46,7 @@ class TestIrwAuxiliary:
     def test_single_point_indicator(self):
         # s = (|(3,4)| / 1, |(1,0)| / 1), so the centers are points 0 and 1
         data = DataMatrix.from_points([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
-        G = PowerMembership.from_values(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), R)
+        G = PowerMembership.from_values(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
         s = irw_auxiliary(data, G)
         np.testing.assert_allclose(s, [5.0, 1.0], rtol=1e-15)
         F = update_membership_irw(data, G, s, R)
@@ -56,7 +56,7 @@ class TestIrwAuxiliary:
 
     def test_identical_points(self):
         data = DataMatrix.from_points([[3.0, 4.0]] * 4)
-        G = PowerMembership.from_values(np.array([[0.5], [1.0], [2.0], [0.25]]), R)
+        G = PowerMembership.from_values(np.array([[0.5], [1.0], [2.0], [0.25]]))
         assert irw_auxiliary(data, G)[0] == pytest.approx(5.0, rel=1e-12)
 
     def test_matches_gram_oracle(self):
@@ -71,7 +71,7 @@ class TestIrwAuxiliary:
     def test_zero_weighted_image_is_degenerate(self):
         from fcmm.exceptions import DegenerateClusterError
         data = DataMatrix.from_points(np.zeros((4, 2)))
-        G = PowerMembership.from_values(np.full((4, 2), 0.25), R)
+        G = PowerMembership.from_values(np.full((4, 2), 0.25))
         with pytest.raises(DegenerateClusterError):
             update_membership_irw(data, G, irw_auxiliary(data, G), R)
 
@@ -80,15 +80,16 @@ class TestIrwUpdate:
     def test_equal_brackets_give_uniform_row(self):
         # identical columns of G and equal s put both centers in one place
         data = DataMatrix.from_points([[1.0], [2.0]])
-        G = PowerMembership.from_values(np.full((2, 2), 0.25), R)
+        G = PowerMembership.from_values(np.full((2, 2), 0.25))
         F = update_membership_irw(data, G, np.array([1.0, 1.0]), R)
         np.testing.assert_allclose(F.values, 0.5, rtol=1e-12)
 
     def test_negative_bracket_wins_row(self):
         # point 0 is its own re-weighting center; its expanded bracket
-        # rounds to about -4e-16 and goes through the floor rule
+        # rounds to about -4e-16, is recomputed from the differences as 0
+        # and splits the row
         data = DataMatrix.from_points([[0.4, -1.1], [50.0, 50.0]])
-        G = PowerMembership.from_values(np.eye(2), R)
+        G = PowerMembership.from_values(np.eye(2))
         F = update_membership_irw(data, G, irw_auxiliary(data, G), R)
         np.testing.assert_array_equal(F.values, np.eye(2))
 
@@ -114,7 +115,7 @@ class TestIrwUpdate:
             s = irw_auxiliary(data, G_anchor)
             F_irw = update_membership_irw(data, G, s, r)
             y = aggregates(data, G).y
-            centers = ClusterCenters(y * (s / np.linalg.norm(y, axis=1))[:, None])
+            centers = y * (s / np.linalg.norm(y, axis=1))[:, None]
             F_classic = update_membership_classic(data, centers, r)
             assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
 
@@ -144,7 +145,7 @@ class TestMmUpdate:
 
     def test_symmetric_instance_goes_uniform(self):
         data = DataMatrix.from_points([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        G = PowerMembership.from_values(np.full((4, 2), 0.25), R)
+        G = PowerMembership.from_values(np.full((4, 2), 0.25))
         F = update_membership_mm(data, G, R)
         np.testing.assert_allclose(F.values, 0.5, rtol=1e-12)
 
@@ -172,7 +173,7 @@ class TestSolveClassic:
         result = solve_fcm_classic(data, init_random(data.n, 2, 3), SolverConfig(c=2))
         assert result.termination == "converged"
         truth = np.array([data.points[:30].mean(axis=0), data.points[30:].mean(axis=0)])
-        found = result.centers_final.centers
+        found = result.centers_final
         for center in truth:
             assert np.min(np.linalg.norm(found - center, axis=1)) < 0.5
 
@@ -381,7 +382,7 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             SolverConfig(c=2, max_outer_iters=0)
 
-    @pytest.mark.parametrize("field", ["r", "outer_tol", "inner_tol", "dist_floor"])
+    @pytest.mark.parametrize("field", ["r", "outer_tol", "inner_tol"])
     def test_config_rejects_non_finite(self, field):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):

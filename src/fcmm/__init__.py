@@ -15,7 +15,7 @@ from .exceptions import DegenerateClusterError
 from .membership import (MembershipMatrix, MembershipReport, PowerMembership,
                          dump_csv, init_random, to_power, validate)
 from .objective import (ClusterAggregates, aggregates, compute_centers,
-                        fcm_objective, majorizer_h, phi, psi, tangent_gradient)
+                        fcm_objective, majorizer_h, phi, tangent_gradient)
 from .oracle import (OracleReport, descent_chain_audit, finite_diff_gradient,
                      gram_quad_oracle, gram_vector_oracle, run_suite,
                      surrogate_argmin_oracle)
@@ -33,7 +33,7 @@ __all__ = [
     "MembershipMatrix", "MembershipReport", "PowerMembership",
     "dump_csv", "init_random", "to_power", "validate",
     "ClusterAggregates", "aggregates", "compute_centers",
-    "fcm_objective", "majorizer_h", "phi", "psi", "tangent_gradient",
+    "fcm_objective", "majorizer_h", "phi", "tangent_gradient",
     "OracleReport", "descent_chain_audit", "finite_diff_gradient",
     "gram_quad_oracle", "gram_vector_oracle", "run_suite",
     "surrogate_argmin_oracle",

@@ -10,7 +10,6 @@ Central quantities for a powered membership G with columns g_j:
   and ``mass_j = sum_i g_ij``;
 * the fuzzy-means cost at explicit centers;
 * the reduced cost ``phi`` obtained by substituting the optimal centers;
-* the auxiliary cost ``psi`` with per-cluster scalars s_j;
 * the tangent-plane majorizer ``h`` of phi, and the gradient of the
   quadratic-over-linear term it linearizes.
 """
@@ -95,23 +94,6 @@ def phi(data: DataMatrix, G: PowerMembership) -> float:
     agg = aggregates(data, G)
     linear = float(np.sum(data.sq_norms @ G.values))
     return linear - float(np.sum(agg.quad / agg.mass))
-
-
-def psi(data: DataMatrix, G: PowerMembership, s) -> float:
-    """Auxiliary cost with per-cluster scalars s_j.
-
-    psi(G, s) = sum_ij g_ij x_i.x_i + sum_j (s_j^2 mass_j - 2 s_j sqrt(quad_j)).
-    Minimized over s at s_j = sqrt(quad_j) / mass_j, where it collapses to
-    :func:`phi`.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    agg = aggregates(data, G)
-    if s.shape != agg.mass.shape:
-        raise ValueError(f"s must have one entry per cluster, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("s must be finite")
-    linear = float(data.sq_norms @ G.values.sum(axis=1))
-    return linear + float(np.sum(s * s * agg.mass - 2.0 * s * np.sqrt(agg.quad)))
 
 
 def majorizer_h(data: DataMatrix, G: PowerMembership, G_t: PowerMembership) -> float:

@@ -109,18 +109,21 @@ class SolverResult:
     termination: str
 
 
-def _memberships_from_brackets(brackets: np.ndarray, r: float) -> MembershipMatrix:
+_BLOCK_ROWS = 8192
+
+
+def _memberships_from_brackets(brackets: np.ndarray, r: float,
+                               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Closed-form row update shared by all three solvers.
 
     Rows with every bracket (squared point-center distance) positive get
     f_ij proportional to bracket^(1/(1-r)). At r = 2 that is the
     reciprocal, taken when no reciprocal row sum can overflow (``c`` over
-    the smallest bracket is finite); otherwise each row is scaled by its
-    smallest bracket first, ``(min_j b_ij / b_ij)^(1/(r-1))``, so the
+    the smallest bracket passed in is finite); otherwise each row is scaled
+    by its smallest bracket first, ``(min_j b_ij / b_ij)^(1/(r-1))``, so the
     largest weight is exactly 1 and the result is finite at any data scale.
-    A row with a bracket at or below 0 has its point on a center:
-    membership splits uniformly over those clusters and is 0 elsewhere,
-    which keeps the row on the simplex.
+    A row with a bracket at or below 0 has its point on a center: it splits
+    uniformly over those clusters, 0 elsewhere. Rows go to ``out`` if given.
     """
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
@@ -129,9 +132,9 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float) -> MembershipMatr
     # Split rows may turn inf, nan or negative here; they are overwritten below.
     with np.errstate(all="ignore"):
         if r == 2.0 and low > 0.0 and np.isfinite(c / low):
-            values = np.reciprocal(brackets)
+            values = np.reciprocal(brackets, out=out)
         else:
-            values = np.min(brackets, axis=1, keepdims=True) / brackets
+            values = np.divide(np.min(brackets, axis=1, keepdims=True), brackets, out=out)
             np.power(values, 1.0 / (r - 1.0), out=values)
         values /= (values @ np.ones(c))[:, None]
     if low <= 0.0:
@@ -139,35 +142,51 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float) -> MembershipMatr
         split = near.any(axis=1)
         hits = near[split]
         values[split] = hits / hits.sum(axis=1, keepdims=True)
+    return values
+
+
+def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
+                    expanded: bool = True) -> MembershipMatrix:
+    """Closed-form update from c x d centers, in row blocks.
+
+    Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
+    remainder, so n below twice that is one block and none is short (BLAS
+    rounds a few-row product differently). Each block builds its c x b
+    brackets and runs the kernel in cache, into one column-major n x c result.
+
+    Classic (``expanded`` false) takes the point-center differences. MM
+    and IRW take ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` from one product; it
+    rounds at about eps (x_i.x_i + m_j.m_j), so near a center it loses
+    digits and may round negative. Rows with a bracket below
+    ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
+    ~1e-12 of the bracket, are recomputed from the differences; so the
+    kernel sees a zero bracket only where a point equals a center.
+    """
+
+    def block(points, sq_norms, out):
+        if not expanded:
+            return _memberships_from_brackets(_difference_brackets(points, centers).T, r, out)
+        center_sq = np.einsum("cd,cd->c", centers, centers)
+        # Built c x b, so broadcasts and per-point scans run along the points.
+        brackets = (-2.0 * centers) @ points.T
+        brackets += center_sq[:, None] + sq_norms
+        close = brackets < 1e-4 * (sq_norms + center_sq.max())
+        if close.any():
+            rows = np.flatnonzero(close.any(axis=0))
+            brackets[:, rows] = _difference_brackets(points[rows], centers)
+        return _memberships_from_brackets(brackets.T, r, out)
+
+    values = np.empty((data.n, centers.shape[0]), order="F")
+    starts = range(0, max(data.n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], data.n]):
+        rows = slice(start, stop)
+        block(data.points[rows], data.sq_norms[rows], values[rows])
     values.setflags(write=False)
     return MembershipMatrix(values)
 
 
-def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float) -> MembershipMatrix:
-    """Closed-form update from c x d centers, distances in expanded form.
-
-    Brackets ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` take one n x d by d x c
-    product; they equal the squared point-center distances analytically,
-    but the expanded form rounds at about eps (x_i.x_i + m_j.m_j), so near a
-    center it loses digits to cancellation and may even round negative.
-    Rows with a bracket below ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that
-    rounding would exceed ~1e-12 of the bracket, are recomputed from the
-    point-center differences; so the kernel sees no negative bracket, and
-    a zero one only where a point equals a center.
-    """
-    center_sq = np.einsum("cd,cd->c", centers, centers)
-    # Built c x n, so broadcasts and per-point scans run along n.
-    brackets = (-2.0 * centers) @ data.points.T
-    brackets += center_sq[:, None] + data.sq_norms
-    close = brackets < 1e-4 * (data.sq_norms + center_sq.max())
-    if close.any():
-        rows = np.flatnonzero(close.any(axis=0))
-        brackets[:, rows] = _difference_brackets(data.points[rows], centers)
-    return _memberships_from_brackets(brackets.T, r)
-
-
 def _difference_brackets(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """c x n squared point-center distances through the differences."""
+    """c x b squared point-center distances through the differences."""
     sq_dists = np.empty((centers.shape[0], points.shape[0]))
     for j, center in enumerate(centers):
         diff = points - center
@@ -183,8 +202,7 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     this is the reference route the expanded-form updates are checked
     against.
     """
-    sq_dists = _difference_brackets(data.points, centers)
-    return _memberships_from_brackets(sq_dists.T, r)
+    return _memberships_at(data, centers, r, expanded=False)
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:

@@ -3,7 +3,8 @@
 The kernel takes the reciprocal at r = 2 and a row-min-scaled power
 otherwise; the log-space formula it replaced is kept here as the
 reference it must reproduce. The updates have no length scale, so
-scaling the data must not move them.
+scaling the data must not move them, and they run in row blocks, which
+must not move them either.
 """
 
 import numpy as np
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fcmm.dataset import DataMatrix
-from fcmm.membership import MembershipMatrix, to_power
+from fcmm import solvers
+from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
+from fcmm.membership import MembershipMatrix, init_random, to_power
 from fcmm.objective import aggregates, compute_centers
 from fcmm.oracle import run_suite
-from fcmm.solvers import (_memberships_from_brackets, irw_auxiliary,
-                          update_membership_classic, update_membership_irw,
-                          update_membership_mm)
+from fcmm.solvers import (SolverConfig, _memberships_from_brackets, irw_auxiliary,
+                          solve_fcm_mm, solve_irw_fcm, update_membership_classic,
+                          update_membership_irw, update_membership_mm)
 
 R_VALUES = (1.05, 1.2, 1.5, 2.0, 3.0, 20.0, 200.0)
 
@@ -62,30 +64,30 @@ class TestKernelMatchesLogSpace:
         F = _memberships_from_brackets(brackets, r)
         reference = log_space_reference(brackets, r)
         split = (brackets <= 0.0).any(axis=1)
-        np.testing.assert_array_equal(F.values[split], reference[split])
-        assert np.max(np.abs(F.values - reference), initial=0.0) <= 1e-13
-        assert np.max(np.abs(F.values.sum(axis=1) - 1.0)) <= 1e-14
+        np.testing.assert_array_equal(F[split], reference[split])
+        assert np.max(np.abs(F - reference), initial=0.0) <= 1e-13
+        assert np.max(np.abs(F.sum(axis=1) - 1.0)) <= 1e-14
 
     def test_reciprocal_overflow_falls_back_to_scaled_route(self):
         # the smallest bracket's reciprocal overflows (1 / 2e-310 = inf),
         # so r = 2 must take the row-min route
         brackets = np.array([[2e-310, 1e-309]])
         F = _memberships_from_brackets(brackets, 2.0)
-        assert np.all(np.isfinite(F.values))
-        assert abs(F.values.sum() - 1.0) <= 1e-15
-        np.testing.assert_allclose(F.values, log_space_reference(brackets, 2.0),
+        assert np.all(np.isfinite(F))
+        assert abs(F.sum() - 1.0) <= 1e-15
+        np.testing.assert_allclose(F, log_space_reference(brackets, 2.0),
                                    rtol=0, atol=1e-13)
 
 
-def _offset_instance(r, gap=5e-7):
-    """Points near 1e3 whose first point sits ``gap`` from the MM center 0."""
+def _offset_instance(r, gap=5e-7, row=0):
+    """Points near 1e3 whose point ``row`` sits ``gap`` from the MM center 0."""
     rng = np.random.default_rng(3)
     points = 1e3 + rng.normal(size=(30, 2))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=30))
     G = to_power(F, r)
-    for _ in range(30):  # the center moves with point 0; this contracts
+    for _ in range(30):  # the center moves with that point; this contracts
         center = compute_centers(aggregates(DataMatrix.from_points(points), G))[0]
-        points[0] = center + [gap, 0.0]
+        points[row] = center + [gap, 0.0]
     return DataMatrix.from_points(points), G
 
 
@@ -129,3 +131,90 @@ class TestScaleInvariance:
             F_unit = update(DataMatrix.from_points(points), G, r)
             F_scaled = update(DataMatrix.from_points(scale * points), G, r)
             assert np.max(np.abs(F_scaled.values - F_unit.values)) <= 1e-12
+
+
+def _blobs(n_per_blob):
+    spec = SyntheticSpec(blob_count=4, points_per_blob=n_per_blob, dim=3, seed=0)
+    return standardize(make_blobs(spec))
+
+
+def _one_block(monkeypatch, data, run):
+    """``run()`` with every row in one block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_BLOCK_ROWS", data.n + 1)
+        return run()
+
+
+class TestRowBlocks:
+    """Blocks start at multiples of ``_BLOCK_ROWS``; the last takes the rest."""
+
+    @pytest.mark.parametrize("r", [1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("block_rows", [8, 16, 64])
+    def test_blocked_updates_and_solves_are_bitwise_one_block(self, monkeypatch,
+                                                              block_rows, r):
+        data = _blobs(50)
+        F0 = init_random(data.n, 4, seed=1)
+        G = to_power(F0, r)
+        runs = {kind: (lambda update=update: update(data, G, r).values)
+                for kind, update in UPDATES.items()}
+        runs["mm solve"] = lambda: solve_fcm_mm(data, F0, SolverConfig(c=4, r=r))
+        runs["irw solve"] = lambda: solve_irw_fcm(
+            data, F0, SolverConfig(c=4, r=r, max_outer_iters=2))
+        whole = {kind: _one_block(monkeypatch, data, run) for kind, run in runs.items()}
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", block_rows)
+        for kind, run in runs.items():
+            blocked = run()
+            if kind.endswith("solve"):
+                assert blocked.objective_final.hex() == whole[kind].objective_final.hex()
+                np.testing.assert_array_equal(blocked.trace.objectives(),
+                                              whole[kind].trace.objectives())
+                blocked, whole[kind] = blocked.F_final.values, whole[kind].F_final.values
+            np.testing.assert_array_equal(blocked, whole[kind], err_msg=kind)
+            assert blocked.flags.f_contiguous and not blocked.flags.writeable
+
+    def test_default_block_rows_past_two_blocks(self, monkeypatch):
+        data = _blobs(4100)
+        data = DataMatrix.from_points(data.points[:2 * 8192 + 5])
+        assert solvers._BLOCK_ROWS == 8192 and data.n == 2 * 8192 + 5
+        G = to_power(init_random(data.n, 4, seed=2), 2.0)
+        for kind, update in UPDATES.items():
+            blocked = update(data, G, 2.0).values
+            whole = _one_block(monkeypatch, data, lambda: update(data, G, 2.0).values)
+            np.testing.assert_array_equal(blocked, whole, err_msg=kind)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    @pytest.mark.parametrize("kind", ["mm", "classic"])
+    def test_points_on_centers_in_one_block(self, monkeypatch, kind, r):
+        # rows 20 and 21 (third block) are the only members of clusters 0 and 1,
+        # so those centers are exactly those points; classic gets them directly
+        data = _blobs(50)
+        on = [20, 21]
+        values = np.random.default_rng(4).dirichlet(np.ones(2), size=data.n)
+        F = np.zeros((data.n, 4))
+        F[:, 2:] = values
+        F[on] = np.eye(4)[:2]
+        G = to_power(MembershipMatrix.from_values(F), r)
+        centers = compute_centers(aggregates(data, G))
+        np.testing.assert_array_equal(centers[:2], data.points[on])
+        if kind == "mm":
+            update = lambda: update_membership_mm(data, G, r).values
+        else:
+            update = lambda: update_membership_classic(data, centers, r).values
+        whole = _one_block(monkeypatch, data, update)
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", 8)
+        blocked = update()
+        np.testing.assert_array_equal(blocked[on], np.eye(4)[:2])
+        assert np.max(np.abs(blocked - whole)) <= 1e-15
+        assert np.max(np.abs(blocked.sum(axis=1) - 1.0)) <= 1e-15
+        assert blocked.min() >= 0.0
+
+    @pytest.mark.parametrize("r", [2.0, 1.5])
+    def test_near_center_point_in_later_block(self, monkeypatch, r):
+        # row 20 lies in the third 8-row block, 5e-7 from center 0, near 1e3
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", 8)
+        data, G = _offset_instance(r, row=20)
+        centers = compute_centers(aggregates(data, G))
+        assert np.sum((data.points[20] - centers[0]) ** 2) < 1e-12
+        F_mm = update_membership_mm(data, G, r)
+        F_cl = update_membership_classic(data, centers, r)
+        assert np.max(np.abs(F_mm.values - F_cl.values)) <= 1e-12

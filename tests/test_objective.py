@@ -6,7 +6,7 @@ from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
 from fcmm.objective import (aggregates, compute_centers, fcm_objective,
-                            majorizer_h, phi, psi, tangent_gradient)
+                            majorizer_h, phi, tangent_gradient)
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
                           update_membership_classic)
@@ -127,37 +127,6 @@ class TestObjectiveValues:
         data, F, G = random_instance(rng, 6, 2, 2)
         centers = compute_centers(aggregates(data, G))
         assert phi(data, G) == pytest.approx(fcm_objective(data, F, centers, 2.0), rel=1e-10)
-
-
-class TestPsi:
-    def test_collapses_to_phi_at_optimal_s(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            data, _, G = random_instance(rng, int(rng.integers(5, 25)), 3, 3)
-            agg = aggregates(data, G)
-            s_opt = np.sqrt(agg.quad) / agg.mass
-            a = psi(data, G, s_opt)
-            b = phi(data, G)
-            assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
-
-    def test_zero_s_leaves_linear_term(self):
-        rng = np.random.default_rng(34)
-        data, _, G = random_instance(rng, 12, 2, 3)
-        expect = float(data.sq_norms @ G.values.sum(axis=1))
-        assert psi(data, G, np.zeros(3)) == pytest.approx(expect, rel=1e-12)
-
-    def test_phi_minimizes_over_s_grid(self):
-        # quadratic in each s_j, so any perturbation off the optimum sits above phi
-        rng = np.random.default_rng(35)
-        data, _, G = random_instance(rng, 15, 2, 3)
-        agg = aggregates(data, G)
-        s_opt = np.sqrt(agg.quad) / agg.mass
-        base = phi(data, G)
-        for delta in np.linspace(-0.5, 0.5, 21):
-            for j in range(3):
-                s = s_opt.copy()
-                s[j] += delta
-                assert psi(data, G, s) >= base - 1e-10 * (1.0 + abs(base))
 
 
 class TestMajorizer:

@@ -15,8 +15,9 @@ Run:  python demos/04_surrogate_geometry.py
 
 import numpy as np
 
-from fcmm import (DataMatrix, MembershipMatrix, init_random, majorizer_h, phi,
-                  to_power, update_membership_mm)
+from fcmm import DataMatrix, MembershipMatrix, init_random, phi, to_power
+from fcmm.objective import majorizer_h
+from fcmm.solvers import update_membership_mm
 
 rng = np.random.default_rng(4)
 data = DataMatrix.from_points(rng.normal(size=(40, 3)))

@@ -92,16 +92,17 @@ def iris_manifest(csv_path, output_dir, algorithms=("irw", "mm"),
                        csv_path=str(csv_path), drop_columns=(4,))
 
 
-def _csv_has_header(path) -> bool:
-    """A file whose first non-empty row contains any non-numeric cell has a header."""
+def _csv_has_header(path, drop_columns=()) -> bool:
+    """A file whose first non-empty row has a non-numeric kept cell has a header."""
     rows = read_csv_rows(path)
     first = next(rows, [])
     rows.close()
-    for cell in first:
+    for j, cell in enumerate(first):
         try:
             float(cell)
         except ValueError:
-            return True
+            if j not in drop_columns:
+                return True
     return False
 
 
@@ -109,7 +110,7 @@ def load_manifest_dataset(manifest: RunManifest) -> DataMatrix:
     """Materialize the manifest's dataset, standardized if configured."""
     if manifest.csv_path is not None:
         data = load_csv(manifest.csv_path, manifest.drop_columns,
-                        has_header=_csv_has_header(manifest.csv_path))
+                        has_header=_csv_has_header(manifest.csv_path, manifest.drop_columns))
     else:
         data = make_blobs(manifest.synthetic)
     return standardize(data) if manifest.cfg.standardize else data
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "validate":
+        if args.seed < 0:
+            print("error: seed must be a non-negative integer", file=sys.stderr)
+            return 2
         return cmd_validate(args.scale, args.seed)
     try:
         manifest = manifest_from_options(_resolve_options(args))

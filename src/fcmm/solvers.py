@@ -2,12 +2,11 @@
 
 * :func:`solve_fcm_classic` alternates optimal centers with the classic
   closed-form membership update.
-* :func:`solve_irw_fcm` is the double-loop re-weighting scheme: per outer
-  iteration it freezes the per-cluster scalars s_j, then repeats the
-  linearized membership update until the memberships stop moving.
-* :func:`solve_fcm_mm` minimizes the tangent-plane surrogate once per
-  iteration; a single loop whose step coincides with one inner step of
-  the double-loop solver.
+* :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
+  inner step is the surrogate (MM) step at the anchor; further inner
+  steps freeze the scalars s_j there and repeat the linearized update.
+* :func:`solve_fcm_mm` is that scheme capped at one inner step: bitwise
+  ``solve_irw_fcm`` with ``max_inner_iters=1``.
 
 All three share the convergence control (relative change of the reduced
 objective), the degenerate-distance rule, and the trace instrumentation,
@@ -301,42 +300,41 @@ def solve_fcm_classic(data: DataMatrix, F0: MembershipMatrix,
     return _run_outer(data, F0, cfg, step)
 
 
-def solve_irw_fcm(data: DataMatrix, F0: MembershipMatrix,
-                  cfg: SolverConfig) -> SolverResult:
-    """Double-loop re-weighting solver.
+def _reweighting_step(data: DataMatrix, cfg: SolverConfig, max_inner: int) -> Callable:
+    """One outer iteration of the re-weighting scheme, at most ``max_inner`` inner steps.
 
-    Each outer iteration freezes s_j at the current memberships, then the
-    inner loop repeats the linearized update until the max elementwise
-    membership change drops to ``inner_tol`` or the inner cap is hit.
-    Every inner update counts toward the work total.
+    At the anchor G the re-weighting center ``s_j y_j / |y_j|`` equals
+    ``y_j / mass_j``, so the first inner step is the MM step. Only when a
+    second step runs are the scalars s taken at G; later steps apply the
+    linearized update at the frozen s until the max elementwise membership
+    change drops to ``inner_tol`` or the cap is hit.
     """
 
     def step(F, G):
-        s = irw_auxiliary(data, G)
-        F_in, G_in = F, G
-        inner = 0
-        while True:
-            F_next = update_membership_irw(data, G_in, s, cfg.r)
-            inner += 1
-            delta = float(np.max(np.abs(F_next.values - F_in.values)))
-            F_in = F_next
+        F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
+        G_in = to_power(F_in, cfg.r)
+        inner, s = 1, None
+        while inner < max_inner and np.max(np.abs(F_in.values - F_prev.values)) > cfg.inner_tol:
+            if s is None:
+                s = irw_auxiliary(data, G)
+            F_prev, F_in = F_in, update_membership_irw(data, G_in, s, cfg.r)
             G_in = to_power(F_in, cfg.r)
-            if delta <= cfg.inner_tol or inner >= cfg.max_inner_iters:
-                break
+            inner += 1
         return F_in, G_in, inner, inner
 
-    return _run_outer(data, F0, cfg, step)
+    return step
+
+
+def solve_irw_fcm(data: DataMatrix, F0: MembershipMatrix,
+                  cfg: SolverConfig) -> SolverResult:
+    """Double-loop re-weighting solver; every inner update counts as work."""
+    return _run_outer(data, F0, cfg, _reweighting_step(data, cfg, cfg.max_inner_iters))
 
 
 def solve_fcm_mm(data: DataMatrix, F0: MembershipMatrix,
                  cfg: SolverConfig) -> SolverResult:
-    """Single-loop surrogate solver: one membership update per iteration."""
-
-    def step(F, G):
-        F_new = update_membership_mm(data, G, cfg.r)
-        return F_new, to_power(F_new, cfg.r), 1, 0
-
-    return _run_outer(data, F0, cfg, step)
+    """Single-loop surrogate solver: the re-weighting scheme with one inner step."""
+    return _run_outer(data, F0, cfg, _reweighting_step(data, cfg, 1))
 
 
 SOLVERS = {

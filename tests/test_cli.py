@@ -288,6 +288,12 @@ class TestMainEntryPoint:
         assert main(["validate", "--scale", "quick"]) == 0
         assert "[PASS]" in capsys.readouterr().out
 
+    def test_validate_negative_seed_is_usage_error(self, capsys):
+        assert main(["validate", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "seed" in captured.err
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("content, rows", [
     (b"\xef\xbb\xbf1,2\n3,4\n5,6\n", 3),
@@ -302,6 +308,22 @@ def test_manifest_dataset_keeps_every_data_row(tmp_path, content, rows):
     data = load_manifest_dataset(manifest)
     assert data.n == rows
     np.testing.assert_array_equal(data.points[0], [1.0, 2.0])
+
+
+def test_header_sniff_reads_only_kept_columns(tmp_path):
+    path = tmp_path / "labelled.csv"
+    path.write_text("5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,setosa\n"
+                    "6.3,3.3,6.0,2.5,virginica\n")
+    manifest = RunManifest(cfg=SolverConfig(c=2, standardize=False), algorithms=("mm",),
+                           output_dir=str(tmp_path), csv_path=str(path), drop_columns=(4,))
+    data = load_manifest_dataset(manifest)
+    assert data.n == 3
+    np.testing.assert_array_equal(data.points[0], [5.1, 3.5, 1.4, 0.2])
+
+
+def test_bundled_iris_keeps_its_header_and_150_rows(iris_path, tmp_path):
+    data = load_manifest_dataset(iris_manifest(iris_path, tmp_path))
+    assert (data.n, data.d) == (150, 4)
 
 
 def test_updates_to_reach_uses_relative_landmark():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from fcmm import objective, solvers
 from fcmm.cli import SYNTHETIC_PRESETS
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
@@ -192,6 +193,18 @@ class TestSolveClassic:
             assert cur <= prev + descent_slack(prev)
 
 
+def assert_bitwise_same_run(a, b):
+    """Memberships, objectives (by hex) and trace columns other than time."""
+    assert np.array_equal(a.F_final.values, b.F_final.values)
+    assert np.array_equal(a.centers_final, b.centers_final)
+    assert a.objective_final.hex() == b.objective_final.hex()
+    assert a.termination == b.termination
+    assert len(a.trace) == len(b.trace)
+    for x, y in zip(a.trace.records, b.trace.records):
+        assert (x.outer_iter, x.objective.hex(), x.membership_updates, x.inner_iters) == \
+            (y.outer_iter, y.objective.hex(), y.membership_updates, y.inner_iters)
+
+
 class TestSolveIrw:
     def test_huge_inner_tol_reproduces_mm_trajectory(self):
         data = blob_instance(seed=10)
@@ -200,13 +213,12 @@ class TestSolveIrw:
         full_irw = solve_irw_fcm(data, F0, loose)
         full_mm = solve_fcm_mm(data, F0, SolverConfig(c=2))
         assert all(rec.inner_iters == 1 for rec in full_irw.trace.records[1:])
-        assert len(full_irw.trace.records) == len(full_mm.trace.records)
-        assert np.max(np.abs(full_irw.F_final.values - full_mm.F_final.values)) <= 1e-12
+        assert_bitwise_same_run(full_irw, full_mm)
         for k in range(1, min(9, full_mm.trace.records[-1].outer_iter + 1)):
             capped = SolverConfig(c=2, inner_tol=1e9, max_outer_iters=k)
             irw_k = solve_irw_fcm(data, F0, capped)
             mm_k = solve_fcm_mm(data, F0, SolverConfig(c=2, max_outer_iters=k))
-            assert np.max(np.abs(irw_k.F_final.values - mm_k.F_final.values)) <= 1e-12
+            assert_bitwise_same_run(irw_k, mm_k)
 
     @pytest.mark.parametrize("dataset", ["iris", "blobs-small"])
     def test_one_inner_step_is_the_single_loop(self, dataset, iris_data):
@@ -219,9 +231,38 @@ class TestSolveIrw:
             F0 = init_random(data.n, 3, seed)
             irw = solve_irw_fcm(data, F0, SolverConfig(c=3, max_inner_iters=1))
             mm = solve_fcm_mm(data, F0, SolverConfig(c=3))
-            assert len(irw.trace) == len(mm.trace)
-            assert irw.termination == mm.termination
-            assert np.max(np.abs(irw.F_final.values - mm.F_final.values)) <= 1e-12
+            assert_bitwise_same_run(irw, mm)
+
+    @pytest.mark.parametrize("inner_tol", [1e9, 1e-8])
+    def test_auxiliary_only_for_a_second_inner_step(self, iris_data, monkeypatch, inner_tol):
+        calls = []
+
+        def counted(data, G):
+            calls.append(1)
+            return aggregates(data, G)
+
+        monkeypatch.setattr(objective, "aggregates", counted)
+        monkeypatch.setattr(solvers, "aggregates", counted)
+        cfg = SolverConfig(c=3, inner_tol=inner_tol, max_outer_iters=1)
+        result = solve_irw_fcm(iris_data, init_random(iris_data.n, 3, 3), cfg)
+        k = result.trace.records[1].inner_iters
+        # Outside the step: phi at the start and after it, and the final centers.
+        step_calls = len(calls) - 3
+        if inner_tol > 1.0:
+            assert (k, step_calls) == (1, 1)
+        else:
+            assert k >= 2 and step_calls == k + 1
+
+    def test_zero_image_at_anchor_takes_the_mm_step(self):
+        # Uniform memberships on symmetric data: every y_j is exactly 0, so
+        # the re-weighting direction y_j / |y_j| is undefined at the anchor,
+        # but the first inner step is the MM step and lands on the start.
+        data = DataMatrix.from_points([[-1.0], [1.0]])
+        F0 = MembershipMatrix.from_values(np.full((2, 2), 0.5))
+        result = solve_irw_fcm(data, F0, SolverConfig(c=2))
+        assert result.termination == "converged"
+        assert result.trace.records[1].inner_iters == 1
+        assert np.array_equal(result.F_final.values, F0.values)
 
     def test_agrees_with_mm_on_iris(self, iris_data):
         F0 = init_random(iris_data.n, 3, 42)
@@ -268,7 +309,7 @@ class TestSolveMm:
         result = solve_fcm_mm(data, init_random(data.n, 2, 17), SolverConfig(c=2))
         for rec in result.trace.records:
             assert rec.membership_updates == rec.outer_iter
-            assert rec.inner_iters == 0
+            assert rec.inner_iters == min(rec.outer_iter, 1)
 
     def test_fewer_updates_than_irw_to_common_objective(self, iris_data):
         F0 = init_random(iris_data.n, 3, 42)

@@ -5,6 +5,9 @@ n x n Gram matrices, central finite differences, randomized surrogate
 probing, and a step-by-step audit of the descent chain. None of it shares
 math with the optimized code paths, so agreement is evidence rather than
 tautology. Used only by the test suite and the ``validate`` command.
+Each Gram pair's dot product is taken once and mirrored, and the sums run
+over Python floats in the plain double loops' order and grouping, so the
+results are bitwise those loops'.
 """
 
 from __future__ import annotations
@@ -43,24 +46,33 @@ class OracleReport:
                 f"tolerance={self.tolerance:.1e} samples={self.samples}")
 
 
-def _gram_matrix(points: np.ndarray) -> np.ndarray:
-    """Explicit Gram matrix by double loop over point pairs."""
+def _gram_matrix(points: np.ndarray) -> list:
+    """Explicit Gram matrix, as nested lists of floats, by a loop over point
+    pairs: each pair's dot product is taken once and mirrored."""
     n = points.shape[0]
-    gram = np.empty((n, n))
+    rows = list(points)
+    gram = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        for k in range(n):
-            gram[i, k] = float(np.dot(points[i], points[k]))
+        for k in range(i, n):
+            gram[i][k] = gram[k][i] = float(np.dot(rows[i], rows[k]))
     return gram
 
 
-def _quad_form(gram: np.ndarray, g) -> float:
+def _quad_form(gram: list, g: list) -> float:
     """g' gram g by double loop, summed over i, then k."""
-    n = gram.shape[0]
     total = 0.0
-    for i in range(n):
-        for k in range(n):
-            total += g[i] * gram[i, k] * g[k]
+    for g_i, row in zip(g, gram):
+        for gram_ik, g_k in zip(row, g):
+            total += g_i * gram_ik * g_k
     return total
+
+
+def _weights(data: DataMatrix, g, name: str) -> np.ndarray:
+    """g as a length-n float64 vector; any other shape is a ValueError."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (data.n,):
+        raise ValueError(f"{name} must be a length-{data.n} vector")
+    return g
 
 
 def gram_quad_oracle(data: DataMatrix, g) -> float:
@@ -68,34 +80,35 @@ def gram_quad_oracle(data: DataMatrix, g) -> float:
 
     Intended for n <= 200; the optimized path never forms this matrix.
     """
-    g = np.asarray(g, dtype=np.float64)
-    return _quad_form(_gram_matrix(data.points), g)
+    g = _weights(data, g, "g")
+    return _quad_form(_gram_matrix(data.points), g.tolist())
 
 
 def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
     """Evaluate (X'X)g through the materialized Gram matrix."""
-    g = np.asarray(g, dtype=np.float64)
-    gram = _gram_matrix(data.points)
-    out = np.zeros(data.n)
-    for i in range(data.n):
-        for k in range(data.n):
-            out[i] += gram[i, k] * g[k]
-    return out
+    g = _weights(data, g, "g").tolist()
+    out = []
+    for row in _gram_matrix(data.points):
+        total = 0.0
+        for gram_ik, g_k in zip(row, g):
+            total += gram_ik * g_k
+        out.append(total)
+    return np.array(out)
 
 
 def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of g -> (g'X'Xg)/(g'1), per component."""
-    g_t = np.asarray(g_t, dtype=np.float64)
+    g_t = _weights(data, g_t, "g_t")
     if np.any(g_t <= step):
         raise ValueError("components of g_t must exceed the step size")
     gram = _gram_matrix(data.points)
+    g_t = g_t.tolist()
 
     def ratio(g):
-        num = _quad_form(gram, g)
-        den = 0.0
-        for i in range(data.n):
-            den += g[i]
-        return num / den
+        den = 0.0  # not sum(): from Python 3.12 it compensates rounding
+        for g_i in g:
+            den += g_i
+        return _quad_form(gram, g) / den
 
     out = np.empty(data.n)
     for i in range(data.n):
@@ -149,8 +162,8 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     F = F0
     G = to_power(F, cfg.r)
     worst = 0.0
+    obj = phi(data, G)
     for _ in range(steps):
-        obj = phi(data, G)
         F_next = update_membership_mm(data, G, cfg.r)
         G_next = to_power(F_next, cfg.r)
         h_next = majorizer_h(data, G_next, G)
@@ -161,7 +174,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
                     (obj_next - h_next) / scale,
                     (h_next - h_self) / scale,
                     abs(h_self - obj) / scale)
-        F, G = F_next, G_next
+        F, G, obj = F_next, G_next, obj_next
     return OracleReport.from_error("descent_chain", worst, 1e-10, steps)
 
 

@@ -1,3 +1,7 @@
+"""The brute-force oracles, checked bit for bit against plain double loops
+over both Gram triangles, against Gram-free forms and on the solvers' own
+guarantees."""
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,113 @@ from fcmm.oracle import (OracleReport, descent_chain_audit, finite_diff_gradient
                          gram_quad_oracle, gram_vector_oracle, run_suite,
                          surrogate_argmin_oracle)
 from fcmm.solvers import SolverConfig, solve_fcm_mm
+
+
+def reference_gram(points):
+    """Every pair's dot product, both triangles, into an ndarray."""
+    n = points.shape[0]
+    gram = np.empty((n, n))
+    for i in range(n):
+        for k in range(n):
+            gram[i, k] = float(np.dot(points[i], points[k]))
+    return gram
+
+
+def reference_quad(gram, g):
+    total = 0.0
+    for i in range(gram.shape[0]):
+        for k in range(gram.shape[0]):
+            total += g[i] * gram[i, k] * g[k]
+    return total
+
+
+def reference_vector(gram, g):
+    out = np.zeros(gram.shape[0])
+    for i in range(gram.shape[0]):
+        for k in range(gram.shape[0]):
+            out[i] += gram[i, k] * g[k]
+    return out
+
+
+def reference_finite_diff(gram, g_t, step):
+    def ratio(g):
+        num = reference_quad(gram, g)
+        den = 0.0
+        for i in range(g.shape[0]):
+            den += g[i]
+        return num / den
+
+    out = np.empty(g_t.shape[0])
+    for i in range(g_t.shape[0]):
+        up = g_t.copy()
+        down = g_t.copy()
+        up[i] += step
+        down[i] -= step
+        out[i] = (ratio(up) - ratio(down)) / (2.0 * step)
+    return out
+
+
+def seeded_points(n, d, seed, duplicates=False):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d))
+    if duplicates and n > 1:
+        points[rng.integers(0, n, size=n // 2)] = points[0]
+    return rng, DataMatrix.from_points(points)
+
+
+class TestOraclesMatchDoubleLoopsBitwise:
+    """Pairs are mirrored and the sums run over Python floats, in the same
+    order and grouping as the plain loops, so every bit must agree."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 80, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_gram_oracles(self, n, d):
+        rng, data = seeded_points(n, d, seed=100 * n + d, duplicates=d % 2 == 0)
+        gram = reference_gram(data.points)
+        for g in (rng.uniform(0.0, 1.0, size=n), np.ones(n), np.zeros(n),
+                  np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))):
+            assert gram_quad_oracle(data, g) == reference_quad(gram, g)
+            assert np.array_equal(gram_vector_oracle(data, g), reference_vector(gram, g))
+
+    # the reference takes 2n loops over an n x n Gram matrix, so the large
+    # case runs once
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 5) for d in range(1, 6)]
+                             + [(80, 4)])
+    def test_finite_diff_gradient(self, n, d):
+        rng, data = seeded_points(n, d, seed=7 * n + d, duplicates=d % 2 == 0)
+        g_t = rng.uniform(0.1, 1.0, size=n)
+        expected = reference_finite_diff(reference_gram(data.points), g_t, 1e-5)
+        assert np.array_equal(finite_diff_gradient(data, g_t, step=1e-5), expected)
+
+    def test_columns_of_a_membership_matrix(self):
+        rng = np.random.default_rng(77)
+        data, _, G = random_instance(rng, 30, 3, 4)
+        gram = reference_gram(data.points)
+        for j in range(4):
+            g = G.values[:, j]
+            assert gram_quad_oracle(data, g) == reference_quad(gram, g)
+            assert np.array_equal(gram_vector_oracle(data, g), reference_vector(gram, g))
+
+
+class TestWeightShape:
+    DATA = DataMatrix.from_points(np.arange(10.0).reshape(5, 2))
+
+    @pytest.mark.parametrize("g", [np.ones(7), np.ones(3), np.ones((5, 1)),
+                                   np.ones((1, 5)), 1.0, []])
+    def test_gram_oracles_reject(self, g):
+        with pytest.raises(ValueError, match="g must be a length-5 vector"):
+            gram_quad_oracle(self.DATA, g)
+        with pytest.raises(ValueError, match="g must be a length-5 vector"):
+            gram_vector_oracle(self.DATA, g)
+
+    @pytest.mark.parametrize("g_t", [np.ones(7), np.ones(3), np.ones((5, 1))])
+    def test_finite_diff_rejects(self, g_t):
+        with pytest.raises(ValueError, match="g_t must be a length-5 vector"):
+            finite_diff_gradient(self.DATA, g_t)
+
+    def test_lists_of_the_right_length_accepted(self):
+        assert gram_quad_oracle(self.DATA, [1.0, 0.0, 0.0, 0.0, 0.0]) == 1.0
+        assert finite_diff_gradient(self.DATA, [0.5] * 5).shape == (5,)
 
 
 class TestGramOracle:

@@ -54,5 +54,6 @@ for center in truth:
     print(f"    blob ({center[0]:+7.3f}, {center[1]:+7.3f}) -> "
           f"center ({found[j][0]:+7.3f}, {found[j][1]:+7.3f})   error {err:.4f}")
 
-print("\nnote how classic and mm produce the same trajectory, while irw")
-print("spends many membership updates per outer iteration on its inner loop.")
+print("\nnote how classic and mm produce bitwise the same trajectory (classic")
+print("runs the mm update at its centers), while irw spends many membership")
+print("updates per outer iteration on its inner loop.")

@@ -1,7 +1,9 @@
 """Three fuzzy-means solvers under one interface.
 
 * :func:`solve_fcm_classic` alternates optimal centers with the classic
-  closed-form membership update.
+  closed-form membership update. That update at the centers
+  ``y_j / mass_j`` is the MM step, so classic runs bitwise MM's trajectory;
+  only its trace reads 0 inner iterations where MM's reads 1.
 * :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
   inner step is the surrogate (MM) step at the anchor; further inner
   steps freeze the scalars s_j there and repeat the linearized update.
@@ -52,6 +54,10 @@ class SolverConfig:
     standardize: bool = True
 
     def __post_init__(self):
+        for name in ("c", "max_outer_iters", "max_inner_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.c < 2:
             raise ValueError(f"need at least 2 clusters, got {self.c}")
         if not 1.0 < self.r < np.inf:
@@ -144,28 +150,24 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     return values
 
 
-def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float,
-                    expanded: bool = True) -> MembershipMatrix:
-    """Closed-form update from c x d centers, in row blocks.
+def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float) -> MembershipMatrix:
+    """The one closed-form update of all three solvers, from c x d centers, in row blocks.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
     rounds a few-row product differently). Each block builds its c x b
     brackets and runs the kernel in cache, into one column-major n x c result.
 
-    Classic (``expanded`` false) takes the point-center differences. MM
-    and IRW take ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` from one product; it
+    The brackets are ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` from one product; it
     rounds at about eps (x_i.x_i + m_j.m_j), so near a center it loses
     digits and may round negative. Rows with a bracket below
     ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
     ~1e-12 of the bracket, are recomputed from the differences; so the
     kernel sees a zero bracket only where a point equals a center.
     """
+    center_sq = np.einsum("cd,cd->c", centers, centers)
 
     def block(points, sq_norms, out):
-        if not expanded:
-            return _memberships_from_brackets(_difference_brackets(points, centers).T, r, out)
-        center_sq = np.einsum("cd,cd->c", centers, centers)
         # Built c x b, so broadcasts and per-point scans run along the points.
         brackets = (-2.0 * centers) @ points.T
         brackets += center_sq[:, None] + sq_norms
@@ -197,11 +199,10 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
                               r: float) -> MembershipMatrix:
     """Classic closed-form update from explicit centers.
 
-    Squared distances are evaluated through the point-center differences;
-    this is the reference route the expanded-form updates are checked
-    against.
+    The shared update path; its independent difference-form reference is
+    :func:`fcmm.oracle.classic_update_oracle`.
     """
-    return _memberships_at(data, centers, r, expanded=False)
+    return _memberships_at(data, centers, r)
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
@@ -231,8 +232,9 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
 def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> MembershipMatrix:
     """Surrogate-minimizing update anchored at G_t.
 
-    The surrogate's minimizer is the update at the centers ``y_j / mass_j``
-    of the classic step; only the distance form differs.
+    The surrogate's minimizer is the classic update at the centers
+    ``y_j / mass_j``, computed by the same code, so it is bitwise
+    :func:`update_membership_classic` there.
     """
     return _memberships_at(data, compute_centers(aggregates(data, G_t)), r)
 

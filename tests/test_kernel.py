@@ -17,7 +17,7 @@ from fcmm import solvers
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import MembershipMatrix, init_random, to_power
 from fcmm.objective import aggregates, compute_centers
-from fcmm.oracle import run_suite
+from fcmm.oracle import classic_update_oracle, run_suite
 from fcmm.solvers import (SolverConfig, _memberships_from_brackets, irw_auxiliary,
                           solve_fcm_mm, solve_irw_fcm, update_membership_classic,
                           update_membership_irw, update_membership_mm)
@@ -98,7 +98,7 @@ class TestNearCenterBrackets:
         centers = compute_centers(aggregates(data, G))
         assert np.sum((data.points[0] - centers[0]) ** 2) < 1e-12
         F_mm = update_membership_mm(data, G, r)
-        F_cl = update_membership_classic(data, centers, r)
+        F_cl = classic_update_oracle(data, centers, r)
         assert np.max(np.abs(F_mm.values - F_cl.values)) <= 1e-12
 
     @pytest.mark.parametrize("seed", [12, 40])
@@ -216,5 +216,5 @@ class TestRowBlocks:
         centers = compute_centers(aggregates(data, G))
         assert np.sum((data.points[20] - centers[0]) ** 2) < 1e-12
         F_mm = update_membership_mm(data, G, r)
-        F_cl = update_membership_classic(data, centers, r)
+        F_cl = classic_update_oracle(data, centers, r)
         assert np.max(np.abs(F_mm.values - F_cl.values)) <= 1e-12

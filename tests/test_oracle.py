@@ -9,9 +9,9 @@ from conftest import random_instance
 from fcmm.dataset import DataMatrix
 from fcmm.membership import PowerMembership, init_random, to_power
 from fcmm.objective import aggregates, tangent_gradient
-from fcmm.oracle import (OracleReport, descent_chain_audit, finite_diff_gradient,
-                         gram_quad_oracle, gram_vector_oracle, run_suite,
-                         surrogate_argmin_oracle)
+from fcmm.oracle import (OracleReport, classic_update_oracle, descent_chain_audit,
+                         finite_diff_gradient, gram_quad_oracle, gram_vector_oracle,
+                         run_suite, surrogate_argmin_oracle)
 from fcmm.solvers import SolverConfig, solve_fcm_mm
 
 
@@ -181,6 +181,33 @@ class TestFiniteDifferences:
         data = DataMatrix.from_points([[1.0], [2.0]])
         with pytest.raises(ValueError):
             finite_diff_gradient(data, np.array([1e-6, 0.5]), step=1e-5)
+
+
+class TestClassicUpdateOracle:
+    def test_two_center_hand_case(self):
+        # x=0, centers 1 and 2: squared distances 1 and 4, so (1 + 1/4)^-1 and (4 + 1)^-1
+        F = classic_update_oracle(DataMatrix.from_points([[0.0]]), [[1.0], [2.0]], 2.0)
+        np.testing.assert_allclose(F.values, [[0.8, 0.2]], rtol=1e-15)
+
+    def test_point_on_center_goes_one_hot(self):
+        data = DataMatrix.from_points([[1.0], [5.0]])
+        F = classic_update_oracle(data, [[1.0], [3.0]], 2.0)
+        np.testing.assert_array_equal(F.values[0], [1.0, 0.0])
+        np.testing.assert_allclose(F.values[1], [0.2, 0.8], rtol=1e-15)
+
+    def test_point_on_two_coincident_centers_splits(self):
+        data = DataMatrix.from_points([[2.0, 1.0], [0.0, 0.0]])
+        F = classic_update_oracle(data, [[2.0, 1.0], [7.0, 7.0], [2.0, 1.0]], 1.5)
+        np.testing.assert_array_equal(F.values[0], [0.5, 0.0, 0.5])
+        assert F.values[1, 0] == F.values[1, 2] > F.values[1, 1] > 0.0
+
+    @pytest.mark.parametrize("r", [1.05, 20.0])
+    def test_extreme_exponents_stay_on_the_simplex(self, r):
+        rng = np.random.default_rng(9)
+        data = DataMatrix.from_points(rng.normal(size=(40, 3)))
+        F = classic_update_oracle(data, rng.normal(size=(4, 3)), r).values
+        assert np.all(np.isfinite(F)) and F.min() >= 0.0
+        assert np.max(np.abs(F.sum(axis=1) - 1.0)) <= 1e-14
 
 
 class TestSurrogateArgmin:

@@ -18,9 +18,9 @@ MODULE_ONLY = {
                 "irw_auxiliary", "TraceRecord"],
     "objective": ["ClusterAggregates", "majorizer_h", "tangent_gradient"],
     "membership": ["MembershipReport"],
-    "oracle": ["OracleReport", "descent_chain_audit", "finite_diff_gradient",
-               "gram_quad_oracle", "gram_vector_oracle", "run_suite",
-               "surrogate_argmin_oracle"],
+    "oracle": ["OracleReport", "classic_update_oracle", "descent_chain_audit",
+               "finite_diff_gradient", "gram_quad_oracle", "gram_vector_oracle",
+               "run_suite", "surrogate_argmin_oracle"],
 }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
 from fcmm.objective import aggregates, compute_centers, phi
-from fcmm.oracle import gram_quad_oracle
-from fcmm.solvers import (SolverConfig, irw_auxiliary,
+from fcmm.oracle import classic_update_oracle, gram_quad_oracle
+from fcmm.solvers import (SolverConfig, SolverTrace, irw_auxiliary,
                           solve_fcm_classic, solve_fcm_mm, solve_irw_fcm,
                           update_membership_classic, update_membership_irw,
                           update_membership_mm)
@@ -102,7 +104,7 @@ class TestIrwUpdate:
                                          int(rng.integers(2, 5)))
             F_irw = update_membership_irw(data, G, irw_auxiliary(data, G), R)
             centers = compute_centers(aggregates(data, G))
-            F_classic = update_membership_classic(data, centers, R)
+            F_classic = classic_update_oracle(data, centers, R)
             assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
 
     def test_matches_classic_away_from_anchor(self):
@@ -117,7 +119,7 @@ class TestIrwUpdate:
             F_irw = update_membership_irw(data, G, s, r)
             y = aggregates(data, G).y
             centers = y * (s / np.linalg.norm(y, axis=1))[:, None]
-            F_classic = update_membership_classic(data, centers, r)
+            F_classic = classic_update_oracle(data, centers, r)
             assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
 
 
@@ -141,7 +143,7 @@ class TestMmUpdate:
                                          int(rng.integers(2, 5)))
             F_mm = update_membership_mm(data, G, R)
             centers = compute_centers(aggregates(data, G))
-            F_classic = update_membership_classic(data, centers, R)
+            F_classic = classic_update_oracle(data, centers, R)
             assert np.max(np.abs(F_mm.values - F_classic.values)) <= 1e-12
 
     def test_symmetric_instance_goes_uniform(self):
@@ -329,20 +331,20 @@ class TestSolveMm:
 
 
 class TestTrajectoryCoincidence:
-    def test_classic_equals_mm_pathwise(self):
-        rng = np.random.default_rng(60)
-        for _ in range(6):
-            n, d, c = int(rng.integers(8, 25)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
-            data = DataMatrix.from_points(rng.normal(size=(n, d)))
-            F0 = init_random(n, c, int(rng.integers(0, 1 << 32)))
-            full_mm = solve_fcm_mm(data, F0, SolverConfig(c=c))
-            full_cl = solve_fcm_classic(data, F0, SolverConfig(c=c))
-            assert len(full_mm.trace.records) == len(full_cl.trace.records)
-            assert np.max(np.abs(full_mm.F_final.values - full_cl.F_final.values)) <= 1e-12
-            for k in (1, 2, 4, 7):
-                mm_k = solve_fcm_mm(data, F0, SolverConfig(c=c, max_outer_iters=k))
-                cl_k = solve_fcm_classic(data, F0, SolverConfig(c=c, max_outer_iters=k))
-                assert np.max(np.abs(mm_k.F_final.values - cl_k.F_final.values)) <= 1e-12
+    def test_classic_equals_mm_pathwise(self, iris_data):
+        # bitwise MM's run; only the inner_iters column reads 0 where MM's reads 1
+        runs = [(iris_data, init_random(iris_data.n, 3, seed), SolverConfig(c=3))
+                for seed in range(40)]
+        blobs = standardize(make_blobs(SyntheticSpec(blob_count=4, points_per_blob=500,
+                                                     dim=3, seed=0)))
+        runs.append((blobs, init_random(blobs.n, 4, 1), SolverConfig(c=4, r=1.2)))
+        for data, F0, cfg in runs:
+            mm = solve_fcm_mm(data, F0, cfg)
+            classic = solve_fcm_classic(data, F0, cfg)
+            assert all(rec.inner_iters == 0 for rec in classic.trace.records)
+            as_mm = tuple(replace(rec, inner_iters=min(rec.outer_iter, 1))
+                          for rec in classic.trace.records)
+            assert_bitwise_same_run(mm, replace(classic, trace=SolverTrace(as_mm)))
 
 
 class TestDegenerateHandling:
@@ -422,6 +424,21 @@ class TestSolverContracts:
             SolverConfig(c=2, outer_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(c=2, max_outer_iters=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("c", 3.0), ("c", True), ("max_outer_iters", 2.5), ("max_inner_iters", 1.5),
+        ("max_inner_iters", "2"), ("seed", 1.0), ("seed", False)])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{"c": 3, field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SolverConfig(c=np.int64(3), max_outer_iters=np.int32(4),
+                           max_inner_iters=np.uint8(2), seed=np.int16(5))
+        data = blob_instance(seed=25)
+        result = solve_irw_fcm(data, init_random(data.n, 3, 6), cfg)
+        assert result.trace.records[-1].outer_iter <= 4
+        assert max(rec.inner_iters for rec in result.trace.records) <= 2
 
     @pytest.mark.parametrize("field", ["r", "outer_tol", "inner_tol"])
     def test_config_rejects_non_finite(self, field):

@@ -20,6 +20,14 @@ import numpy as np
 _ZERO_VARIANCE_RTOL = 1e-13
 
 
+def _require_integers(owner, names) -> None:
+    """Raise ValueError unless each named field of ``owner`` is an integer (not a bool)."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """n data points in d dimensions with cached squared row norms.
@@ -85,6 +93,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, ("blob_count", "points_per_blob", "dim", "seed"))
         if self.blob_count < 1:
             raise ValueError("blob_count must be positive")
         if self.points_per_blob < 1:

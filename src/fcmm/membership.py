@@ -59,12 +59,18 @@ class PowerMembership:
     """Elementwise r-th power G of a membership matrix, with column sums.
 
     ``col_sums[j]`` is the effective mass of cluster j; every center and
-    objective formula divides by it, so an all-zero column is rejected at
-    construction as a degenerate cluster.
+    objective formula divides by it, so a zero column is rejected at
+    construction, however G is built, as a degenerate cluster.
     """
 
     values: np.ndarray
     col_sums: np.ndarray
+
+    def __post_init__(self):
+        dead = np.flatnonzero(self.col_sums <= 0.0)
+        if dead.size:
+            raise DegenerateClusterError(
+                f"cluster(s) {dead.tolist()} have zero mass (column sum of g is 0)")
 
     @property
     def n(self) -> int:
@@ -84,10 +90,6 @@ class PowerMembership:
         if arr.ndim != 2:
             raise ValueError("powered membership values must be a 2-D array")
         sums = np.ones(arr.shape[0]) @ arr
-        dead = np.flatnonzero(sums <= 0.0)
-        if dead.size:
-            raise DegenerateClusterError(
-                f"cluster(s) {dead.tolist()} have zero mass (column sum of g is 0)")
         arr.setflags(write=False)
         sums.setflags(write=False)
         return cls(arr, sums)

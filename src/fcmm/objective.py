@@ -46,16 +46,16 @@ class ClusterAggregates:
 
 
 def aggregates(data: DataMatrix, G: PowerMembership) -> ClusterAggregates:
-    """Accumulate y_j, quad_j and mass_j for every cluster in O(ndc)."""
+    """Accumulate y_j, quad_j and mass_j for every cluster in O(ndc).
+
+    ``mass`` is ``G.col_sums``, positive because :class:`PowerMembership`
+    rejects a zero column when it is built.
+    """
     if G.n != data.n:
         raise ValueError(f"G has {G.n} rows but data has {data.n} points")
-    mass = np.asarray(G.col_sums, dtype=np.float64)
-    dead = np.flatnonzero(mass <= 0.0)
-    if dead.size:
-        raise DegenerateClusterError(f"cluster(s) {dead.tolist()} have zero mass")
     y = G.values.T @ data.points
     quad = np.einsum("cd,cd->c", y, y)
-    return ClusterAggregates(y, quad, mass)
+    return ClusterAggregates(y, quad, G.col_sums)
 
 
 def compute_centers(agg: ClusterAggregates) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Three fuzzy-means solvers under one interface.
 
-* :func:`solve_fcm_classic` alternates optimal centers with the classic
-  closed-form membership update. That update at the centers
-  ``y_j / mass_j`` is the MM step, so classic runs bitwise MM's trajectory;
-  only its trace reads 0 inner iterations where MM's reads 1.
+:func:`update_membership_classic` is the one closed-form update: memberships
+from c x d centers. The other two updates compute their centers and call it.
+
 * :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
   inner step is the surrogate (MM) step at the anchor; further inner
   steps freeze the scalars s_j there and repeat the linearized update.
 * :func:`solve_fcm_mm` is that scheme capped at one inner step: bitwise
   ``solve_irw_fcm`` with ``max_inner_iters=1``.
+* :func:`solve_fcm_classic` alternates optimal centers with the classic
+  update. That update at the centers ``y_j / mass_j`` is the MM step, so
+  classic runs MM's driver and its run is bitwise MM's.
 
 All three share the convergence control (relative change of the reduced
 objective), the degenerate-distance rule, and the trace instrumentation,
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _require_integers
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership, to_power, validate
 from .objective import aggregates, compute_centers, phi
@@ -54,10 +56,7 @@ class SolverConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        for name in ("c", "max_outer_iters", "max_inner_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_integers(self, ("c", "max_outer_iters", "max_inner_iters", "seed"))
         if self.c < 2:
             raise ValueError(f"need at least 2 clusters, got {self.c}")
         if not 1.0 < self.r < np.inf:
@@ -150,8 +149,9 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     return values
 
 
-def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float) -> MembershipMatrix:
-    """The one closed-form update of all three solvers, from c x d centers, in row blocks.
+def update_membership_classic(data: DataMatrix, centers: np.ndarray,
+                              r: float) -> MembershipMatrix:
+    """The closed-form update of all three solvers, from c x d centers, in row blocks.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
@@ -163,7 +163,9 @@ def _memberships_at(data: DataMatrix, centers: np.ndarray, r: float) -> Membersh
     digits and may round negative. Rows with a bracket below
     ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
     ~1e-12 of the bracket, are recomputed from the differences; so the
-    kernel sees a zero bracket only where a point equals a center.
+    kernel sees a zero bracket only where a point equals a center. The
+    independent difference-form reference is
+    :func:`fcmm.oracle.classic_update_oracle`.
     """
     center_sq = np.einsum("cd,cd->c", centers, centers)
 
@@ -195,16 +197,6 @@ def _difference_brackets(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return sq_dists
 
 
-def update_membership_classic(data: DataMatrix, centers: np.ndarray,
-                              r: float) -> MembershipMatrix:
-    """Classic closed-form update from explicit centers.
-
-    The shared update path; its independent difference-form reference is
-    :func:`fcmm.oracle.classic_update_oracle`.
-    """
-    return _memberships_at(data, centers, r)
-
-
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
     """Re-weighting scalars ``s_j = sqrt(quad_j) / mass_j``, Gram-free."""
     agg = aggregates(data, G)
@@ -217,7 +209,8 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
 
     The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
     the squared distance to the center ``s_j y_j / |y_j|``: its direction
-    comes from G and its norm is held at s_j. Undefined where quad_j = 0
+    comes from G and its norm is held at s_j; those centers go to
+    :func:`update_membership_classic`. Undefined where quad_j = 0
     (all-zero weighted cluster image).
     """
     agg = aggregates(data, G)
@@ -226,17 +219,17 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
         raise DegenerateClusterError(
             f"cluster(s) {dead.tolist()} have zero weighted image, re-weighting undefined")
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
-    return _memberships_at(data, centers, r)
+    return update_membership_classic(data, centers, r)
 
 
 def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> MembershipMatrix:
     """Surrogate-minimizing update anchored at G_t.
 
     The surrogate's minimizer is the classic update at the centers
-    ``y_j / mass_j``, computed by the same code, so it is bitwise
-    :func:`update_membership_classic` there.
+    ``y_j / mass_j``, so this takes those centers and calls
+    :func:`update_membership_classic`.
     """
-    return _memberships_at(data, compute_centers(aggregates(data, G_t)), r)
+    return update_membership_classic(data, compute_centers(aggregates(data, G_t)), r)
 
 
 def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
@@ -249,13 +242,35 @@ def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
         raise ValueError(f"F0 is not row-stochastic: {report}")
 
 
-def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
-               step: Callable) -> SolverResult:
-    """Outer loop shared by the three solvers.
+def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
+                      cfg: SolverConfig, max_inner: int):
+    """One outer iteration of the re-weighting scheme, at most ``max_inner`` inner steps.
 
-    ``step(F, G)`` returns ``(F_new, G_new, updates, inner_iters)`` and
-    raises :class:`DegenerateClusterError` when a cluster collapses; the
-    loop then stops with the last valid state and a partial trace.
+    At the anchor G the re-weighting center ``s_j y_j / |y_j|`` equals
+    ``y_j / mass_j``, so the first inner step is the MM step. Only when a
+    second step runs are the scalars s taken at G; later steps apply the
+    linearized update at the frozen s until the max elementwise membership
+    change drops to ``inner_tol`` or the cap is hit. Returns the new F and
+    G and the number of inner steps, each one membership update.
+    """
+    F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
+    G_in = to_power(F_in, cfg.r)
+    inner, s = 1, None
+    while inner < max_inner and np.max(np.abs(F_in.values - F_prev.values)) > cfg.inner_tol:
+        if s is None:
+            s = irw_auxiliary(data, G)
+        F_prev, F_in = F_in, update_membership_irw(data, G_in, s, cfg.r)
+        G_in = to_power(F_in, cfg.r)
+        inner += 1
+    return F_in, G_in, inner
+
+
+def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
+               max_inner: int) -> SolverResult:
+    """Outer loop of all three solvers, one :func:`_reweighting_step` per iteration.
+
+    A collapsing cluster raises :class:`DegenerateClusterError` in the
+    step; the loop then stops with the last valid state and a partial trace.
     """
     _check_start(data, F0, cfg)
     start = time.perf_counter_ns()
@@ -272,11 +287,11 @@ def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
     termination = TERMINATION_MAX_ITERS
     for it in range(1, cfg.max_outer_iters + 1):
         try:
-            F_new, G_new, n_up, inner = step(F, G)
+            F_new, G_new, inner = _reweighting_step(data, F, G, cfg, max_inner)
         except DegenerateClusterError:
             termination = TERMINATION_DEGENERATE
             break
-        updates += n_up
+        updates += inner
         obj_new = phi(data, G_new)
         records.append(TraceRecord(it, obj_new, time.perf_counter_ns() - start,
                                    updates, inner))
@@ -292,51 +307,20 @@ def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
 
 def solve_fcm_classic(data: DataMatrix, F0: MembershipMatrix,
                       cfg: SolverConfig) -> SolverResult:
-    """Alternate optimal centers with the classic membership update."""
-
-    def step(F, G):
-        centers = compute_centers(aggregates(data, G))
-        F_new = update_membership_classic(data, centers, cfg.r)
-        return F_new, to_power(F_new, cfg.r), 1, 0
-
-    return _run_outer(data, F0, cfg, step)
-
-
-def _reweighting_step(data: DataMatrix, cfg: SolverConfig, max_inner: int) -> Callable:
-    """One outer iteration of the re-weighting scheme, at most ``max_inner`` inner steps.
-
-    At the anchor G the re-weighting center ``s_j y_j / |y_j|`` equals
-    ``y_j / mass_j``, so the first inner step is the MM step. Only when a
-    second step runs are the scalars s taken at G; later steps apply the
-    linearized update at the frozen s until the max elementwise membership
-    change drops to ``inner_tol`` or the cap is hit.
-    """
-
-    def step(F, G):
-        F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
-        G_in = to_power(F_in, cfg.r)
-        inner, s = 1, None
-        while inner < max_inner and np.max(np.abs(F_in.values - F_prev.values)) > cfg.inner_tol:
-            if s is None:
-                s = irw_auxiliary(data, G)
-            F_prev, F_in = F_in, update_membership_irw(data, G_in, s, cfg.r)
-            G_in = to_power(F_in, cfg.r)
-            inner += 1
-        return F_in, G_in, inner, inner
-
-    return step
+    """Alternate optimal centers with the classic update: MM's driver, bitwise MM's run."""
+    return _run_outer(data, F0, cfg, 1)
 
 
 def solve_irw_fcm(data: DataMatrix, F0: MembershipMatrix,
                   cfg: SolverConfig) -> SolverResult:
     """Double-loop re-weighting solver; every inner update counts as work."""
-    return _run_outer(data, F0, cfg, _reweighting_step(data, cfg, cfg.max_inner_iters))
+    return _run_outer(data, F0, cfg, cfg.max_inner_iters)
 
 
 def solve_fcm_mm(data: DataMatrix, F0: MembershipMatrix,
                  cfg: SolverConfig) -> SolverResult:
     """Single-loop surrogate solver: the re-weighting scheme with one inner step."""
-    return _run_outer(data, F0, cfg, _reweighting_step(data, cfg, 1))
+    return _run_outer(data, F0, cfg, 1)
 
 
 SOLVERS = {

@@ -33,6 +33,10 @@ class TestManifest:
         with pytest.raises(ValueError, match="unknown algorithm"):
             blobs_manifest(tmp_path, algorithms=("mm", "kmeans"))
 
+    def test_rejects_duplicate_algorithm(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate algorithm"):
+            blobs_manifest(tmp_path, algorithms=("mm", "irw", "mm"))
+
     def test_rejects_two_data_sources(self, tmp_path):
         with pytest.raises(ValueError, match="exactly one data source"):
             RunManifest(cfg=SolverConfig(c=3), algorithms=("mm",),
@@ -134,6 +138,13 @@ class TestCmdCompare:
         status, report = cmd_compare(blobs_manifest(tmp_path, algorithms=("mm",)))
         assert status == 2 and report is None
         assert "at least two" in capsys.readouterr().err
+
+    def test_missing_csv_is_load_error(self, tmp_path, capsys):
+        manifest = RunManifest(cfg=SolverConfig(c=3), algorithms=("irw", "mm"),
+                               output_dir=str(tmp_path), csv_path="does/not/exist.csv")
+        status, report = cmd_compare(manifest)
+        assert status == 1 and report is None
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCmdValidate:
@@ -249,6 +260,33 @@ class TestMainEntryPoint:
                        "--algos", "irw,mm", "--out", str(tmp_path / "out")])
         assert status == 0
         assert "fewest membership updates" in capsys.readouterr().out
+
+    def test_compare_prints_tie(self, tmp_path, capsys):
+        status = main(["compare", "--synthetic", "blobs-small",
+                       "--algos", "classic,mm", "--out", str(tmp_path / "out")])
+        assert status == 0
+        assert "fewest membership updates: tie between classic, mm" in capsys.readouterr().out
+
+    def test_compare_without_usable_trace_fails(self, tmp_path, capsys, iris_path):
+        # F0 ** 100000 underflows to a zero column, so every solver stops at its start
+        status = main(["compare", "--data", str(iris_path), "--drop-cols", "4",
+                       "--r", "100000", "--out", str(tmp_path / "out")])
+        assert status == 1
+        assert "no solver produced a usable trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        ("c=4\nseed\n", "expected key=value"),
+        ("standardize=maybe\n", "expected a boolean"),
+        ("synthetic=blobs-huge\n", "unknown synthetic preset"),
+    ], ids=["no-equals", "bad-boolean", "unknown-preset"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, content, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(content)
+        status = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_algos_is_config_error(self, tmp_path, capsys):
         status = main(["run", "--synthetic", "blobs-small", "--algos", "",

@@ -83,6 +83,16 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             DataMatrix.from_points(np.empty((0, 2)))
 
+    def test_from_points_rejects_1d(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            DataMatrix.from_points([1.0, 2.0])
+
+    def test_direct_construction_checks_shapes(self):
+        with pytest.raises(ValueError, match="2-D array"):
+            DataMatrix(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="sq_norms length"):
+            DataMatrix(np.zeros((3, 2)), np.zeros(2))
+
     def test_points_read_only(self):
         data = DataMatrix.from_points([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -104,6 +114,29 @@ class TestMakeBlobs:
     def test_bad_stddev_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(blob_count=2, points_per_blob=5, dim=2, blob_stddev=0.0, seed=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("blob_count", 0, "blob_count must be positive"),
+        ("dim", 0, "dim must be positive"),
+        ("blob_center_scale", 0.0, "blob_center_scale must be positive"),
+        ("seed", -1, "seed must be a non-negative integer"),
+    ], ids=["blob_count", "dim", "blob_center_scale", "seed"])
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{"blob_count": 2, "points_per_blob": 5, "dim": 2, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("blob_count", 3.0), ("points_per_blob", 20.0), ("dim", 2.0), ("seed", True),
+        ("seed", 1.5), ("dim", "2")])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SyntheticSpec(**{"blob_count": 2, "points_per_blob": 5, "dim": 2, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SyntheticSpec(blob_count=np.int64(2), points_per_blob=np.int32(5),
+                             dim=np.uint8(3), seed=np.int16(4))
+        plain = SyntheticSpec(blob_count=2, points_per_blob=5, dim=3, seed=4)
+        assert np.array_equal(make_blobs(spec).points, make_blobs(plain).points)
 
     def test_solver_recovers_blob_centers(self):
         # tight, well-separated blobs; ground truth from the block layout

@@ -75,6 +75,27 @@ class TestToPower:
         assert not G.values.flags.writeable and not G.col_sums.flags.writeable
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, 0.5], "2-D array"),
+        (np.empty((3, 0)), "at least one cluster column"),
+        ([[np.nan, 1.0]], "finite"),
+    ], ids=["1-d", "no-columns", "nan"])
+    def test_membership_rejects_bad_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            MembershipMatrix.from_values(values)
+
+    def test_power_rejects_1d(self):
+        with pytest.raises(ValueError, match="2-D array"):
+            PowerMembership.from_values([0.5, 0.5])
+
+    def test_direct_power_with_zero_column_raises(self):
+        # the zero-mass rule holds however G is built, not only through to_power
+        values = np.array([[1.0, 0.0], [0.25, 0.0]])
+        with pytest.raises(DegenerateClusterError, match=r"\[1\]"):
+            PowerMembership(values, values.sum(axis=0))
+
+
 class TestFromValues:
     def test_membership_copies_and_leaves_input_writeable(self):
         a = np.array([[0.25, 0.75]])

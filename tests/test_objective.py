@@ -5,7 +5,7 @@ from conftest import random_instance
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
-from fcmm.objective import (aggregates, compute_centers, fcm_objective,
+from fcmm.objective import (ClusterAggregates, aggregates, compute_centers, fcm_objective,
                             majorizer_h, phi, tangent_gradient)
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
@@ -46,6 +46,12 @@ class TestAggregates:
         agg = aggregates(data, G)
         norms = np.einsum("cd,cd->c", agg.y, agg.y)
         assert np.max(np.abs(agg.quad - norms)) <= 1e-12 * np.max(norms)
+
+    def test_row_mismatch_rejected(self):
+        data = DataMatrix.from_points(np.arange(6.0).reshape(3, 2))
+        G = PowerMembership.from_values(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match="2 rows but data has 3 points"):
+            aggregates(data, G)
 
 
 class TestComputeCenters:
@@ -89,6 +95,11 @@ class TestComputeCenters:
         c1 = compute_centers(aggregates(data, to_power(F1, 2.0)))
         assert np.max(np.abs(c1 - c0)) <= 1e-9
 
+    def test_hand_built_zero_mass_rejected(self):
+        agg = ClusterAggregates(np.ones((2, 3)), np.full(2, 3.0), np.array([1.0, 0.0]))
+        with pytest.raises(DegenerateClusterError):
+            compute_centers(agg)
+
 
 class TestObjectiveValues:
     def test_zero_at_own_centers(self):
@@ -127,6 +138,17 @@ class TestObjectiveValues:
         data, F, G = random_instance(rng, 6, 2, 2)
         centers = compute_centers(aggregates(data, G))
         assert phi(data, G) == pytest.approx(fcm_objective(data, F, centers, 2.0), rel=1e-10)
+
+    def test_fcm_objective_rejects_bad_input(self):
+        data = DataMatrix.from_points(np.arange(6.0).reshape(3, 2))
+        F = MembershipMatrix.from_values(np.full((3, 2), 0.5))
+        centers = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="exceed 1"):
+            fcm_objective(data, F, centers, 1.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fcm_objective(data, F, np.zeros((2, 3)), 2.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fcm_objective(data, MembershipMatrix.from_values(np.full((2, 2), 0.5)), centers, 2.0)
 
 
 class TestMajorizer:
@@ -188,6 +210,11 @@ class TestTangentGradient:
         a = tangent_gradient(data, g)
         b = tangent_gradient(data, 3.0 * g)
         assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
+
+    def test_wrong_length_rejected(self):
+        data = DataMatrix.from_points(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError, match="length-3 vector"):
+            tangent_gradient(data, np.ones(2))
 
     def test_zero_mass_rejected(self):
         with pytest.raises(DegenerateClusterError):

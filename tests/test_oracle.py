@@ -231,6 +231,11 @@ class TestSurrogateArgmin:
         b = surrogate_argmin_oracle(data, G_t, 2.0, trials=50, seed=7)
         assert a == b
 
+    def test_needs_a_trial(self):
+        data, _, G_t = random_instance(np.random.default_rng(77), 5, 2, 2)
+        with pytest.raises(ValueError, match="at least one trial"):
+            surrogate_argmin_oracle(data, G_t, 2.0, trials=0, seed=0)
+
     def test_output_beats_its_own_perturbations(self):
         # feasible perturbations of the closed-form output never lower h
         from fcmm.membership import MembershipMatrix
@@ -263,6 +268,11 @@ class TestDescentChainAudit:
         report = descent_chain_audit(iris_data, init_random(iris_data.n, 3, 42),
                                      SolverConfig(c=3), steps=100)
         assert report.passed
+
+    def test_needs_a_step(self):
+        data = DataMatrix.from_points(np.arange(10.0).reshape(5, 2))
+        with pytest.raises(ValueError, match="at least one step"):
+            descent_chain_audit(data, init_random(5, 2, 0), SolverConfig(c=2), steps=0)
 
     def test_fixed_point_gives_equalities(self):
         from fcmm.dataset import SyntheticSpec, make_blobs

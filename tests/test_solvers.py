@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,9 +9,8 @@ from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
 from fcmm.objective import aggregates, compute_centers, phi
 from fcmm.oracle import classic_update_oracle, gram_quad_oracle
-from fcmm.solvers import (SolverConfig, SolverTrace, irw_auxiliary,
-                          solve_fcm_classic, solve_fcm_mm, solve_irw_fcm,
-                          update_membership_classic, update_membership_irw,
+from fcmm.solvers import (SolverConfig, irw_auxiliary, solve_fcm_classic, solve_fcm_mm,
+                          solve_irw_fcm, update_membership_classic, update_membership_irw,
                           update_membership_mm)
 
 R = 2.0
@@ -36,6 +33,11 @@ class TestClassicUpdate:
         centers = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         F = update_membership_classic(data, centers, R)
         np.testing.assert_allclose(F.values, [[1 / 3] * 3], rtol=1e-12)
+
+    def test_exponent_at_most_one_rejected(self):
+        data = DataMatrix.from_points([[0.0], [2.0]])
+        with pytest.raises(ValueError, match="exceed 1"):
+            update_membership_classic(data, np.array([[1.0], [3.0]]), 1.0)
 
     def test_point_on_center_goes_one_hot(self):
         data = DataMatrix.from_points([[1.0], [5.0]])
@@ -332,19 +334,15 @@ class TestSolveMm:
 
 class TestTrajectoryCoincidence:
     def test_classic_equals_mm_pathwise(self, iris_data):
-        # bitwise MM's run; only the inner_iters column reads 0 where MM's reads 1
+        # classic runs MM's driver: bitwise MM's run in every trace column
         runs = [(iris_data, init_random(iris_data.n, 3, seed), SolverConfig(c=3))
                 for seed in range(40)]
         blobs = standardize(make_blobs(SyntheticSpec(blob_count=4, points_per_blob=500,
                                                      dim=3, seed=0)))
         runs.append((blobs, init_random(blobs.n, 4, 1), SolverConfig(c=4, r=1.2)))
         for data, F0, cfg in runs:
-            mm = solve_fcm_mm(data, F0, cfg)
-            classic = solve_fcm_classic(data, F0, cfg)
-            assert all(rec.inner_iters == 0 for rec in classic.trace.records)
-            as_mm = tuple(replace(rec, inner_iters=min(rec.outer_iter, 1))
-                          for rec in classic.trace.records)
-            assert_bitwise_same_run(mm, replace(classic, trace=SolverTrace(as_mm)))
+            assert_bitwise_same_run(solve_fcm_mm(data, F0, cfg),
+                                    solve_fcm_classic(data, F0, cfg))
 
 
 class TestDegenerateHandling:
@@ -410,6 +408,11 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match="row-stochastic"):
             solve_fcm_mm(data, bad, SolverConfig(c=2))
 
+    def test_start_row_count_must_match(self):
+        data = blob_instance(seed=23)
+        with pytest.raises(ValueError, match="rows but data has"):
+            solve_fcm_mm(data, init_random(data.n - 1, 2, 0), SolverConfig(c=2))
+
     def test_config_cluster_count_must_match(self):
         data = blob_instance(seed=23)
         with pytest.raises(ValueError, match="clusters"):
@@ -424,6 +427,8 @@ class TestSolverContracts:
             SolverConfig(c=2, outer_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(c=2, max_outer_iters=0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverConfig(c=2, seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("c", 3.0), ("c", True), ("max_outer_iters", 2.5), ("max_inner_iters", 1.5),

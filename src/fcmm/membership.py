@@ -60,13 +60,18 @@ class PowerMembership:
 
     ``col_sums[j]`` is the effective mass of cluster j; every center and
     objective formula divides by it, so a zero column is rejected at
-    construction, however G is built, as a degenerate cluster.
+    construction, however G is built, as a degenerate cluster. So is a
+    ``col_sums`` that is not one entry per column, which would broadcast.
     """
 
     values: np.ndarray
     col_sums: np.ndarray
 
     def __post_init__(self):
+        if self.values.ndim != 2:
+            raise ValueError("powered membership values must be a 2-D array")
+        if np.shape(self.col_sums) != (self.c,):
+            raise ValueError(f"col_sums must have shape ({self.c},), got {np.shape(self.col_sums)}")
         dead = np.flatnonzero(self.col_sums <= 0.0)
         if dead.size:
             raise DegenerateClusterError(
@@ -87,9 +92,8 @@ class PowerMembership:
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "PowerMembership":
         """Wrap ``arr`` without copying and freeze it; no one else may hold it."""
-        if arr.ndim != 2:
-            raise ValueError("powered membership values must be a 2-D array")
-        sums = np.ones(arr.shape[0]) @ arr
+        # shape[:1], not shape[0]: a 0-d arr then fails as a ValueError too
+        sums = np.ones(arr.shape[:1]) @ arr
         arr.setflags(write=False)
         sums.setflags(write=False)
         return cls(arr, sums)

@@ -1,4 +1,4 @@
-"""Objective values, cluster centers, and the majorizing surrogate.
+"""Objective values, cluster centers, and the gradient behind the surrogate.
 
 Everything here reduces to products with the data matrix of length d, so
 the n x n Gram matrix is never materialized: for n in the tens of
@@ -10,8 +10,14 @@ Central quantities for a powered membership G with columns g_j:
   and ``mass_j = sum_i g_ij``;
 * the fuzzy-means cost at explicit centers;
 * the reduced cost ``phi`` obtained by substituting the optimal centers;
-* the tangent-plane majorizer ``h`` of phi, and the gradient of the
-  quadratic-over-linear term it linearizes.
+* the gradient of the term ``q(g) = quad / mass`` that phi subtracts.
+
+The majorizing surrogate of phi needs no formula of its own: q is
+homogeneous of degree 1, so by Euler its tangent plane at g_t has no
+constant term, ``grad q(g_t) . g = sum_i g_i (2 x_i.m_t - |m_t|^2)`` with
+``m_t = y_t / mass_t``. Subtracted from phi's linear part it completes the
+square, ``h(G | G_t) = sum_ij g_ij |x_i - m_j^t|^2``: :func:`fcm_objective`
+at ``compute_centers(aggregates(data, G_t))``.
 """
 
 from __future__ import annotations
@@ -71,11 +77,12 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
 
     Deliberately evaluated through the point-center differences, not the
     expanded form, so it provides an independent route for checking
-    :func:`phi`.
+    :func:`phi`. ``centers`` must be c x d. At an anchor's centers
+    ``y_t / mass_t`` it is the surrogate h(G | G_t) (module docstring).
     """
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    if F.n != data.n or centers.shape[1] != data.d:
+    if F.n != data.n or np.shape(centers) != (F.c, data.d):
         raise ValueError("dimension mismatch between data, memberships and centers")
     G = F.values ** r
     total = 0.0
@@ -94,27 +101,6 @@ def phi(data: DataMatrix, G: PowerMembership) -> float:
     agg = aggregates(data, G)
     linear = float(np.sum(data.sq_norms @ G.values))
     return linear - float(np.sum(agg.quad / agg.mass))
-
-
-def majorizer_h(data: DataMatrix, G: PowerMembership, G_t: PowerMembership) -> float:
-    """Tangent-plane upper bound of :func:`phi` anchored at G_t.
-
-    The concave term -quad_j/mass_j of phi is replaced by its first-order
-    expansion around g_j^t, constants included, so h(G_t | G_t) = phi(G_t)
-    exactly and h(G | G_t) >= phi(G) everywhere on the constraint set.
-    """
-    if G.values.shape != G_t.values.shape:
-        raise ValueError("G and G_t must have identical shapes")
-    agg_t = aggregates(data, G_t)
-    linear = float(data.sq_norms @ G.values.sum(axis=1))
-    # cross_j = y_j^t . y_j evaluates (g_j^t)' X'X g_j via two length-d products
-    y = G.values.T @ data.points
-    cross = np.einsum("cd,cd->c", agg_t.y, y)
-    mass = G.values.sum(axis=0)
-    tangent = (agg_t.quad / agg_t.mass
-               + (2.0 * agg_t.mass * (cross - agg_t.quad)
-                  - agg_t.quad * (mass - agg_t.mass)) / agg_t.mass ** 2)
-    return linear - float(np.sum(tangent))
 
 
 def tangent_gradient(data: DataMatrix, g_t) -> np.ndarray:

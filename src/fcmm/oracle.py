@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import DataMatrix, SyntheticSpec, make_blobs
 from .membership import MembershipMatrix, PowerMembership, init_random, to_power
-from .objective import (aggregates, compute_centers, majorizer_h, phi,
+from .objective import (aggregates, compute_centers, fcm_objective, phi,
                         tangent_gradient)
 from .solvers import (SolverConfig, irw_auxiliary, update_membership_irw,
                       update_membership_mm)
@@ -142,23 +142,25 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     """Randomized certificate that the surrogate update minimizes h.
 
     Samples ``trials`` random feasible membership matrices, evaluates the
-    majorizer at each, and reports how far (if at all) any of them dips
+    surrogate at each, and reports how far (if at all) any of them dips
     below the value achieved by the closed-form update. The update's own
-    output is included as a self-comparison sample.
+    output is included as a self-comparison sample. h is the fuzzy-means
+    cost at G_t's optimal centers (Euler: the tangent plane of quad/mass has
+    no constant term), so they are taken once and each sample is one
+    :func:`~fcmm.objective.fcm_objective`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    centers_t = compute_centers(aggregates(data, G_t))
     F_star = update_membership_mm(data, G_t, r)
-    G_star = to_power(F_star, r)
-    h_star = majorizer_h(data, G_star, G_t)
+    h_star = fcm_objective(data, F_star, centers_t, r)
     tolerance = 1e-9 * (1.0 + abs(h_star))
 
     rng = np.random.default_rng(seed)
-    worst = h_star - majorizer_h(data, G_star, G_t)  # self sample, exactly 0
+    worst = 0.0  # the self sample, h_star - h_star
     for _ in range(trials):
-        F = rng.dirichlet(np.ones(G_t.c), size=G_t.n)
-        h = majorizer_h(data, PowerMembership.from_values(F ** r), G_t)
-        worst = max(worst, h_star - h)
+        F = MembershipMatrix.from_values(rng.dirichlet(np.ones(G_t.c), size=G_t.n))
+        worst = max(worst, h_star - fcm_objective(data, F, centers_t, r))
     return OracleReport.from_error("surrogate_argmin", max(0.0, worst),
                                    tolerance, trials + 1)
 
@@ -172,7 +174,10 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
         phi(F_next) <= h(G_next | G) <= h(G | G) = phi(F),
 
     each link within ``1e-10 * (1 + |phi(F)|)``. Errors are reported
-    normalized by that scale, so the tolerance column reads 1e-10.
+    normalized by that scale, so the tolerance column reads 1e-10. h(. | G)
+    is the fuzzy-means cost at G's optimal centers (Euler: the tangent plane
+    of quad/mass has no constant term), taken once per step, so the last
+    link compares that difference form with phi's expanded form.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -181,10 +186,11 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     worst = 0.0
     obj = phi(data, G)
     for _ in range(steps):
+        centers = compute_centers(aggregates(data, G))
         F_next = update_membership_mm(data, G, cfg.r)
         G_next = to_power(F_next, cfg.r)
-        h_next = majorizer_h(data, G_next, G)
-        h_self = majorizer_h(data, G, G)
+        h_next = fcm_objective(data, F_next, centers, cfg.r)
+        h_self = fcm_objective(data, F, centers, cfg.r)
         obj_next = phi(data, G_next)
         scale = 1.0 + abs(obj)
         worst = max(worst,
@@ -246,7 +252,8 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     reports.append(OracleReport.from_error("gradient_fd", worst, 1e-6,
                                            n_instances * 2))
 
-    # Surrogate touches the objective at the anchor and dominates elsewhere.
+    # Surrogate touches the objective at the anchor and dominates elsewhere;
+    # h(. | G_t), the cost at G_t's centers, is a difference form, phi is not.
     tang_worst = 0.0
     dom_worst = 0.0
     anchors = max(4, n_instances)
@@ -255,15 +262,15 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
         n = int(rng.integers(5, n_max + 1))
         d = int(rng.integers(1, 6))
         c = int(rng.integers(2, 6))
-        data, _, G_t = _random_instance(rng, n, d, c, 2.0)
+        data, F_t, G_t = _random_instance(rng, n, d, c, 2.0)
+        centers_t = compute_centers(aggregates(data, G_t))
         obj_t = phi(data, G_t)
-        tang_worst = max(tang_worst,
-                         abs(majorizer_h(data, G_t, G_t) - obj_t) / (1.0 + abs(obj_t)))
+        tang_worst = max(tang_worst, abs(fcm_objective(data, F_t, centers_t, 2.0) - obj_t)
+                         / (1.0 + abs(obj_t)))
         for _ in range(per_anchor):
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
-            G = to_power(F, 2.0)
-            obj = phi(data, G)
-            gap = obj - majorizer_h(data, G, G_t)
+            obj = phi(data, to_power(F, 2.0))
+            gap = obj - fcm_objective(data, F, centers_t, 2.0)
             dom_worst = max(dom_worst, gap / (1.0 + abs(obj)))
     reports.append(OracleReport.from_error("tangency", tang_worst, 1e-10, anchors))
     reports.append(OracleReport.from_error("domination", dom_worst, 1e-9,

@@ -225,9 +225,10 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
 def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> MembershipMatrix:
     """Surrogate-minimizing update anchored at G_t.
 
-    The surrogate's minimizer is the classic update at the centers
-    ``y_j / mass_j``, so this takes those centers and calls
-    :func:`update_membership_classic`.
+    The surrogate is ``h(G | G_t) = sum_ij g_ij |x_i - m_j^t|^2`` at the
+    centers ``m_t = y_t / mass_t`` (Euler: the tangent plane of quad/mass
+    has no constant term), minimized by the classic update at m_t, so this
+    takes those centers and calls :func:`update_membership_classic`.
     """
     return update_membership_classic(data, compute_centers(aggregates(data, G_t)), r)
 

@@ -14,7 +14,7 @@ from conftest import random_instance
 from fcmm.cli import RunManifest, SYNTHETIC_PRESETS, cmd_run, iris_manifest
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.membership import MembershipMatrix, init_random, to_power, validate
-from fcmm.objective import (aggregates, compute_centers, majorizer_h, phi,
+from fcmm.objective import (aggregates, compute_centers, fcm_objective, phi,
                             tangent_gradient)
 from fcmm.oracle import (classic_update_oracle, descent_chain_audit,
                          finite_diff_gradient, gram_quad_oracle)
@@ -84,15 +84,17 @@ def test_criterion_3_surrogate_conditions():
         n = int(rng.integers(5, 31))
         d = int(rng.integers(1, 6))
         c = int(rng.integers(2, 6))
-        data, _, G_t = random_instance(rng, n, d, c)
+        data, F_t, G_t = random_instance(rng, n, d, c)
+        # h(. | G_t) is the fuzzy-means cost at G_t's optimal centers
+        centers_t = compute_centers(aggregates(data, G_t))
         obj_t = phi(data, G_t)
         worst_tangency = max(worst_tangency,
-                             abs(majorizer_h(data, G_t, G_t) - obj_t) / (1.0 + abs(obj_t)))
+                             abs(fcm_objective(data, F_t, centers_t, 2.0) - obj_t)
+                             / (1.0 + abs(obj_t)))
         for _ in range(25):
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
-            G = to_power(F, 2.0)
-            obj = phi(data, G)
-            gap = (obj - majorizer_h(data, G, G_t)) / (1.0 + abs(obj))
+            obj = phi(data, to_power(F, 2.0))
+            gap = (obj - fcm_objective(data, F, centers_t, 2.0)) / (1.0 + abs(obj))
             worst_domination = max(worst_domination, gap)
             samples += 1
     assert samples >= 500

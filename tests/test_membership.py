@@ -89,6 +89,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="2-D array"):
             PowerMembership.from_values([0.5, 0.5])
 
+    def test_power_rejects_col_sums_of_the_wrong_shape(self):
+        # one sum for two columns would broadcast into wrong centers and phi
+        values = np.array([[1.0, 0.0], [0.25, 0.25], [0.0, 1.0]])
+        for col_sums in ([3.0], np.array([3.0]), np.full(3, 1.25), np.full((1, 2), 1.25)):
+            with pytest.raises(ValueError, match=r"col_sums must have shape \(2,\)"):
+                PowerMembership(values, col_sums)
+
     def test_direct_power_with_zero_column_raises(self):
         # the zero-mass rule holds however G is built, not only through to_power
         values = np.array([[1.0, 0.0], [0.25, 0.0]])

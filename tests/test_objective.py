@@ -6,7 +6,7 @@ from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
 from fcmm.objective import (ClusterAggregates, aggregates, compute_centers, fcm_objective,
-                            majorizer_h, phi, tangent_gradient)
+                            phi, tangent_gradient)
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
                           update_membership_classic)
@@ -150,38 +150,72 @@ class TestObjectiveValues:
         with pytest.raises(ValueError, match="dimension mismatch"):
             fcm_objective(data, MembershipMatrix.from_values(np.full((2, 2), 0.5)), centers, 2.0)
 
+    @pytest.mark.parametrize("centers", [
+        [[0.0, 0.0]],
+        [[0.0, 0.0], [8.0, 4.0], [4.0, 2.0]],
+        [0.0, 0.0],
+    ], ids=["one-center", "three-centers", "1-d"])
+    def test_fcm_objective_needs_one_center_per_cluster(self, centers):
+        # one center must not silently price cluster 0 alone (4.5)
+        data = DataMatrix.from_points([[0.0, 0.0], [4.0, 2.0], [8.0, 4.0]])
+        F = MembershipMatrix.from_values([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fcm_objective(data, F, np.array(centers), 2.0)
+
+
+def anchor_centers(data, G_t):
+    return compute_centers(aggregates(data, G_t))
+
 
 class TestMajorizer:
+    """h(G | G_t) is the fuzzy-means cost at G_t's optimal centers."""
+
     def test_tangent_at_anchor(self):
         rng = np.random.default_rng(36)
         for _ in range(10):
-            data, _, G_t = random_instance(rng, int(rng.integers(5, 30)), 2, 3)
+            data, F_t, G_t = random_instance(rng, int(rng.integers(5, 30)), 2, 3)
             p = phi(data, G_t)
-            assert abs(majorizer_h(data, G_t, G_t) - p) <= 1e-10 * (1.0 + abs(p))
+            h = fcm_objective(data, F_t, anchor_centers(data, G_t), 2.0)
+            assert abs(h - p) <= 1e-10 * (1.0 + abs(p))
 
     def test_dominates_objective(self):
         rng = np.random.default_rng(37)
         data, _, G_t = random_instance(rng, 20, 2, 3)
+        centers_t = anchor_centers(data, G_t)
         for _ in range(500):
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=20))
-            G = to_power(F, 2.0)
-            p = phi(data, G)
-            assert majorizer_h(data, G, G_t) >= p - 1e-9 * (1.0 + abs(p))
+            p = phi(data, to_power(F, 2.0))
+            assert fcm_objective(data, F, centers_t, 2.0) >= p - 1e-9 * (1.0 + abs(p))
 
     def test_hand_evaluated_two_point_case(self):
-        # anchor g_t = (1,1) on {-1, +1}: the tangent term vanishes and
-        # h reduces to the plain weighted sum of squared norms, sum(g)
-        g_t = single_cluster([1.0, 1.0])
-        for g in ([0.5, 0.7], [1.0, 1.0], [0.2, 1.5]):
-            h = majorizer_h(TWO_POINTS_1D, single_cluster(g), g_t)
-            assert h == pytest.approx(sum(g), rel=1e-12)
+        # anchor g_t = (1,1) on {-1, +1} has its center at 0, so h reduces
+        # to the plain weighted sum of squared norms, sum(f^2)
+        centers_t = anchor_centers(TWO_POINTS_1D, single_cluster([1.0, 1.0]))
+        for f in ([0.5, 0.7], [1.0, 1.0], [0.2, 1.5]):
+            F = MembershipMatrix.from_values(np.array(f)[:, None])
+            h = fcm_objective(TWO_POINTS_1D, F, centers_t, 2.0)
+            assert h == pytest.approx(sum(v * v for v in f), rel=1e-12)
 
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(38)
-        data, _, G = random_instance(rng, 10, 2, 3)
-        _, _, G_other = random_instance(rng, 10, 2, 4)
-        with pytest.raises(ValueError):
-            majorizer_h(data, G, G_other)
+    @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (5.0, 1.0), (-5.0, 1e3),
+                                              (5.0, 1e-3), (-3.0, 1e-3), (2.0, 1e3)])
+    def test_equals_the_tangent_plane_form(self, shift, scale):
+        # the paper's form: phi's linear part minus the tangent plane of
+        # each quad_j/mass_j at g_j^t, which by Euler has no constant term
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n, d, c = int(rng.integers(5, 30)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            points = scale * (shift + rng.normal(size=(n, d)))
+            data = DataMatrix.from_points(points)
+            r = float(rng.choice([1.5, 2.0, 3.0]))
+            F_t = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
+            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
+            G_t, G = to_power(F_t, r), to_power(F, r)
+            h_tan = float(data.sq_norms @ G.values.sum(axis=1)) - sum(
+                float(tangent_gradient(data, G_t.values[:, j]) @ G.values[:, j])
+                for j in range(c))
+            h = fcm_objective(data, F, anchor_centers(data, G_t), r)
+            # relative to |h| alone, so the 1e-3 scales get no absolute floor
+            assert abs(h_tan - h) <= 1e-10 * abs(h)
 
 
 class TestTangentGradient:

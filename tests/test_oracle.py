@@ -5,14 +5,17 @@ guarantees."""
 import numpy as np
 import pytest
 
+import fcmm.objective
+import fcmm.oracle
+import fcmm.solvers
 from conftest import random_instance
 from fcmm.dataset import DataMatrix
-from fcmm.membership import PowerMembership, init_random, to_power
-from fcmm.objective import aggregates, tangent_gradient
+from fcmm.membership import MembershipMatrix, PowerMembership, init_random
+from fcmm.objective import aggregates, compute_centers, fcm_objective, tangent_gradient
 from fcmm.oracle import (OracleReport, classic_update_oracle, descent_chain_audit,
                          finite_diff_gradient, gram_quad_oracle, gram_vector_oracle,
                          run_suite, surrogate_argmin_oracle)
-from fcmm.solvers import SolverConfig, solve_fcm_mm
+from fcmm.solvers import SolverConfig, solve_fcm_mm, update_membership_mm
 
 
 def reference_gram(points):
@@ -237,21 +240,34 @@ class TestSurrogateArgmin:
             surrogate_argmin_oracle(data, G_t, 2.0, trials=0, seed=0)
 
     def test_output_beats_its_own_perturbations(self):
-        # feasible perturbations of the closed-form output never lower h
-        from fcmm.membership import MembershipMatrix
-        from fcmm.objective import majorizer_h
-        from fcmm.solvers import update_membership_mm
+        # feasible perturbations of the closed-form output never lower h,
+        # the fuzzy-means cost at the anchor's centers
         rng = np.random.default_rng(76)
         data, _, G_t = random_instance(rng, 15, 2, 3)
+        centers_t = compute_centers(aggregates(data, G_t))
         F_star = update_membership_mm(data, G_t, 2.0)
-        h_star = majorizer_h(data, to_power(F_star, 2.0), G_t)
+        h_star = fcm_objective(data, F_star, centers_t, 2.0)
         tol = 1e-9 * (1.0 + abs(h_star))
         for _ in range(200):
             t = rng.uniform(1e-4, 0.2)
             other = rng.dirichlet(np.ones(3), size=15)
             mixed = MembershipMatrix.from_values((1 - t) * F_star.values + t * other)
-            h = majorizer_h(data, to_power(mixed, 2.0), G_t)
-            assert h >= h_star - tol
+            assert fcm_objective(data, mixed, centers_t, 2.0) >= h_star - tol
+
+    def test_anchor_aggregates_taken_once(self, monkeypatch):
+        # once for the anchor's centers and once inside the MM update,
+        # however many trials run
+        calls = []
+
+        def counted(data, G):
+            calls.append(G)
+            return aggregates(data, G)
+
+        for module in (fcmm.objective, fcmm.oracle, fcmm.solvers):
+            monkeypatch.setattr(module, "aggregates", counted)
+        data, _, G_t = random_instance(np.random.default_rng(78), 40, 2, 3)
+        assert surrogate_argmin_oracle(data, G_t, 2.0, trials=1000, seed=0).passed
+        assert len(calls) == 2 and all(G is G_t for G in calls)
 
 
 class TestDescentChainAudit:
@@ -296,12 +312,46 @@ class TestOracleReport:
 
 
 def test_run_suite_quick_all_pass():
+    # every check, in order, with its tolerance and sample count: a refactor
+    # may not drop, shrink or loosen one
     reports = run_suite("quick", seed=0)
-    names = {r.check_name for r in reports}
-    assert {"gram_agreement", "gradient_fd", "tangency", "domination",
-            "single_step_equivalence", "classic_coincidence", "descent_chain",
-            "surrogate_argmin"} <= names
+    assert [(r.check_name, r.tolerance, r.samples) for r in reports[:-1]] == [
+        ("gram_agreement", 1e-10, 16),
+        ("gradient_fd", 1e-6, 10),
+        ("tangency", 1e-10, 5),
+        ("domination", 1e-9, 200),
+        ("single_step_equivalence", 1e-12, 20),
+        ("classic_coincidence", 1e-12, 20),
+        ("descent_chain", 1e-10, 50),
+    ]
+    last = reports[-1]
+    # 1e-9 * (1 + |h_star|), relative to the certificate's own optimum
+    assert (last.check_name, last.samples) == ("surrogate_argmin", 201)
+    assert last.tolerance == pytest.approx(1.1230884424710005e-08, rel=1e-9)
     assert all(r.passed for r in reports)
+
+
+def _negated(tangent_gradient):
+    return lambda data, g_t: -tangent_gradient(data, g_t)
+
+
+def _sharper(update_membership_classic):
+    return lambda data, centers, r: update_membership_classic(data, centers, 1.05 * r)
+
+
+def _inflated(phi):
+    return lambda data, G: phi(data, G) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("module, name, plant, caught_by", [
+    (fcmm.oracle, "tangent_gradient", _negated, {"gradient_fd"}),
+    (fcmm.solvers, "update_membership_classic", _sharper, {"classic_coincidence"}),
+    (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
+], ids=["gradient-sign", "kernel-exponent", "phi-scale"])
+def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}
+    assert failed == caught_by
 
 
 def test_run_suite_rejects_unknown_scale():

@@ -14,7 +14,7 @@ from pathlib import Path
 from fcmm import SolverConfig, init_random, load_csv, solve_fcm_mm, solve_irw_fcm, standardize
 
 iris_csv = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
-data = standardize(load_csv(iris_csv, drop_columns={4}, has_header=True))
+data = standardize(load_csv(iris_csv, drop_columns={4}))
 print(f"iris: {data.n} points, {data.d} features (label column dropped)")
 
 F0 = init_random(data.n, 3, seed=42)

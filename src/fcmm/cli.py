@@ -30,8 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .dataset import (DataMatrix, SyntheticSpec, load_csv, make_blobs, read_csv_rows,
-                      standardize)
+from .dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
 from .membership import init_random
 from .oracle import run_suite
 from .solvers import SOLVERS, SolverConfig, SolverResult
@@ -59,6 +58,7 @@ class RunManifest:
     csv_path: Optional[str] = None
     drop_columns: tuple = ()
     synthetic: Optional[SyntheticSpec] = None
+    standardize: bool = True
 
     def __post_init__(self):
         if not self.algorithms:
@@ -92,28 +92,13 @@ def iris_manifest(csv_path, output_dir, algorithms=("irw", "mm"),
                        csv_path=str(csv_path), drop_columns=(4,))
 
 
-def _csv_has_header(path, drop_columns=()) -> bool:
-    """A file whose first non-empty row has a non-numeric kept cell has a header."""
-    rows = read_csv_rows(path)
-    first = next(rows, [])
-    rows.close()
-    for j, cell in enumerate(first):
-        try:
-            float(cell)
-        except ValueError:
-            if j not in drop_columns:
-                return True
-    return False
-
-
 def load_manifest_dataset(manifest: RunManifest) -> DataMatrix:
     """Materialize the manifest's dataset, standardized if configured."""
     if manifest.csv_path is not None:
-        data = load_csv(manifest.csv_path, manifest.drop_columns,
-                        has_header=_csv_has_header(manifest.csv_path, manifest.drop_columns))
+        data = load_csv(manifest.csv_path, manifest.drop_columns)
     else:
         data = make_blobs(manifest.synthetic)
-    return standardize(data) if manifest.cfg.standardize else data
+    return standardize(data) if manifest.standardize else data
 
 
 def execute(manifest: RunManifest) -> dict:
@@ -154,6 +139,7 @@ def _algorithm_row(result: SolverResult) -> dict:
 
 def _summary_payload(manifest: RunManifest, results: dict) -> dict:
     payload = {"config": {**dataclasses.asdict(manifest.cfg),
+                          "standardize": manifest.standardize,
                           "algorithms": list(manifest.algorithms),
                           "output_dir": manifest.output_dir,
                           "dataset": manifest.dataset_descriptor()}}
@@ -181,10 +167,9 @@ def cmd_run(manifest: RunManifest):
     return 0, results
 
 
-def updates_to_reach(result: SolverResult, target: float,
-                     rtol: float = LANDMARK_RTOL) -> Optional[int]:
+def updates_to_reach(result: SolverResult, target: float) -> Optional[int]:
     """Membership updates spent until the trace first reaches the target."""
-    threshold = target + rtol * (1.0 + abs(target))
+    threshold = target + LANDMARK_RTOL * (1.0 + abs(target))
     for rec in result.trace.records:
         if rec.objective <= threshold:
             return rec.membership_updates
@@ -296,7 +281,7 @@ _OPTIONS = {
     "inner_tol": (float, _CFG["inner_tol"], "inner_tol", {}),
     "max_outer": (int, _CFG["max_outer_iters"], "max_outer_iters", {}),
     "max_inner": (int, _CFG["max_inner_iters"], "max_inner_iters", {}),
-    "standardize": (_parse_bool, _CFG["standardize"], "standardize",
+    "standardize": (_parse_bool, RunManifest.standardize, None,
                     dict(flag="--no-standardize", action="store_const", const=False,
                          help="skip feature standardization")),
     "out": (str, "runs", None, dict(help="output directory (default runs/)")),
@@ -328,7 +313,8 @@ def manifest_from_options(options: dict) -> RunManifest:
         synthetic = SyntheticSpec(seed=cfg.seed, **preset)
     return RunManifest(cfg=cfg, algorithms=tuple(options["algos"]),
                        output_dir=options["out"], csv_path=options["data"],
-                       drop_columns=tuple(options["drop_cols"]), synthetic=synthetic)
+                       drop_columns=tuple(options["drop_cols"]), synthetic=synthetic,
+                       standardize=options["standardize"])
 
 
 def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:

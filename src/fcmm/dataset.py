@@ -1,17 +1,16 @@
 """Dataset ingestion: CSV loading, synthetic blob generation, standardization.
 
 All loaders produce a :class:`DataMatrix`, which stores one point per row
-and caches the squared Euclidean norm of every row. The squared norms are
-reused by every membership update, so they are computed exactly once at
-construction time.
+and the squared Euclidean norm of every row. The squared norms are reused
+by every membership update, so the constructor computes them exactly once.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -20,35 +19,45 @@ import numpy as np
 _ZERO_VARIANCE_RTOL = 1e-13
 
 
-def _require_integers(owner, names) -> None:
-    """Raise ValueError unless each named field of ``owner`` is an integer (not a bool)."""
-    for name in names:
-        value = getattr(owner, name)
+def _require_counts(**values) -> None:
+    """Raise ValueError unless each value is a non-negative integer (not a bool)."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _require_matrix(value, name) -> None:
+    """Raise ValueError unless ``value`` is a 2-D float64 ndarray; reads no data."""
+    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+        raise ValueError(f"{name} must be a float64 ndarray, "
+                         f"got {getattr(value, 'dtype', type(value).__name__)}")
+    if value.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D array")
 
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """n data points in d dimensions with cached squared row norms.
+    """n data points in d dimensions with their squared row norms.
 
     Attributes
     ----------
     points : ndarray, shape (n, d)
-        One data point per row. Read-only float64.
+        One data point per row. Float64; read-only when built by a loader.
     sq_norms : ndarray, shape (n,)
-        ``sq_norms[i]`` is the dot product of row i with itself, cached at
-        construction.
+        ``sq_norms[i]`` is the dot product of row i with itself, computed
+        at construction from ``points``. Read-only.
     """
 
     points: np.ndarray
-    sq_norms: np.ndarray
+    sq_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.points.ndim != 2:
-            raise ValueError("points must be a 2-D array")
-        if self.sq_norms.shape != (self.points.shape[0],):
-            raise ValueError("sq_norms length must match the number of points")
+        _require_matrix(self.points, "points")
+        sq = np.einsum("ij,ij->i", self.points, self.points)
+        sq.setflags(write=False)
+        object.__setattr__(self, "sq_norms", sq)
 
     @property
     def n(self) -> int:
@@ -69,10 +78,8 @@ class DataMatrix:
         if not np.all(np.isfinite(pts)):
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise ValueError(f"non-finite value at point {bad[0]}, feature {bad[1]}")
-        sq = np.einsum("ij,ij->i", pts, pts)
         pts.setflags(write=False)
-        sq.setflags(write=False)
-        return cls(pts, sq)
+        return cls(pts)
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_integers(self, ("blob_count", "points_per_blob", "dim", "seed"))
+        _require_counts(blob_count=self.blob_count, points_per_blob=self.points_per_blob,
+                        dim=self.dim, seed=self.seed)
         if self.blob_count < 1:
             raise ValueError("blob_count must be positive")
         if self.points_per_blob < 1:
@@ -104,8 +112,6 @@ class SyntheticSpec:
             raise ValueError("blob_stddev must be positive")
         if not self.blob_center_scale > 0:
             raise ValueError("blob_center_scale must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 def make_blobs(spec: SyntheticSpec) -> DataMatrix:
@@ -124,26 +130,29 @@ def make_blobs(spec: SyntheticSpec) -> DataMatrix:
     return DataMatrix.from_points(np.vstack(blocks))
 
 
-def read_csv_rows(path) -> Iterator[list]:
-    """Yield the non-empty rows of a CSV file, dropping a UTF-8 byte-order mark."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        yield from filter(None, csv.reader(fh))
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
-def load_csv(path, drop_columns: Iterable[int] = (), has_header: bool = False) -> DataMatrix:
+def load_csv(path, drop_columns: Iterable[int] = ()) -> DataMatrix:
     """Load a plain comma-separated numeric file into a :class:`DataMatrix`.
 
-    Comma delimiter only, '.' decimal point, optionally one header row.
-    Blank lines and a UTF-8 byte-order mark are skipped. ``drop_columns``
-    holds 0-based indices of columns to exclude (labels, ids). Row/column
-    positions in error messages are 1-based and count data rows, i.e. the
+    Comma delimiter only, '.' decimal point. Blank lines and a UTF-8
+    byte-order mark are skipped. ``drop_columns`` holds 0-based indices of
+    columns to exclude (labels, ids). The first non-empty row is a header
+    when none of its kept cells parses as a number, and data otherwise;
+    every data row must have the first row's column count. Row/column
+    positions in error messages are 1-based and count data rows, i.e. a
     header row is not counted.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
-    rows = list(read_csv_rows(path))
-    if has_header:
-        rows = rows[1:]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(filter(None, csv.reader(fh)))
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
@@ -155,6 +164,10 @@ def load_csv(path, drop_columns: Iterable[int] = (), has_header: bool = False) -
     kept = [j for j in range(width) if j not in drop]
     if not kept:
         raise ValueError(f"{path}: all {width} columns dropped, nothing to load")
+    if not any(_is_number(rows[0][j]) for j in kept):
+        del rows[0]
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
 
     out = np.empty((len(rows), len(kept)))
     for i, row in enumerate(rows):

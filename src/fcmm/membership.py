@@ -8,10 +8,11 @@ cluster masses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import _require_counts, _require_matrix
 from .exceptions import DegenerateClusterError
 
 ROW_SUM_TOL = 1e-9
@@ -32,8 +33,7 @@ class MembershipMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("membership values must be a 2-D array")
+        _require_matrix(self.values, "membership values")
         if self.values.shape[1] < 1:
             raise ValueError("membership matrix needs at least one cluster column")
         if not np.all(np.isfinite(self.values)):
@@ -58,21 +58,21 @@ class MembershipMatrix:
 class PowerMembership:
     """Elementwise r-th power G of a membership matrix, with column sums.
 
-    ``col_sums[j]`` is the effective mass of cluster j; every center and
-    objective formula divides by it, so a zero column is rejected at
-    construction, however G is built, as a degenerate cluster. So is a
-    ``col_sums`` that is not one entry per column, which would broadcast.
+    ``col_sums[j]`` is the effective mass of cluster j, computed at
+    construction from ``values``; every center and objective formula
+    divides by it, so a zero column is rejected at construction, however
+    G is built, as a degenerate cluster.
     """
 
     values: np.ndarray
-    col_sums: np.ndarray
+    col_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("powered membership values must be a 2-D array")
-        if np.shape(self.col_sums) != (self.c,):
-            raise ValueError(f"col_sums must have shape ({self.c},), got {np.shape(self.col_sums)}")
-        dead = np.flatnonzero(self.col_sums <= 0.0)
+        _require_matrix(self.values, "powered membership values")
+        sums = np.ones(self.n) @ self.values
+        sums.setflags(write=False)
+        object.__setattr__(self, "col_sums", sums)
+        dead = np.flatnonzero(sums <= 0.0)
         if dead.size:
             raise DegenerateClusterError(
                 f"cluster(s) {dead.tolist()} have zero mass (column sum of g is 0)")
@@ -92,11 +92,8 @@ class PowerMembership:
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "PowerMembership":
         """Wrap ``arr`` without copying and freeze it; no one else may hold it."""
-        # shape[:1], not shape[0]: a 0-d arr then fails as a ValueError too
-        sums = np.ones(arr.shape[:1]) @ arr
         arr.setflags(write=False)
-        sums.setflags(write=False)
-        return cls(arr, sums)
+        return cls(arr)
 
 
 def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
@@ -105,6 +102,7 @@ def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
     Implemented as normalized i.i.d. exponentials from a seeded PCG64
     stream, so identical ``(n, c, seed)`` give bitwise-identical matrices.
     """
+    _require_counts(n=n, c=c, seed=seed)
     if n < 1:
         raise ValueError("need at least one point")
     if c < 2:
@@ -127,29 +125,25 @@ class MembershipReport:
 
     max_row_sum_deviation: float
     min_entry: float
-    row_sum_tol: float
-    entry_tol: float
     passed: bool
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return (f"membership {status}: max row-sum deviation {self.max_row_sum_deviation:.3e} "
-                f"(tol {self.row_sum_tol:.1e}), min entry {self.min_entry:.3e}")
+                f"(tol {ROW_SUM_TOL:.1e}), min entry {self.min_entry:.3e}")
 
 
-def validate(F: MembershipMatrix,
-             row_sum_tol: float = ROW_SUM_TOL,
-             entry_tol: float = ENTRY_TOL) -> MembershipReport:
+def validate(F: MembershipMatrix) -> MembershipReport:
     """Report the worst row-sum deviation and the smallest entry.
 
     Pure diagnostic: never raises. Passes when every row sum is within
-    ``row_sum_tol`` of 1 and no entry is below ``-entry_tol`` (tiny
+    ``ROW_SUM_TOL`` of 1 and no entry is below ``-ENTRY_TOL`` (tiny
     negative rounding noise is tolerated).
     """
     dev = float(np.max(np.abs(F.values.sum(axis=1) - 1.0)))
     min_entry = float(F.values.min())
-    passed = dev <= row_sum_tol and min_entry >= -entry_tol
-    return MembershipReport(dev, min_entry, row_sum_tol, entry_tol, passed)
+    passed = dev <= ROW_SUM_TOL and min_entry >= -ENTRY_TOL
+    return MembershipReport(dev, min_entry, passed)
 
 
 def dump_csv(F: MembershipMatrix, path) -> None:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import DataMatrix, _require_integers
+from .dataset import DataMatrix, _require_counts
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership, to_power, validate
 from .objective import aggregates, compute_centers, phi
@@ -42,8 +42,6 @@ class SolverConfig:
     ``outer_tol`` stops the outer loop once the reduced objective changes
     by no more than ``outer_tol * (1 + |objective|)``; ``inner_tol`` stops
     the re-weighting inner loop on the max elementwise membership change.
-    ``standardize`` is honored by the harness when preparing datasets; the
-    solve functions use the data as given.
     """
 
     c: int
@@ -53,10 +51,14 @@ class SolverConfig:
     max_outer_iters: int = 500
     max_inner_iters: int = 100
     seed: int = 0
-    standardize: bool = True
 
     def __post_init__(self):
-        _require_integers(self, ("c", "max_outer_iters", "max_inner_iters", "seed"))
+        _require_counts(c=self.c, max_outer_iters=self.max_outer_iters,
+                        max_inner_iters=self.max_inner_iters, seed=self.seed)
+        for name in ("r", "outer_tol", "inner_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.c < 2:
             raise ValueError(f"need at least 2 clusters, got {self.c}")
         if not 1.0 < self.r < np.inf:
@@ -66,8 +68,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ def iris_path():
 
 @pytest.fixture(scope="session")
 def iris_raw(iris_path):
-    return load_csv(iris_path, drop_columns={4}, has_header=True)
+    return load_csv(iris_path, drop_columns={4})
 
 
 @pytest.fixture(scope="session")

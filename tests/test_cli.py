@@ -7,7 +7,7 @@ from fcmm.cli import (RunManifest, SYNTHETIC_PRESETS, TRACE_HEADER, cmd_compare,
                       cmd_run, cmd_validate, iris_manifest, load_manifest_dataset, main,
                       manifest_from_options, _atomic_write, _OPTIONS, _resolve_options,
                       updates_to_reach)
-from fcmm.dataset import SyntheticSpec
+from fcmm.dataset import SyntheticSpec, load_csv
 from fcmm.solvers import SolverConfig
 
 
@@ -231,6 +231,7 @@ class TestOptionResolution:
                           "--no-standardize", "--out", str(tmp_path)])
         options = _resolve_options(args)
         assert options["standardize"] is False
+        assert manifest_from_options(options).standardize is False
 
     def test_config_file_with_bom(self, tmp_path):
         config = tmp_path / "bom.cfg"
@@ -341,18 +342,28 @@ class TestMainEntryPoint:
 def test_manifest_dataset_keeps_every_data_row(tmp_path, content, rows):
     path = tmp_path / "data.csv"
     path.write_bytes(content)
-    manifest = RunManifest(cfg=SolverConfig(c=2, standardize=False), algorithms=("mm",),
+    manifest = RunManifest(cfg=SolverConfig(c=2), algorithms=("mm",), standardize=False,
                            output_dir=str(tmp_path), csv_path=str(path))
     data = load_manifest_dataset(manifest)
     assert data.n == rows
     np.testing.assert_array_equal(data.points[0], [1.0, 2.0])
+    np.testing.assert_array_equal(load_csv(path).points, data.points)
+
+
+def test_partly_numeric_first_row_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("1,abc\n2,3\n4,5\n6,7\n")
+    status = main(["run", "--data", str(path), "--c", "2", "--algos", "mm",
+                   "--out", str(tmp_path / "out")])
+    assert status == 1
+    assert "row 1, column 2: not a number: 'abc'" in capsys.readouterr().err
 
 
 def test_header_sniff_reads_only_kept_columns(tmp_path):
     path = tmp_path / "labelled.csv"
     path.write_text("5.1,3.5,1.4,0.2,setosa\n4.9,3.0,1.4,0.2,setosa\n"
                     "6.3,3.3,6.0,2.5,virginica\n")
-    manifest = RunManifest(cfg=SolverConfig(c=2, standardize=False), algorithms=("mm",),
+    manifest = RunManifest(cfg=SolverConfig(c=2), algorithms=("mm",), standardize=False,
                            output_dir=str(tmp_path), csv_path=str(path), drop_columns=(4,))
     data = load_manifest_dataset(manifest)
     assert data.n == 3

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fcmm.dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
-from fcmm.membership import init_random
+from fcmm.membership import PowerMembership, init_random
+from fcmm.objective import phi
 from fcmm.solvers import SolverConfig, solve_fcm_mm
 
 
@@ -52,7 +53,36 @@ class TestLoadCsv:
 
     def test_header_only(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
-            load_csv(write(tmp_path, "a,b\n"), has_header=True)
+            load_csv(write(tmp_path, "a,b\n"))
+
+    def test_iris_header_found_without_a_flag(self, iris_path):
+        data = load_csv(iris_path, drop_columns={4})
+        assert (data.n, data.d) == (150, 4)
+        np.testing.assert_array_equal(data.points[0], [5.1, 3.5, 1.4, 0.2])
+
+    @pytest.mark.parametrize("text, drop, rows", [
+        ("a,b\n1,2\n3,4\n", (), 2),
+        ("a,b,label\n1,2,x\n", {2}, 1),
+        ("1,2,x\n3,4,y\n", {2}, 2),
+        ("\n\nx,y\n1,2\n", (), 1),
+    ], ids=["header", "header-over-dropped-label", "labelled-data", "blank-lines-then-header"])
+    def test_first_row_is_a_header_when_no_kept_cell_is_a_number(self, tmp_path, text, drop, rows):
+        data = load_csv(write(tmp_path, text), drop_columns=drop)
+        assert data.n == rows
+        np.testing.assert_array_equal(data.points[0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,abc\n2,3\n4,5\n6,7\n", "row 1, column 2: not a number: 'abc'"),
+        ("x,1\n2,3\n", "row 1, column 1: not a number: 'x'"),
+        ("a,b,c\n1,2\n", "row 1 has 2 columns, expected 3"),
+    ], ids=["partly-numeric-first-row", "numeric-looking-header", "header-wider-than-data"])
+    def test_first_row_with_a_number_is_data(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_csv(write(tmp_path, text))
+
+    def test_all_columns_dropped_under_a_header(self, tmp_path):
+        with pytest.raises(ValueError, match="all 2 columns dropped"):
+            load_csv(write(tmp_path, "a,b\n1,2\n"), drop_columns={0, 1})
 
     def test_drop_column_excluded(self, tmp_path):
         data = load_csv(write(tmp_path, "1,9,2\n3,9,4\n"), drop_columns={1})
@@ -87,11 +117,22 @@ class TestDataMatrix:
         with pytest.raises(ValueError, match="must be 2-D"):
             DataMatrix.from_points([1.0, 2.0])
 
-    def test_direct_construction_checks_shapes(self):
+    def test_direct_construction_computes_sq_norms(self):
+        # no caller-supplied norms that could disagree with the points
+        data = DataMatrix(np.array([[3.0, 4.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(data.sq_norms, [25.0, 0.0])
+        assert not data.sq_norms.flags.writeable
+        assert phi(data, PowerMembership.from_values(np.eye(2))) == 0.0
         with pytest.raises(ValueError, match="2-D array"):
-            DataMatrix(np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match="sq_norms length"):
-            DataMatrix(np.zeros((3, 2)), np.zeros(2))
+            DataMatrix(np.zeros(3))
+        with pytest.raises(TypeError):
+            DataMatrix(np.zeros((2, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("points, got", [
+        ([[1.0, 2.0]], "got list"), (np.array([[1, 2]]), "got int64")], ids=["list", "int64"])
+    def test_direct_construction_needs_a_float64_array(self, points, got):
+        with pytest.raises(ValueError, match=f"points must be a float64 ndarray, {got}"):
+            DataMatrix(points)
 
     def test_points_read_only(self):
         data = DataMatrix.from_points([[1.0, 2.0]])

@@ -35,6 +35,18 @@ class TestInitRandom:
         with pytest.raises(ValueError):
             init_random(0, 3, seed=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 2.5, "n must be an integer"), ("c", 2.0, "c must be an integer"),
+        ("seed", 1.5, "seed must be an integer"), ("n", True, "n must be an integer"),
+        ("seed", -1, "seed must be a non-negative integer")])
+    def test_non_integer_or_negative_arguments_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            init_random(**{"n": 4, "c": 2, "seed": 0, field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(init_random(np.int64(5), np.int32(3), np.uint8(7)).values,
+                              init_random(5, 3, 7).values)
+
 
 class TestToPower:
     def test_elementwise_square(self):
@@ -89,18 +101,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="2-D array"):
             PowerMembership.from_values([0.5, 0.5])
 
-    def test_power_rejects_col_sums_of_the_wrong_shape(self):
-        # one sum for two columns would broadcast into wrong centers and phi
+    def test_power_computes_its_own_col_sums(self):
+        # no caller-supplied sums that could broadcast into wrong centers and phi
         values = np.array([[1.0, 0.0], [0.25, 0.25], [0.0, 1.0]])
-        for col_sums in ([3.0], np.array([3.0]), np.full(3, 1.25), np.full((1, 2), 1.25)):
-            with pytest.raises(ValueError, match=r"col_sums must have shape \(2,\)"):
-                PowerMembership(values, col_sums)
+        G = PowerMembership(values)
+        np.testing.assert_array_equal(G.col_sums, [1.25, 1.25])
+        assert not G.col_sums.flags.writeable
+        with pytest.raises(TypeError):
+            PowerMembership(values, np.array([3.0]))
 
     def test_direct_power_with_zero_column_raises(self):
         # the zero-mass rule holds however G is built, not only through to_power
         values = np.array([[1.0, 0.0], [0.25, 0.0]])
         with pytest.raises(DegenerateClusterError, match=r"\[1\]"):
-            PowerMembership(values, values.sum(axis=0))
+            PowerMembership(values)
+
+    @pytest.mark.parametrize("cls", [MembershipMatrix, PowerMembership])
+    @pytest.mark.parametrize("values, got", [
+        ([[0.5, 0.5]], "got list"), (np.array([[1, 0]]), "got int64"),
+        (np.array([[0.5, 0.5]], dtype=np.float32), "got float32")],
+        ids=["list", "int64", "float32"])
+    def test_direct_construction_needs_a_float64_array(self, cls, values, got):
+        with pytest.raises(ValueError, match=f"values must be a float64 ndarray, {got}"):
+            cls(values)
 
 
 class TestFromValues:

@@ -1,7 +1,9 @@
 """The ``fcmm`` top level is the public API, and the benchmark and README use only it."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -63,3 +65,31 @@ def test_benchmark_and_readme_use_only_the_public_api():
     used = set().union(*map(top_level_uses, sources))
     assert {"SolverConfig", "solve_fcm_mm", "load_csv"} <= used
     assert used - SUBMODULES - {"__file__"} <= set(fcmm.__all__)
+
+
+# Values the code derives from its inputs are not parameters: the header is
+# found from the first row, the tolerances are module constants, and the
+# norms and masses are computed from the arrays they describe.
+@pytest.mark.parametrize("qualname, params", [
+    ("dataset.load_csv", ["path", "drop_columns"]),
+    ("membership.validate", ["F"]),
+    ("cli.updates_to_reach", ["result", "target"]),
+])
+def test_signatures(qualname, params):
+    module, name = qualname.split(".")
+    fn = getattr(importlib.import_module(f"fcmm.{module}"), name)
+    assert list(inspect.signature(fn).parameters) == params
+
+
+@pytest.mark.parametrize("qualname, fields", [
+    ("dataset.DataMatrix", ["points"]),
+    ("membership.PowerMembership", ["values"]),
+    ("solvers.SolverConfig", ["c", "r", "outer_tol", "inner_tol", "max_outer_iters",
+                              "max_inner_iters", "seed"]),
+    ("cli.RunManifest", ["cfg", "algorithms", "output_dir", "csv_path", "drop_columns",
+                         "synthetic", "standardize"]),
+])
+def test_init_fields(qualname, fields):
+    module, name = qualname.split(".")
+    cls = getattr(importlib.import_module(f"fcmm.{module}"), name)
+    assert [f.name for f in dataclasses.fields(cls) if f.init] == fields

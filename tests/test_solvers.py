@@ -437,6 +437,12 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolverConfig(**{"c": 3, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", "2"), ("r", None), ("r", True), ("outer_tol", None), ("inner_tol", "1e-8")])
+    def test_config_rejects_non_real_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            SolverConfig(**{"c": 3, field: value})
+
     def test_config_accepts_numpy_integers(self):
         cfg = SolverConfig(c=np.int64(3), max_outer_iters=np.int32(4),
                            max_inner_iters=np.uint8(2), seed=np.int16(5))

@@ -12,6 +12,7 @@ Run:  python demos/02_iris_work_comparison.py
 from pathlib import Path
 
 from fcmm import SolverConfig, init_random, load_csv, solve_fcm_mm, solve_irw_fcm, standardize
+from fcmm.cli import LANDMARK_RTOL, updates_to_reach
 
 iris_csv = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
 data = standardize(load_csv(iris_csv, drop_columns={4}))
@@ -31,7 +32,7 @@ print(f"single-loop final objective: {res_mm.objective_final:.10f} "
       f"{res_mm.trace.total_membership_updates()} updates)")
 
 best = min(res_irw.objective_final, res_mm.objective_final)
-threshold = best + 1e-6 * (1.0 + abs(best))
+threshold = best + LANDMARK_RTOL * (1.0 + abs(best))
 print(f"\nlandmark: objective <= {threshold:.10f} "
       "(within 1e-6 relative of the best final value)")
 
@@ -49,14 +50,8 @@ for it in range(rows):
             cells.append(" " * 25)
     print((" " * 4).join(cells))
 
-def work_to_landmark(result):
-    for rec in result.trace.records:
-        if rec.objective <= threshold:
-            return rec.membership_updates
-    return None
-
-w_irw = work_to_landmark(res_irw)
-w_mm = work_to_landmark(res_mm)
+w_irw = updates_to_reach(res_irw, best)
+w_mm = updates_to_reach(res_mm, best)
 print(f"\nupdates to reach the landmark:  double-loop {w_irw},  single-loop {w_mm}")
 print("the inner loop buys nothing: per outer iteration the double-loop")
 print("solver descends further, but per membership update it never wins.")

@@ -16,8 +16,10 @@ validate
     Execute the brute-force verification battery and report one line per
     check.
 
-Options may come from a flat ``key=value`` config file (``--config``);
-explicit command-line flags override file values.
+Every option is a flag. An argument ``@FILE`` is replaced by the lines of
+FILE, one argument per line in the flags' own syntax (``--drop-cols=4``,
+``--no-standardize``); arguments apply left to right, so a flag after
+``@FILE`` overrides the file.
 """
 
 from __future__ import annotations
@@ -226,31 +228,6 @@ def cmd_validate(scale: str = "quick", seed: int = 0) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _parse_config_file(path) -> dict:
-    values = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
-             "false": False, "0": False, "no": False, "off": False}
-
-
-def _parse_bool(text):
-    try:
-        return _BOOLEANS[text.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
 def _parse_int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
@@ -259,77 +236,44 @@ def _parse_str_list(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip() != "")
 
 
-_CFG = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
-
-# Option key -> (parser, default, SolverConfig field or None, argparse kwargs).
-# The key is the config-file key and the flag's dest; the flag is --key with
-# dashes unless the kwargs name it. Flags default to None so that config-file
-# values sit between these defaults and explicit flags.
-_OPTIONS = {
-    "data": (str, None, None, dict(help="CSV dataset path (header auto-detected)")),
-    "drop_cols": (_parse_int_list, (), None,
-                  dict(help="comma-separated 0-based column indices to drop")),
-    "synthetic": (str, None, None, dict(choices=sorted(SYNTHETIC_PRESETS),
-                                        help="synthetic dataset preset")),
-    "c": (int, 3, "c", dict(help="cluster count (default 3)")),
-    "r": (float, _CFG["r"], "r", dict(help=f"fuzziness exponent (default {_CFG['r']:g})")),
-    "seed": (int, _CFG["seed"], "seed",
-             dict(help=f"seed for the shared start (default {_CFG['seed']})")),
-    "algos": (_parse_str_list, ("classic", "irw", "mm"), None,
-              dict(help="comma-separated subset of classic,irw,mm")),
-    "outer_tol": (float, _CFG["outer_tol"], "outer_tol", {}),
-    "inner_tol": (float, _CFG["inner_tol"], "inner_tol", {}),
-    "max_outer": (int, _CFG["max_outer_iters"], "max_outer_iters", {}),
-    "max_inner": (int, _CFG["max_inner_iters"], "max_inner_iters", {}),
-    "standardize": (_parse_bool, RunManifest.standardize, None,
-                    dict(flag="--no-standardize", action="store_const", const=False,
-                         help="skip feature standardization")),
-    "out": (str, "runs", None, dict(help="output directory (default runs/)")),
-}
-
-
-def _resolve_options(args: argparse.Namespace) -> dict:
-    resolved = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
-    if args.config:
-        for key, text in _parse_config_file(args.config).items():
-            if key not in _OPTIONS:
-                raise ValueError(f"unknown config key {key!r}")
-            resolved[key] = _OPTIONS[key][0](text)
-    for key in _OPTIONS:
-        if getattr(args, key) is not None:
-            resolved[key] = getattr(args, key)
-    return resolved
-
-
-def manifest_from_options(options: dict) -> RunManifest:
-    cfg = SolverConfig(**{field: options[key]
-                          for key, (_, _, field, _) in _OPTIONS.items() if field})
-    synthetic = None
-    if options["synthetic"] is not None:
-        preset = SYNTHETIC_PRESETS.get(options["synthetic"])
-        if preset is None:
-            raise ValueError(f"unknown synthetic preset {options['synthetic']!r}; "
-                             f"choose from {sorted(SYNTHETIC_PRESETS)}")
-        synthetic = SyntheticSpec(seed=cfg.seed, **preset)
-    return RunManifest(cfg=cfg, algorithms=tuple(options["algos"]),
-                       output_dir=options["out"], csv_path=options["data"],
-                       drop_columns=tuple(options["drop_cols"]), synthetic=synthetic,
-                       standardize=options["standardize"])
-
-
 def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    for key, (parse, _, _, kwargs) in _OPTIONS.items():
-        kwargs = dict(kwargs)
-        flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
-        if "action" not in kwargs:
-            kwargs["type"] = parse
-        parser.add_argument(flag, dest=key, **kwargs)
+    cfg = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
+    add = parser.add_argument
+    add("--data", help="CSV dataset path (header auto-detected)")
+    add("--drop-cols", type=_parse_int_list, default=(),
+        help="comma-separated 0-based column indices to drop")
+    add("--synthetic", choices=sorted(SYNTHETIC_PRESETS), help="synthetic dataset preset")
+    add("--c", type=int, default=3, help="cluster count (default 3)")
+    add("--r", type=float, default=cfg["r"], help=f"fuzziness exponent (default {cfg['r']:g})")
+    add("--seed", type=int, default=cfg["seed"],
+        help=f"seed for the shared start (default {cfg['seed']})")
+    add("--algos", type=_parse_str_list, default=("classic", "irw", "mm"),
+        help="comma-separated subset of classic,irw,mm")
+    add("--outer-tol", type=float, default=cfg["outer_tol"])
+    add("--inner-tol", type=float, default=cfg["inner_tol"])
+    add("--max-outer", type=int, default=cfg["max_outer_iters"])
+    add("--max-inner", type=int, default=cfg["max_inner_iters"])
+    add("--no-standardize", dest="standardize", action="store_false",
+        help="skip feature standardization")
+    add("--out", default="runs", help="output directory (default runs/)")
 
 
-def main(argv=None) -> int:
+def manifest_from_args(args: argparse.Namespace) -> RunManifest:
+    cfg = SolverConfig(c=args.c, r=args.r, seed=args.seed, outer_tol=args.outer_tol,
+                       inner_tol=args.inner_tol, max_outer_iters=args.max_outer,
+                       max_inner_iters=args.max_inner)
+    synthetic = None
+    if args.synthetic is not None:
+        synthetic = SyntheticSpec(seed=cfg.seed, **SYNTHETIC_PRESETS[args.synthetic])
+    return RunManifest(cfg=cfg, algorithms=args.algos, output_dir=args.out,
+                       csv_path=args.data, drop_columns=args.drop_cols, synthetic=synthetic,
+                       standardize=args.standardize)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fcmm", description="Fuzzy c-means solver benchmark harness.")
+        prog="fcmm", description="Fuzzy c-means solver benchmark harness.",
+        fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (("run", "run solvers from one shared start"),
                        ("compare", "run and rank solvers by work")):
@@ -337,16 +281,19 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="run the verification battery")
     val_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     val_p.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         if args.seed < 0:
             print("error: seed must be a non-negative integer", file=sys.stderr)
             return 2
         return cmd_validate(args.scale, args.seed)
     try:
-        manifest = manifest_from_options(_resolve_options(args))
-    except (OSError, ValueError) as exc:
+        manifest = manifest_from_args(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "run":

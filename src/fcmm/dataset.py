@@ -44,7 +44,8 @@ class DataMatrix:
     Attributes
     ----------
     points : ndarray, shape (n, d)
-        One data point per row. Float64; read-only when built by a loader.
+        One data point per row. A read-only float64 copy of the array
+        given at construction, so the caller's array may change freely.
     sq_norms : ndarray, shape (n,)
         ``sq_norms[i]`` is the dot product of row i with itself, computed
         at construction from ``points``. Read-only.
@@ -55,8 +56,11 @@ class DataMatrix:
 
     def __post_init__(self):
         _require_matrix(self.points, "points")
-        sq = np.einsum("ij,ij->i", self.points, self.points)
+        pts = np.array(self.points, order="C")
+        pts.setflags(write=False)
+        sq = np.einsum("ij,ij->i", pts, pts)
         sq.setflags(write=False)
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "sq_norms", sq)
 
     @property
@@ -70,7 +74,7 @@ class DataMatrix:
     @classmethod
     def from_points(cls, points) -> "DataMatrix":
         """Build a DataMatrix from raw coordinates, validating finiteness."""
-        pts = np.array(points, dtype=np.float64, order="C")
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {pts.shape}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -78,7 +82,6 @@ class DataMatrix:
         if not np.all(np.isfinite(pts)):
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise ValueError(f"non-finite value at point {bad[0]}, feature {bad[1]}")
-        pts.setflags(write=False)
         return cls(pts)
 
 

@@ -61,7 +61,8 @@ class PowerMembership:
     ``col_sums[j]`` is the effective mass of cluster j, computed at
     construction from ``values``; every center and objective formula
     divides by it, so a zero column is rejected at construction, however
-    G is built, as a degenerate cluster.
+    G is built, as a degenerate cluster. The array given at construction
+    is made read-only, so the sums cannot go stale.
     """
 
     values: np.ndarray
@@ -69,6 +70,7 @@ class PowerMembership:
 
     def __post_init__(self):
         _require_matrix(self.values, "powered membership values")
+        self.values.setflags(write=False)
         sums = np.ones(self.n) @ self.values
         sums.setflags(write=False)
         object.__setattr__(self, "col_sums", sums)
@@ -87,13 +89,7 @@ class PowerMembership:
 
     @classmethod
     def from_values(cls, values) -> "PowerMembership":
-        return cls._adopt(np.array(values, dtype=np.float64, order="C"))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "PowerMembership":
-        """Wrap ``arr`` without copying and freeze it; no one else may hold it."""
-        arr.setflags(write=False)
-        return cls(arr)
+        return cls(np.array(values, dtype=np.float64, order="C"))
 
 
 def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
@@ -116,7 +112,7 @@ def to_power(F: MembershipMatrix, r: float) -> PowerMembership:
     """Compute G with g_ij = f_ij ** r and the per-cluster column sums."""
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    return PowerMembership._adopt(F.values ** r)
+    return PowerMembership(F.values ** r)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fcmm.cli import (RunManifest, SYNTHETIC_PRESETS, TRACE_HEADER, cmd_compare,
                       cmd_run, cmd_validate, iris_manifest, load_manifest_dataset, main,
-                      manifest_from_options, _atomic_write, _OPTIONS, _resolve_options,
-                      updates_to_reach)
+                      manifest_from_args, _atomic_write, _parser, updates_to_reach)
 from fcmm.dataset import SyntheticSpec, load_csv
 from fcmm.solvers import SolverConfig
 
@@ -156,95 +158,119 @@ class TestCmdValidate:
 
 
 def main_args(argv):
-    import argparse
-    from fcmm.cli import _add_manifest_flags
-    parser = argparse.ArgumentParser()
-    sub = parser.add_subparsers(dest="command")
-    run_p = sub.add_parser("run")
-    _add_manifest_flags(run_p)
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
-# Option key -> (flag argv, the same value as a config-file line, another
-# config-file value that the flag must override).
+def argfile(path, lines):
+    """Write an argument file, one argument per line, and return its ``@`` form."""
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
+
+
+# Option dest -> (flag argv, another value of the same option). An argument
+# file holds the same arguments, one per line. --no-standardize has no
+# opposite flag, so its other value is the default.
 OPTION_CASES = {
-    "data": (["--data", "a.csv"], "data=a.csv", "data=b.csv"),
-    "drop_cols": (["--drop-cols", "0,2"], "drop_cols=0,2", "drop_cols=1"),
-    "synthetic": (["--synthetic", "blobs-large"], "synthetic=blobs-large",
-                  "synthetic=blobs-small"),
-    "c": (["--c", "4"], "c=4", "c=5"),
-    "r": (["--r", "1.5"], "r=1.5", "r=3"),
-    "seed": (["--seed", "7"], "seed=7", "seed=9"),
-    "algos": (["--algos", "irw,mm"], "algos=irw,mm", "algos=mm"),
-    "outer_tol": (["--outer-tol", "1e-6"], "outer_tol=1e-6", "outer_tol=1e-4"),
-    "inner_tol": (["--inner-tol", "1e-6"], "inner_tol=1e-6", "inner_tol=1e-4"),
-    "max_outer": (["--max-outer", "50"], "max_outer=50", "max_outer=60"),
-    "max_inner": (["--max-inner", "20"], "max_inner=20", "max_inner=30"),
-    "standardize": (["--no-standardize"], "standardize=false", "standardize=true"),
-    "out": (["--out", "x"], "out=x", "out=y"),
+    "data": (["--data", "a.csv"], ["--data", "b.csv"]),
+    "drop_cols": (["--drop-cols", "0,2"], ["--drop-cols", "1"]),
+    "synthetic": (["--synthetic", "blobs-large"], ["--synthetic", "blobs-small"]),
+    "c": (["--c", "4"], ["--c", "5"]),
+    "r": (["--r", "1.5"], ["--r", "3"]),
+    "seed": (["--seed", "7"], ["--seed", "9"]),
+    "algos": (["--algos", "irw,mm"], ["--algos", "mm"]),
+    "outer_tol": (["--outer-tol", "1e-6"], ["--outer-tol", "1e-4"]),
+    "inner_tol": (["--inner-tol", "1e-6"], ["--inner-tol", "1e-4"]),
+    "max_outer": (["--max-outer", "50"], ["--max-outer", "60"]),
+    "max_inner": (["--max-inner", "20"], ["--max-inner", "30"]),
+    "standardize": (["--no-standardize"], []),
+    "out": (["--out", "x"], ["--out", "y"]),
 }
 
 
 class TestOptionResolution:
     def test_cases_cover_every_option(self):
-        assert set(OPTION_CASES) == set(_OPTIONS)
+        assert set(OPTION_CASES) == set(vars(main_args(["run"]))) - {"command"}
 
     @pytest.mark.parametrize("key", sorted(OPTION_CASES))
     def test_file_and_flag_agree_and_flag_wins(self, key, tmp_path):
-        flag, line, other_line = OPTION_CASES[key]
+        flag, other = OPTION_CASES[key]
         source = {"data": [], "synthetic": [],
                   "drop_cols": ["--data", "a.csv"]}.get(key, ["--synthetic", "blobs-small"])
 
-        def manifest(config_line, flags):
-            argv = ["run", *source, *flags]
-            if config_line is not None:
-                config = tmp_path / "run.cfg"
-                config.write_text(config_line + "\n")
-                argv += ["--config", str(config)]
-            return manifest_from_options(_resolve_options(main_args(argv)))
+        def manifest(*argv):
+            return manifest_from_args(main_args(["run", *source, *argv]))
 
-        from_flag = manifest(None, flag)
-        assert manifest(line, []) == from_flag
-        assert manifest(other_line, []) != from_flag
-        assert manifest(other_line, flag) == from_flag
+        flag_file = argfile(tmp_path / "flag.args", flag)
+        other_file = argfile(tmp_path / "other.args", other)
+        from_flag = manifest(*flag)
+        assert manifest(flag_file) == from_flag
+        assert manifest(*other) != from_flag
+        # arguments apply left to right: whatever comes later wins
+        assert manifest(other_file, *flag) == from_flag
+        if other:
+            assert manifest(flag_file, *other) == manifest(*other)
 
     def test_defaults_match_solver_config(self):
-        options = _resolve_options(main_args(["run", "--synthetic", "blobs-small"]))
-        assert manifest_from_options(options).cfg == SolverConfig(c=3)
+        args = main_args(["run", "--synthetic", "blobs-small"])
+        assert manifest_from_args(args).cfg == SolverConfig(c=3)
 
     def test_config_file_under_flags(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("c=4\nseed=9\nalgos=mm\nouter_tol=1e-6\n# comment\n\n")
-        args = main_args(["run", "--config", str(config), "--seed", "11",
-                          "--synthetic", "blobs-small", "--out", str(tmp_path)])
-        options = _resolve_options(args)
-        assert options["c"] == 4           # from file
-        assert options["seed"] == 11       # flag overrides file
-        assert options["algos"] == ("mm",)
-        assert options["outer_tol"] == 1e-6
-        manifest = manifest_from_options(options)
-        assert manifest.cfg.c == 4 and manifest.cfg.seed == 11
+        config = argfile(tmp_path / "run.args",
+                         ["--c=4", "--seed=9", "--algos=mm", "--outer-tol=1e-6"])
+        manifest = manifest_from_args(main_args(
+            ["run", config, "--seed", "11", "--synthetic", "blobs-small",
+             "--out", str(tmp_path)]))
+        assert manifest.cfg.c == 4           # from file
+        assert manifest.cfg.seed == 11       # later flag overrides file
+        assert manifest.algorithms == ("mm",)
+        assert manifest.cfg.outer_tol == 1e-6
         assert manifest.synthetic.seed == 11
+        # a flag before the file is overridden by it
+        earlier = main_args(["run", "--seed", "11", config, "--synthetic", "blobs-small"])
+        assert manifest_from_args(earlier).cfg.seed == 9
 
     def test_no_standardize_flag(self, tmp_path):
         args = main_args(["run", "--synthetic", "blobs-small",
                           "--no-standardize", "--out", str(tmp_path)])
-        options = _resolve_options(args)
-        assert options["standardize"] is False
-        assert manifest_from_options(options).standardize is False
+        assert args.standardize is False
+        assert manifest_from_args(args).standardize is False
 
-    def test_config_file_with_bom(self, tmp_path):
-        config = tmp_path / "bom.cfg"
-        config.write_bytes(b"\xef\xbb\xbfc=4\n")
-        options = _resolve_options(main_args(["run", "--config", str(config)]))
-        assert options["c"] == 4
+    def test_config_file_with_bom(self, tmp_path, capsys):
+        # the file is read as plain arguments, so a byte-order mark is part of one
+        config = tmp_path / "bom.args"
+        config.write_bytes(b"\xef\xbb\xbf--c=4\n")
+        with pytest.raises(SystemExit) as exc:
+            main_args(["run", f"@{config}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: \ufeff--c=4" in capsys.readouterr().err
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        config = tmp_path / "bad.cfg"
-        config.write_text("clusters=4\n")
-        args = main_args(["run", "--config", str(config)])
-        with pytest.raises(ValueError, match="unknown config key"):
-            _resolve_options(args)
+    @pytest.mark.parametrize("lines", [["--c=4", ""], ["# clusters", "--c=4"]],
+                             ids=["blank-line", "comment"])
+    def test_argument_file_lines_are_arguments(self, tmp_path, capsys, lines):
+        with pytest.raises(SystemExit) as exc:
+            main_args(["run", argfile(tmp_path / "run.args", lines)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_args(["run", argfile(tmp_path / "bad.args", ["--clusters=4"])])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --clusters=4" in capsys.readouterr().err
+
+    def test_config_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(tmp_path / "run.cfg"), "--synthetic", "blobs-small",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_separate_at_argument_is_a_file_name(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--synthetic", "blobs-small", "--out", f"@{tmp_path / 'missing'}"])
+        assert exc.value.code == 2
+        assert "No such file" in capsys.readouterr().err
 
 
 class TestMainEntryPoint:
@@ -275,18 +301,17 @@ class TestMainEntryPoint:
         assert status == 1
         assert "no solver produced a usable trace" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content, message", [
-        ("c=4\nseed\n", "expected key=value"),
-        ("standardize=maybe\n", "expected a boolean"),
-        ("synthetic=blobs-huge\n", "unknown synthetic preset"),
+    @pytest.mark.parametrize("line, message", [
+        ("seed", "unrecognized arguments: seed"),
+        ("--no-standardize=maybe", "ignored explicit argument 'maybe'"),
+        ("--synthetic=blobs-huge", "invalid choice: 'blobs-huge'"),
     ], ids=["no-equals", "bad-boolean", "unknown-preset"])
-    def test_bad_config_file_is_config_error(self, tmp_path, capsys, content, message):
-        config = tmp_path / "run.cfg"
-        config.write_text(content)
-        status = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, line, message):
+        config = argfile(tmp_path / "run.args", ["--c=4", line])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", config, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_empty_algos_is_config_error(self, tmp_path, capsys):
@@ -302,15 +327,13 @@ class TestMainEntryPoint:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("how", ["flag", "config"])  # config: from an @file
     def test_drop_cols_without_csv_is_config_error(self, tmp_path, capsys, how):
         argv = ["run", "--synthetic", "blobs-small", "--out", str(tmp_path / "out")]
         if how == "flag":
             argv += ["--drop-cols", "0"]
         else:
-            config = tmp_path / "run.cfg"
-            config.write_text("drop_cols=0\n")
-            argv += ["--config", str(config)]
+            argv.append(argfile(tmp_path / "run.args", ["--drop-cols=0"]))
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
@@ -382,3 +405,26 @@ def test_updates_to_reach_uses_relative_landmark():
     result = SolverResult(None, None, 2.0, SolverTrace(records), "converged")
     assert updates_to_reach(result, 2.0) == 2
     assert updates_to_reach(result, 0.0) is None
+
+
+def readme_commands():
+    """Every ``fcmm`` command in README's fenced blocks, minus ``@file`` ones."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```[a-z]*\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if not line.startswith("fcmm "):
+                continue
+            argv = shlex.split(line, comments=True)[1:]
+            if not any(arg.startswith("@") for arg in argv):
+                commands.append(argv)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        args = _parser().parse_args(argv)
+        if args.command != "validate":
+            manifest_from_args(args)

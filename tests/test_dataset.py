@@ -128,6 +128,21 @@ class TestDataMatrix:
         with pytest.raises(TypeError):
             DataMatrix(np.zeros((2, 2)), np.ones(2))
 
+    def test_direct_construction_holds_its_own_copy(self):
+        # writing to the caller's array afterwards cannot make sq_norms stale
+        a = np.array([[3.0, 4.0], [0.0, 0.0]])
+        data = DataMatrix(a)
+        a[0] = 0.0
+        np.testing.assert_array_equal(data.points, [[3.0, 4.0], [0.0, 0.0]])
+        assert not data.points.flags.writeable and data.points.flags.c_contiguous
+        assert phi(data, PowerMembership.from_values(np.eye(2))) == 0.0
+
+    def test_from_points_does_not_share_the_input(self):
+        a = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        data = DataMatrix.from_points(a)
+        assert not np.shares_memory(a, data.points) and a.flags.writeable
+        assert data.points.flags.c_contiguous
+
     @pytest.mark.parametrize("points, got", [
         ([[1.0, 2.0]], "got list"), (np.array([[1, 2]]), "got int64")], ids=["list", "int64"])
     def test_direct_construction_needs_a_float64_array(self, points, got):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fcmm.exceptions import DegenerateClusterError
+from fcmm.dataset import DataMatrix
 from fcmm.membership import (MembershipMatrix, PowerMembership, dump_csv, init_random,
                              to_power, validate)
+from fcmm.objective import aggregates
 
 
 class TestInitRandom:
@@ -115,6 +117,16 @@ class TestConstruction:
         values = np.array([[1.0, 0.0], [0.25, 0.0]])
         with pytest.raises(DegenerateClusterError, match=r"\[1\]"):
             PowerMembership(values)
+
+    def test_direct_power_freezes_its_values(self):
+        # a caller cannot zero a column after the mass check and keep stale sums
+        g = np.eye(2)
+        G = PowerMembership(g)
+        with pytest.raises(ValueError, match="read-only"):
+            g[:, 1] = 0.0
+        data = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(aggregates(data, G).mass, [1.0, 1.0])
+        np.testing.assert_array_equal(G.values, np.eye(2))
 
     @pytest.mark.parametrize("cls", [MembershipMatrix, PowerMembership])
     @pytest.mark.parametrize("values, got", [

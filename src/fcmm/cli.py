@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -187,7 +188,7 @@ def cmd_compare(manifest: RunManifest):
     if status != 0:
         return status, None
     finals = [res.objective_final for res in results.values()
-              if res.trace.records and not res.objective_final != res.objective_final]
+              if res.trace.records and not math.isnan(res.objective_final)]
     if not finals:
         print("error: no solver produced a usable trace", file=sys.stderr)
         return 1, None

@@ -28,13 +28,20 @@ def _require_counts(**values) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def _require_matrix(value, name) -> None:
-    """Raise ValueError unless ``value`` is a 2-D float64 ndarray; reads no data."""
+def _own_matrix(value, name) -> np.ndarray:
+    """Check that ``value`` is a non-empty 2-D float64 ndarray; return it read-only.
+
+    Held as is if read-only with its own memory, else copied to C order and frozen.
+    """
     if not isinstance(value, np.ndarray) or value.dtype != np.float64:
         raise ValueError(f"{name} must be a float64 ndarray, "
                          f"got {getattr(value, 'dtype', type(value).__name__)}")
-    if value.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array")
+    if value.ndim != 2 or value.size == 0:
+        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {value.shape}")
+    if value.flags.writeable or value.base is not None:
+        value = np.array(value, order="C")
+        value.setflags(write=False)
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,9 @@ class DataMatrix:
     Attributes
     ----------
     points : ndarray, shape (n, d)
-        One data point per row. A read-only float64 copy of the array
-        given at construction, so the caller's array may change freely.
+        One finite data point per row, read-only in C order: an array that
+        is read-only, C order and owns its memory is held as is, any other
+        is copied, so the caller's array may change freely.
     sq_norms : ndarray, shape (n,)
         ``sq_norms[i]`` is the dot product of row i with itself, computed
         at construction from ``points``. Read-only.
@@ -55,9 +63,11 @@ class DataMatrix:
     sq_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _require_matrix(self.points, "points")
-        pts = np.array(self.points, order="C")
-        pts.setflags(write=False)
+        pts = _own_matrix(self.points, "points")  # a view is always copied, to C order
+        pts = pts if pts.flags.c_contiguous else _own_matrix(pts[:], "points")
+        if not np.all(np.isfinite(pts)):
+            bad = np.argwhere(~np.isfinite(pts))[0]
+            raise ValueError(f"non-finite value at point {bad[0]}, feature {bad[1]}")
         sq = np.einsum("ij,ij->i", pts, pts)
         sq.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -73,16 +83,8 @@ class DataMatrix:
 
     @classmethod
     def from_points(cls, points) -> "DataMatrix":
-        """Build a DataMatrix from raw coordinates, validating finiteness."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be 2-D, got shape {pts.shape}")
-        if pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError(f"need at least one point and one feature, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            bad = np.argwhere(~np.isfinite(pts))[0]
-            raise ValueError(f"non-finite value at point {bad[0]}, feature {bad[1]}")
-        return cls(pts)
+        """Convert ``points`` to float64; the checks and any copy are the constructor's."""
+        return cls(np.asarray(points, dtype=np.float64))
 
 
 @dataclass(frozen=True)

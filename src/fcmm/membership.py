@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _require_counts, _require_matrix
+from .dataset import _own_matrix, _require_counts
 from .exceptions import DegenerateClusterError
 
 ROW_SUM_TOL = 1e-9
@@ -23,19 +23,18 @@ ENTRY_TOL = 1e-12
 class MembershipMatrix:
     """n x c matrix of cluster memberships, one simplex row per point.
 
-    Construction only checks shape and finiteness; use :func:`validate`
-    to diagnose simplex violations (it must be callable on broken input).
-    A single-cluster matrix is constructible for hand-checkable reference
-    computations, but every production entry point (:func:`init_random`,
-    the solvers) requires c >= 2.
+    Construction checks shape and finiteness and holds the values read-only:
+    as given if read-only with their own memory, else as a copy. Use
+    :func:`validate` to diagnose simplex violations (it must be callable on
+    broken input). A single-cluster matrix is constructible for
+    hand-checkable reference computations, but every production entry
+    point (:func:`init_random`, the solvers) requires c >= 2.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        _require_matrix(self.values, "membership values")
-        if self.values.shape[1] < 1:
-            raise ValueError("membership matrix needs at least one cluster column")
+        object.__setattr__(self, "values", _own_matrix(self.values, "membership values"))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("membership values must be finite")
 
@@ -49,35 +48,32 @@ class MembershipMatrix:
 
     @classmethod
     def from_values(cls, values) -> "MembershipMatrix":
-        arr = np.array(values, dtype=np.float64, order="C")
-        arr.setflags(write=False)
-        return cls(arr)
+        return cls(np.asarray(values, dtype=np.float64))
 
 
 @dataclass(frozen=True)
 class PowerMembership:
     """Elementwise r-th power G of a membership matrix, with column sums.
 
-    ``col_sums[j]`` is the effective mass of cluster j, computed at
-    construction from ``values``; every center and objective formula
-    divides by it, so a zero column is rejected at construction, however
-    G is built, as a degenerate cluster. The array given at construction
-    is made read-only, so the sums cannot go stale.
+    ``col_sums[j]``, cluster j's effective mass, is computed at construction
+    from ``values``; every center and objective formula divides by it, so a
+    non-finite sum is rejected as malformed and a zero column as a degenerate
+    cluster. ``values`` is held as in :class:`MembershipMatrix`: no stale sums.
     """
 
     values: np.ndarray
     col_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _require_matrix(self.values, "powered membership values")
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", _own_matrix(self.values, "powered membership values"))
         sums = np.ones(self.n) @ self.values
         sums.setflags(write=False)
         object.__setattr__(self, "col_sums", sums)
-        dead = np.flatnonzero(sums <= 0.0)
-        if dead.size:
-            raise DegenerateClusterError(
-                f"cluster(s) {dead.tolist()} have zero mass (column sum of g is 0)")
+        if not 0.0 < sums.min() <= sums.max() < np.inf:  # also False on a NaN sum
+            if not np.isfinite(sums).all():
+                raise ValueError(f"powered membership values must be finite, column sums {sums.tolist()}")
+            raise DegenerateClusterError(f"cluster(s) {np.flatnonzero(sums <= 0.0).tolist()} "
+                                         "have zero mass (column sum of g is 0)")
 
     @property
     def n(self) -> int:
@@ -89,7 +85,7 @@ class PowerMembership:
 
     @classmethod
     def from_values(cls, values) -> "PowerMembership":
-        return cls(np.array(values, dtype=np.float64, order="C"))
+        return cls(np.asarray(values, dtype=np.float64))
 
 
 def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
@@ -99,8 +95,6 @@ def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
     stream, so identical ``(n, c, seed)`` give bitwise-identical matrices.
     """
     _require_counts(n=n, c=c, seed=seed)
-    if n < 1:
-        raise ValueError("need at least one point")
     if c < 2:
         raise ValueError(f"need at least 2 clusters, got {c}")
     rng = np.random.default_rng(seed)
@@ -112,7 +106,9 @@ def to_power(F: MembershipMatrix, r: float) -> PowerMembership:
     """Compute G with g_ij = f_ij ** r and the per-cluster column sums."""
     if not r > 1.0:
         raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
-    return PowerMembership(F.values ** r)
+    values = F.values ** r
+    values.setflags(write=False)
+    return PowerMembership(values)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ class TestOptionResolution:
         args = main_args(["run", "--synthetic", "blobs-small"])
         assert manifest_from_args(args).cfg == SolverConfig(c=3)
 
-    def test_config_file_under_flags(self, tmp_path):
+    def test_argument_file_under_flags(self, tmp_path):
         config = argfile(tmp_path / "run.args",
                          ["--c=4", "--seed=9", "--algos=mm", "--outer-tol=1e-6"])
         manifest = manifest_from_args(main_args(
@@ -235,7 +235,7 @@ class TestOptionResolution:
         assert args.standardize is False
         assert manifest_from_args(args).standardize is False
 
-    def test_config_file_with_bom(self, tmp_path, capsys):
+    def test_argument_file_with_bom(self, tmp_path, capsys):
         # the file is read as plain arguments, so a byte-order mark is part of one
         config = tmp_path / "bom.args"
         config.write_bytes(b"\xef\xbb\xbf--c=4\n")
@@ -252,7 +252,7 @@ class TestOptionResolution:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    def test_unknown_option_in_argument_file_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main_args(["run", argfile(tmp_path / "bad.args", ["--clusters=4"])])
         assert exc.value.code == 2
@@ -306,7 +306,7 @@ class TestMainEntryPoint:
         ("--no-standardize=maybe", "ignored explicit argument 'maybe'"),
         ("--synthetic=blobs-huge", "invalid choice: 'blobs-huge'"),
     ], ids=["no-equals", "bad-boolean", "unknown-preset"])
-    def test_bad_config_file_is_config_error(self, tmp_path, capsys, line, message):
+    def test_bad_argument_file_is_usage_error(self, tmp_path, capsys, line, message):
         config = argfile(tmp_path / "run.args", ["--c=4", line])
         with pytest.raises(SystemExit) as exc:
             main(["run", config, "--out", str(tmp_path / "out")])

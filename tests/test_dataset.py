@@ -114,8 +114,22 @@ class TestDataMatrix:
             DataMatrix.from_points(np.empty((0, 2)))
 
     def test_from_points_rejects_1d(self):
-        with pytest.raises(ValueError, match="must be 2-D"):
+        with pytest.raises(ValueError, match=r"points must be a non-empty 2-D array, got shape \(2,\)"):
             DataMatrix.from_points([1.0, 2.0])
+
+    def test_direct_construction_rejects_non_finite_and_empty_points(self):
+        # these used to pass and then fail deep in the kernel, or not at all
+        with pytest.raises(ValueError, match="non-finite value at point 0, feature 0"):
+            DataMatrix(np.array([[np.nan, 0.0], [0.0, 1.0], [2.0, 2.0]]))
+        with pytest.raises(ValueError, match="non-empty 2-D array"):
+            DataMatrix(np.empty((0, 3)))
+
+    def test_read_only_fortran_points_are_copied_to_c_order(self):
+        a = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        a.setflags(write=False)
+        data = DataMatrix(a)
+        assert data.points.flags.c_contiguous and not data.points.flags.writeable
+        np.testing.assert_array_equal(data.points, a)
 
     def test_direct_construction_computes_sq_norms(self):
         # no caller-supplied norms that could disagree with the points

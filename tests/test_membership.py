@@ -92,7 +92,7 @@ class TestToPower:
 class TestConstruction:
     @pytest.mark.parametrize("values, message", [
         ([0.5, 0.5], "2-D array"),
-        (np.empty((3, 0)), "at least one cluster column"),
+        (np.empty((3, 0)), r"non-empty 2-D array, got shape \(3, 0\)"),
         ([[np.nan, 1.0]], "finite"),
     ], ids=["1-d", "no-columns", "nan"])
     def test_membership_rejects_bad_values(self, values, message):
@@ -122,8 +122,8 @@ class TestConstruction:
         # a caller cannot zero a column after the mass check and keep stale sums
         g = np.eye(2)
         G = PowerMembership(g)
-        with pytest.raises(ValueError, match="read-only"):
-            g[:, 1] = 0.0
+        g[:, 1] = 0.0
+        assert not G.values.flags.writeable and not np.shares_memory(g, G.values)
         data = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(aggregates(data, G).mass, [1.0, 1.0])
         np.testing.assert_array_equal(G.values, np.eye(2))
@@ -136,6 +136,16 @@ class TestConstruction:
     def test_direct_construction_needs_a_float64_array(self, cls, values, got):
         with pytest.raises(ValueError, match=f"values must be a float64 ndarray, {got}"):
             cls(values)
+
+    def test_power_rejects_non_finite_values(self):
+        # a NaN column sum used to pass, then phi and the centers came out NaN
+        with pytest.raises(ValueError, match="powered membership values must be finite"):
+            PowerMembership.from_values([[np.nan, 1.0], [1.0, 1.0]])
+
+    def test_empty_membership_rejected_before_validate(self):
+        # validate never raises, so an empty matrix must not be constructible
+        with pytest.raises(ValueError, match=r"non-empty 2-D array, got shape \(0, 3\)"):
+            validate(MembershipMatrix.from_values(np.empty((0, 3))))
 
 
 class TestFromValues:

@@ -15,8 +15,7 @@ Single updates, surrogate pieces and brute-force checks are imported from
 
 from .dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
 from .exceptions import DegenerateClusterError
-from .membership import (MembershipMatrix, PowerMembership, dump_csv, init_random,
-                         to_power, validate)
+from .membership import MembershipMatrix, PowerMembership, init_random, to_power, validate
 from .objective import aggregates, compute_centers, fcm_objective, phi
 from .solvers import (SOLVERS, SolverConfig, SolverResult, SolverTrace,
                       TERMINATION_CONVERGED, TERMINATION_DEGENERATE,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DataMatrix", "SyntheticSpec", "load_csv", "make_blobs", "standardize",
     "DegenerateClusterError",
-    "MembershipMatrix", "PowerMembership", "dump_csv", "init_random", "to_power", "validate",
+    "MembershipMatrix", "PowerMembership", "init_random", "to_power", "validate",
     "aggregates", "compute_centers", "fcm_objective", "phi",
     "SOLVERS", "SolverConfig", "SolverResult", "SolverTrace",
     "TERMINATION_CONVERGED", "TERMINATION_DEGENERATE", "TERMINATION_MAX_ITERS",

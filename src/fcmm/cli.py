@@ -287,12 +287,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "validate":
-        if args.seed < 0:
-            print("error: seed must be a non-negative integer", file=sys.stderr)
-            return 2
-        return cmd_validate(args.scale, args.seed)
     try:
+        if args.command == "validate":
+            return cmd_validate(args.scale, args.seed)
         manifest = manifest_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

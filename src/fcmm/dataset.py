@@ -18,14 +18,24 @@ import numpy as np
 # column mean, with a unit floor) are treated as constant and only centered.
 _ZERO_VARIANCE_RTOL = 1e-13
 
+# What a count and a real number may be; bool, a subclass of int, is neither.
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
-def _require_counts(**values) -> None:
-    """Raise ValueError unless each value is a non-negative integer (not a bool)."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+def _integer(value, name, low) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at least ``low``."""
+    if not (isinstance(value, _INTEGERS) and value >= low) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _real(value, name, low) -> None:
+    """Raise ValueError unless ``value`` is a real number (not a bool) in ``(low, inf)``.
+
+    The comparison is False on NaN, so NaN is rejected with infinity.
+    """
+    if not (isinstance(value, _REALS) and low < value < np.inf) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number > {low:g} and finite, got {value!r}")
 
 
 def _own_matrix(value, name) -> np.ndarray:
@@ -105,18 +115,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _require_counts(blob_count=self.blob_count, points_per_blob=self.points_per_blob,
-                        dim=self.dim, seed=self.seed)
-        if self.blob_count < 1:
-            raise ValueError("blob_count must be positive")
-        if self.points_per_blob < 1:
-            raise ValueError("points_per_blob must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if not self.blob_stddev > 0:
-            raise ValueError("blob_stddev must be positive")
-        if not self.blob_center_scale > 0:
-            raise ValueError("blob_center_scale must be positive")
+        for name in ("blob_count", "points_per_blob", "dim"):
+            _integer(getattr(self, name), name, 1)
+        _integer(self.seed, "seed", 0)
+        _real(self.blob_stddev, "blob_stddev", 0.0)
+        _real(self.blob_center_scale, "blob_center_scale", 0.0)
 
 
 def make_blobs(spec: SyntheticSpec) -> DataMatrix:
@@ -163,7 +166,9 @@ def load_csv(path, drop_columns: Iterable[int] = ()) -> DataMatrix:
 
     width = len(rows[0])
     drop = set(drop_columns)
-    bad_drop = [j for j in drop if j < 0 or j >= width]
+    for j in drop:
+        _integer(j, "drop column", 0)
+    bad_drop = [j for j in drop if j >= width]
     if bad_drop:
         raise ValueError(f"{path}: drop column {min(bad_drop)} out of range for {width} columns")
     kept = [j for j in range(width) if j not in drop]

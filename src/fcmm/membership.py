@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _own_matrix, _require_counts
+from .dataset import _integer, _own_matrix, _real
 from .exceptions import DegenerateClusterError
 
 ROW_SUM_TOL = 1e-9
@@ -94,9 +94,9 @@ def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
     Implemented as normalized i.i.d. exponentials from a seeded PCG64
     stream, so identical ``(n, c, seed)`` give bitwise-identical matrices.
     """
-    _require_counts(n=n, c=c, seed=seed)
-    if c < 2:
-        raise ValueError(f"need at least 2 clusters, got {c}")
+    _integer(n, "n", 1)
+    _integer(c, "c", 2)
+    _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     exp = rng.standard_exponential(size=(n, c))
     return MembershipMatrix.from_values(exp / exp.sum(axis=1, keepdims=True))
@@ -104,8 +104,7 @@ def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
 
 def to_power(F: MembershipMatrix, r: float) -> PowerMembership:
     """Compute G with g_ij = f_ij ** r and the per-cluster column sums."""
-    if not r > 1.0:
-        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
+    _real(r, "r", 1.0)
     values = F.values ** r
     values.setflags(write=False)
     return PowerMembership(values)
@@ -137,14 +136,3 @@ def validate(F: MembershipMatrix) -> MembershipReport:
     passed = dev <= ROW_SUM_TOL and min_entry >= -ENTRY_TOL
     return MembershipReport(dev, min_entry, passed)
 
-
-def dump_csv(F: MembershipMatrix, path) -> None:
-    """Write the membership matrix as CSV at full double precision.
-
-    One row per point, one column per cluster, each value printed with
-    the shortest representation that round-trips exactly, for
-    cross-implementation comparison.
-    """
-    with open(path, "w") as fh:
-        for row in F.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

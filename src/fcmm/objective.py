@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _real
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership
 
@@ -80,8 +80,7 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
     :func:`phi`. ``centers`` must be c x d. At an anchor's centers
     ``y_t / mass_t`` it is the surrogate h(G | G_t) (module docstring).
     """
-    if not r > 1.0:
-        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
+    _real(r, "r", 1.0)
     if F.n != data.n or np.shape(centers) != (F.c, data.d):
         raise ValueError("dimension mismatch between data, memberships and centers")
     G = F.values ** r

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, SyntheticSpec, make_blobs
+from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, init_random, to_power
 from .objective import (aggregates, compute_centers, fcm_objective, phi,
                         tangent_gradient)
@@ -99,6 +99,7 @@ def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
 def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of g -> (g'X'Xg)/(g'1), per component."""
     g_t = _weights(data, g_t, "g_t")
+    _real(step, "step", 0.0)
     if np.any(g_t <= step):
         raise ValueError("components of g_t must exceed the step size")
     gram = _gram_matrix(data.points)
@@ -127,6 +128,7 @@ def classic_update_oracle(data: DataMatrix, centers, r: float) -> MembershipMatr
     from the n x c x d point-center differences. A point on one or more
     centers (``b_ij == 0``) splits uniformly over them.
     """
+    _real(r, "r", 1.0)
     diffs = data.points[:, None, :] - np.asarray(centers, dtype=np.float64)[None, :, :]
     b = np.square(diffs).sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -149,8 +151,8 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     no constant term), so they are taken once and each sample is one
     :func:`~fcmm.objective.fcm_objective`.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _integer(trials, "trials", 1)
+    _integer(seed, "seed", 0)
     centers_t = compute_centers(aggregates(data, G_t))
     F_star = update_membership_mm(data, G_t, r)
     h_star = fcm_objective(data, F_star, centers_t, r)
@@ -179,8 +181,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     of quad/mass has no constant term), taken once per step, so the last
     link compares that difference form with phi's expanded form.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
+    _integer(steps, "steps", 1)
     F = F0
     G = to_power(F, cfg.r)
     worst = 0.0
@@ -201,11 +202,20 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     return OracleReport.from_error("descent_chain", worst, 1e-10, steps)
 
 
-def _random_instance(rng, n, d, c, r):
-    """Gaussian points plus a flat-Dirichlet membership matrix."""
+def _draw_instance(rng, n_max, r=None):
+    """Gaussian points and a flat-Dirichlet membership of random shape.
+
+    Draws n in [5, n_max], d in [1, 5], c in [2, 5], then r from
+    {1.5, 2, 3} unless given; returns data, F, G = F**r and r.
+    """
+    n = int(rng.integers(5, n_max + 1))
+    d = int(rng.integers(1, 6))
+    c = int(rng.integers(2, 6))
+    if r is None:
+        r = float(rng.choice([1.5, 2.0, 3.0]))
     data = DataMatrix.from_points(rng.normal(size=(n, d)))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
-    return data, F, to_power(F, r)
+    return data, F, to_power(F, r), r
 
 
 def run_suite(scale: str = "quick", seed: int = 0) -> list:
@@ -214,6 +224,7 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     ``quick`` keeps instances at n <= 30 with at most 200 randomized
     trials; ``full`` raises both. Deterministic for a fixed seed.
     """
+    _integer(seed, "seed", 0)
     if scale == "quick":
         n_instances, n_max, trials = 5, 30, 200
     elif scale == "full":
@@ -227,12 +238,9 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     worst = 0.0
     samples = 0
     for _ in range(n_instances):
-        n = int(rng.integers(5, n_max + 1))
-        d = int(rng.integers(1, 6))
-        c = int(rng.integers(2, 6))
-        data, _, G = _random_instance(rng, n, d, c, 2.0)
+        data, _, G, _ = _draw_instance(rng, n_max, 2.0)
         agg = aggregates(data, G)
-        for j in range(c):
+        for j in range(G.c):
             quad_ref = gram_quad_oracle(data, G.values[:, j])
             worst = max(worst, abs(agg.quad[j] - quad_ref) / (1.0 + abs(quad_ref)))
             samples += 1
@@ -259,16 +267,13 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     anchors = max(4, n_instances)
     per_anchor = max(25, trials // anchors)
     for _ in range(anchors):
-        n = int(rng.integers(5, n_max + 1))
-        d = int(rng.integers(1, 6))
-        c = int(rng.integers(2, 6))
-        data, F_t, G_t = _random_instance(rng, n, d, c, 2.0)
+        data, F_t, G_t, _ = _draw_instance(rng, n_max, 2.0)
         centers_t = compute_centers(aggregates(data, G_t))
         obj_t = phi(data, G_t)
         tang_worst = max(tang_worst, abs(fcm_objective(data, F_t, centers_t, 2.0) - obj_t)
                          / (1.0 + abs(obj_t)))
         for _ in range(per_anchor):
-            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
+            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(F_t.c), size=data.n))
             obj = phi(data, to_power(F, 2.0))
             gap = obj - fcm_objective(data, F, centers_t, 2.0)
             dom_worst = max(dom_worst, gap / (1.0 + abs(obj)))
@@ -281,11 +286,7 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     worst_irw = 0.0
     worst_classic = 0.0
     for _ in range(n_instances * 4):
-        n = int(rng.integers(5, n_max + 1))
-        d = int(rng.integers(1, 6))
-        c = int(rng.integers(2, 6))
-        r = float(rng.choice([1.5, 2.0, 3.0]))
-        data, _, G_t = _random_instance(rng, n, d, c, r)
+        data, _, G_t, r = _draw_instance(rng, n_max)
         F_mm = update_membership_mm(data, G_t, r)
         F_irw = update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r)
         centers = compute_centers(aggregates(data, G_t))
@@ -309,7 +310,8 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
 
     # Randomized surrogate-minimizer certificate.
     n = 20 if scale == "quick" else 40
-    data, _, G_t = _random_instance(rng, n, 2, 3, 2.0)
+    data = DataMatrix.from_points(rng.normal(size=(n, 2)))
+    G_t = to_power(MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=n)), 2.0)
     reports.append(surrogate_argmin_oracle(data, G_t, 2.0, trials, seed))
 
     return reports

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import DataMatrix, _require_counts
+from .dataset import DataMatrix, _integer, _real
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership, to_power, validate
 from .objective import aggregates, compute_centers, phi
@@ -42,6 +42,10 @@ class SolverConfig:
     ``outer_tol`` stops the outer loop once the reduced objective changes
     by no more than ``outer_tol * (1 + |objective|)``; ``inner_tol`` stops
     the re-weighting inner loop on the max elementwise membership change.
+    Construction checks every field by the package's scalar rule, with a
+    ValueError naming the field: ``c`` is an integer >= 2, the caps >= 1
+    and ``seed`` >= 0 (a bool is none); ``r`` is a finite real number > 1
+    and the tolerances > 0 (NaN and infinity are neither).
     """
 
     c: int
@@ -53,21 +57,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_counts(c=self.c, max_outer_iters=self.max_outer_iters,
-                        max_inner_iters=self.max_inner_iters, seed=self.seed)
-        for name in ("r", "outer_tol", "inner_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.c < 2:
-            raise ValueError(f"need at least 2 clusters, got {self.c}")
-        if not 1.0 < self.r < np.inf:
-            raise ValueError(f"fuzziness exponent must be finite and exceed 1, got {self.r}")
-        for name in ("outer_tol", "inner_tol"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
+        _integer(self.c, "c", 2)
+        _integer(self.max_outer_iters, "max_outer_iters", 1)
+        _integer(self.max_inner_iters, "max_inner_iters", 1)
+        _integer(self.seed, "seed", 0)
+        _real(self.r, "r", 1.0)
+        _real(self.outer_tol, "outer_tol", 0.0)
+        _real(self.inner_tol, "inner_tol", 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,6 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     A row with a bracket at or below 0 has its point on a center: it splits
     uniformly over those clusters, 0 elsewhere. Rows go to ``out`` if given.
     """
-    if not r > 1.0:
-        raise ValueError(f"fuzziness exponent must exceed 1, got {r}")
     c = brackets.shape[1]
     low = brackets.min()
     # Split rows may turn inf, nan or negative here; they are overwritten below.
@@ -167,6 +161,7 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     independent difference-form reference is
     :func:`fcmm.oracle.classic_update_oracle`.
     """
+    _real(r, "r", 1.0)
     center_sq = np.einsum("cd,cd->c", centers, centers)
 
     def block(points, sq_norms, out):

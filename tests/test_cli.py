@@ -353,7 +353,7 @@ class TestMainEntryPoint:
     def test_validate_negative_seed_is_usage_error(self, capsys):
         assert main(["validate", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "seed" in captured.err
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
         assert captured.out == ""
 
 

@@ -186,10 +186,10 @@ class TestMakeBlobs:
             SyntheticSpec(blob_count=2, points_per_blob=5, dim=2, blob_stddev=0.0, seed=0)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("blob_count", 0, "blob_count must be positive"),
-        ("dim", 0, "dim must be positive"),
-        ("blob_center_scale", 0.0, "blob_center_scale must be positive"),
-        ("seed", -1, "seed must be a non-negative integer"),
+        ("blob_count", 0, "blob_count must be an integer >= 1"),
+        ("dim", 0, "dim must be an integer >= 1"),
+        ("blob_center_scale", 0.0, "blob_center_scale must be a real number > 0"),
+        ("seed", -1, "seed must be an integer >= 0"),
     ], ids=["blob_count", "dim", "blob_center_scale", "seed"])
     def test_out_of_range_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

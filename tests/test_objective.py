@@ -143,7 +143,7 @@ class TestObjectiveValues:
         data = DataMatrix.from_points(np.arange(6.0).reshape(3, 2))
         F = MembershipMatrix.from_values(np.full((3, 2), 0.5))
         centers = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="exceed 1"):
+        with pytest.raises(ValueError, match="r must be a real number > 1"):
             fcm_objective(data, F, centers, 1.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
             fcm_objective(data, F, np.zeros((2, 3)), 2.0)

@@ -236,7 +236,7 @@ class TestSurrogateArgmin:
 
     def test_needs_a_trial(self):
         data, _, G_t = random_instance(np.random.default_rng(77), 5, 2, 2)
-        with pytest.raises(ValueError, match="at least one trial"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             surrogate_argmin_oracle(data, G_t, 2.0, trials=0, seed=0)
 
     def test_output_beats_its_own_perturbations(self):
@@ -287,7 +287,7 @@ class TestDescentChainAudit:
 
     def test_needs_a_step(self):
         data = DataMatrix.from_points(np.arange(10.0).reshape(5, 2))
-        with pytest.raises(ValueError, match="at least one step"):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
             descent_chain_audit(data, init_random(5, 2, 0), SolverConfig(c=2), steps=0)
 
     def test_fixed_point_gives_equalities(self):

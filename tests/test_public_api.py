@@ -34,7 +34,7 @@ def top_level_uses(source):
 
 
 def test_every_exported_name_resolves():
-    assert len(fcmm.__all__) == len(set(fcmm.__all__)) == 27
+    assert len(fcmm.__all__) == len(set(fcmm.__all__)) == 26
     for name in fcmm.__all__:
         assert getattr(fcmm, name) is not None
 

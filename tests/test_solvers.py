@@ -36,7 +36,7 @@ class TestClassicUpdate:
 
     def test_exponent_at_most_one_rejected(self):
         data = DataMatrix.from_points([[0.0], [2.0]])
-        with pytest.raises(ValueError, match="exceed 1"):
+        with pytest.raises(ValueError, match="r must be a real number > 1"):
             update_membership_classic(data, np.array([[1.0], [3.0]]), 1.0)
 
     def test_point_on_center_goes_one_hot(self):
@@ -427,7 +427,7 @@ class TestSolverContracts:
             SolverConfig(c=2, outer_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(c=2, max_outer_iters=0)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             SolverConfig(c=2, seed=-1)
 
     @pytest.mark.parametrize("field, value", [

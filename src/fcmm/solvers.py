@@ -112,7 +112,7 @@ class SolverResult:
 _BLOCK_ROWS = 8192
 
 
-def _memberships_from_brackets(brackets: np.ndarray, r: float,
+def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: float,
                                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Closed-form row update shared by all three solvers.
 
@@ -123,22 +123,23 @@ def _memberships_from_brackets(brackets: np.ndarray, r: float,
     by its smallest bracket first, ``(min_j b_ij / b_ij)^(1/(r-1))``, so the
     largest weight is exactly 1 and the result is finite at any data scale.
     A row with a bracket at or below 0 has its point on a center: it splits
-    uniformly over those clusters, 0 elsewhere. Rows go to ``out`` if given.
+    uniformly over those clusters, 0 elsewhere. ``row_min`` holds each row's
+    smallest bracket. Rows go to ``out`` if given.
     """
     c = brackets.shape[1]
-    low = brackets.min()
-    # Split rows may turn inf, nan or negative here; they are overwritten below.
-    with np.errstate(all="ignore"):
-        if r == 2.0 and low > 0.0 and np.isfinite(c / low):
-            values = np.reciprocal(brackets, out=out)
-        else:
-            values = np.divide(np.min(brackets, axis=1, keepdims=True), brackets, out=out)
-            np.power(values, 1.0 / (r - 1.0), out=values)
+    low = float(row_min.min())
+    if r == 2.0 and low > 0.0 and c / low < np.inf:
+        values = np.reciprocal(brackets, out=out)
         values /= (values @ np.ones(c))[:, None]
+    else:
+        # Split rows may turn inf, nan or negative here; they are overwritten below.
+        with np.errstate(all="ignore"):
+            values = np.divide(row_min[:, None], brackets, out=out)
+            np.power(values, 1.0 / (r - 1.0), out=values)
+            values /= (values @ np.ones(c))[:, None]
     if low <= 0.0:
-        near = brackets <= 0.0
-        split = near.any(axis=1)
-        hits = near[split]
+        split = row_min <= 0.0
+        hits = brackets[split] <= 0.0
         values[split] = hits / hits.sum(axis=1, keepdims=True)
     return values
 
@@ -157,22 +158,25 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     digits and may round negative. Rows with a bracket below
     ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
     ~1e-12 of the bracket, are recomputed from the differences; so the
-    kernel sees a zero bracket only where a point equals a center. The
-    independent difference-form reference is
+    kernel sees a zero bracket only where a point equals a center. Each
+    point's smallest bracket, taken again for recomputed rows, picks those
+    rows and the kernel's route. The independent difference-form reference is
     :func:`fcmm.oracle.classic_update_oracle`.
     """
     _real(r, "r", 1.0)
     center_sq = np.einsum("cd,cd->c", centers, centers)
+    top = center_sq.max()
 
     def block(points, sq_norms, out):
         # Built c x b, so broadcasts and per-point scans run along the points.
         brackets = (-2.0 * centers) @ points.T
         brackets += center_sq[:, None] + sq_norms
-        close = brackets < 1e-4 * (sq_norms + center_sq.max())
-        if close.any():
-            rows = np.flatnonzero(close.any(axis=0))
+        row_min = brackets.min(axis=0)
+        rows = np.flatnonzero(row_min < 1e-4 * (sq_norms + top))
+        if rows.size:
             brackets[:, rows] = _difference_brackets(points[rows], centers)
-        return _memberships_from_brackets(brackets.T, r, out)
+            row_min[rows] = brackets[:, rows].min(axis=0)
+        return _memberships_from_brackets(brackets.T, row_min, r, out)
 
     values = np.empty((data.n, centers.shape[0]), order="F")
     starts = range(0, max(data.n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
@@ -209,10 +213,10 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
     (all-zero weighted cluster image).
     """
     agg = aggregates(data, G)
-    dead = np.flatnonzero(agg.quad <= 0.0)
-    if dead.size:
+    if (agg.quad <= 0.0).any():
+        dead = np.flatnonzero(agg.quad <= 0.0).tolist()
         raise DegenerateClusterError(
-            f"cluster(s) {dead.tolist()} have zero weighted image, re-weighting undefined")
+            f"cluster(s) {dead} have zero weighted image, re-weighting undefined")
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
     return update_membership_classic(data, centers, r)
 
@@ -252,7 +256,7 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
     G_in = to_power(F_in, cfg.r)
     inner, s = 1, None
-    while inner < max_inner and np.max(np.abs(F_in.values - F_prev.values)) > cfg.inner_tol:
+    while inner < max_inner and np.abs(F_in.values - F_prev.values).max() > cfg.inner_tol:
         if s is None:
             s = irw_auxiliary(data, G)
         F_prev, F_in = F_in, update_membership_irw(data, G_in, s, cfg.r)

@@ -1,0 +1,69 @@
+"""Solver outputs do not depend on the BLAS thread count.
+
+Above a size, a threaded BLAS splits one matrix-vector product among its
+threads and the bits of the result follow the thread count; the package's
+sums over all points add products small enough to run on one thread.
+Each run is a child process, since the thread count is read when numpy
+loads, and reports the thread count the BLAS really uses.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fcmm
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = """
+import hashlib
+import numpy as np
+from stamp import _blas_runtime
+from fcmm.dataset import SyntheticSpec, make_blobs, standardize
+from fcmm.membership import PowerMembership, init_random
+from fcmm.solvers import SolverConfig, solve_fcm_mm, solve_irw_fcm
+
+print("threads", _blas_runtime()[0])
+data = standardize(make_blobs(SyntheticSpec(blob_count=10, points_per_blob=5000, dim=10, seed=1)))
+F0 = init_random(data.n, 10, 0)
+runs = {
+    "mm": solve_fcm_mm(data, F0, SolverConfig(c=10, r=2.0, max_outer_iters=5)),
+    "irw": solve_irw_fcm(data, F0, SolverConfig(c=10, r=1.5, max_outer_iters=1,
+                                                max_inner_iters=3)),
+}
+for name, result in runs.items():
+    digest = hashlib.sha256(result.F_final.values.tobytes())
+    digest.update(result.centers_final.tobytes())
+    digest.update(result.trace.objectives().tobytes())
+    print(name, digest.hexdigest())
+# cluster masses at more cluster counts than the solves use: on one product,
+# 50,000 rows differ between 1 and 2 threads at each of these
+rng = np.random.default_rng(0)
+for c in (20, 57, 100):
+    sums = PowerMembership(rng.random((50000, c))).col_sums
+    print("col_sums", c, hashlib.sha256(sums.tobytes()).hexdigest())
+"""
+
+
+def _run(threads):
+    """The child's thread count and its digest lines."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(Path(fcmm.__file__).resolve().parent.parent),
+                                           str(ROOT / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    first, *digests = done.stdout.splitlines()
+    return first.split()[1], digests
+
+
+def test_mm_and_irw_are_bitwise_on_one_and_two_blas_threads():
+    runs = {}
+    for asked in ("1", "2"):
+        threads, runs[asked] = _run(asked)
+        if threads != asked:  # a 1-CPU machine, or a BLAS other than OpenBLAS
+            pytest.skip(f"the BLAS ran {threads} thread(s) when asked for {asked}")
+    assert len(runs["1"]) == 5
+    assert runs["2"] == runs["1"]

@@ -7,6 +7,8 @@ scaling the data must not move them, and they run in row blocks, which
 must not move them either.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ class TestKernelMatchesLogSpace:
     @settings(max_examples=300, deadline=None)
     @given(brackets=bracket_matrices(), r=st.sampled_from(R_VALUES))
     def test_agrees_with_reference(self, brackets, r):
-        F = _memberships_from_brackets(brackets, r)
+        F = _memberships_from_brackets(brackets, brackets.min(axis=1), r)
         reference = log_space_reference(brackets, r)
         split = (brackets <= 0.0).any(axis=1)
         np.testing.assert_array_equal(F[split], reference[split])
@@ -72,11 +74,33 @@ class TestKernelMatchesLogSpace:
         # the smallest bracket's reciprocal overflows (1 / 2e-310 = inf),
         # so r = 2 must take the row-min route
         brackets = np.array([[2e-310, 1e-309]])
-        F = _memberships_from_brackets(brackets, 2.0)
+        F = _memberships_from_brackets(brackets, brackets.min(axis=1), 2.0)
         assert np.all(np.isfinite(F))
         assert abs(F.sum() - 1.0) <= 1e-15
         np.testing.assert_allclose(F, log_space_reference(brackets, 2.0),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_reciprocal_guard_at_the_overflow_edge(self, step):
+        # the smallest bracket at c / DBL_MAX and its neighbours: r = 2 takes the
+        # reciprocal exactly when c / low is finite, and warns on neither route
+        c = 3
+        low = c / np.finfo(np.float64).max
+        for _ in range(abs(step)):
+            low = np.nextafter(low, step * np.inf)
+        brackets = np.array([[low, 1.0, 2.0], [3.0, 7.0, 11.0]])
+        reciprocal = 1.0 / brackets
+        scaled = brackets.min(axis=1, keepdims=True) / brackets
+        routes = {route: v / (v @ np.ones(c))[:, None]
+                  for route, v in (("reciprocal", reciprocal), ("scaled", scaled))}
+        assert (routes["reciprocal"] != routes["scaled"]).any()  # the routes are told apart
+        with np.errstate(over="ignore"):
+            expected = "reciprocal" if np.isfinite(c / low) else "scaled"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = _memberships_from_brackets(brackets, brackets.min(axis=1), 2.0)
+        np.testing.assert_array_equal(F, routes[expected])
+        assert np.max(np.abs(F - log_space_reference(brackets, 2.0))) <= 1e-13
 
 
 def _offset_instance(r, gap=5e-7, row=0):
@@ -91,7 +115,30 @@ def _offset_instance(r, gap=5e-7, row=0):
     return DataMatrix.from_points(points), G
 
 
+def _expanded_brackets(points, centers):
+    """The kernel's c x n expanded-form brackets, in its order of operations."""
+    brackets = (-2.0 * centers) @ points.T
+    brackets += np.einsum("cd,cd->c", centers, centers)[:, None] + np.einsum(
+        "id,id->i", points, points)
+    return brackets
+
+
 class TestNearCenterBrackets:
+    @pytest.mark.parametrize("r", [2.0, 1.5])
+    def test_point_on_center_splits_when_expanded_bracket_rounds_positive(self, r):
+        # the expanded form leaves ~1e-9 where the difference form gives 0: the
+        # row's minimum after the recompute, not before, must decide the route
+        points = 1e3 + np.random.default_rng(0).normal(size=(40, 3))
+        hits = [k for k in range(2, 40)
+                if _expanded_brackets(points, points[[k, 0, 1]])[0, k] > 0.0]
+        assert hits
+        k = hits[0]
+        centers = points[[k, 0, 1]]
+        F = update_membership_classic(DataMatrix.from_points(points), centers, r).values
+        np.testing.assert_array_equal(F[[k, 0, 1]], np.eye(3))
+        reference = classic_update_oracle(DataMatrix.from_points(points), centers, r).values
+        assert np.max(np.abs(F - reference)) <= 1e-12
+
     @pytest.mark.parametrize("r", [2.0, 1.5])
     def test_offset_data_mm_matches_classic(self, r):
         data, G = _offset_instance(r)
@@ -170,6 +217,27 @@ class TestRowBlocks:
                 blocked, whole[kind] = blocked.F_final.values, whole[kind].F_final.values
             np.testing.assert_array_equal(blocked, whole[kind], err_msg=kind)
             assert blocked.flags.f_contiguous and not blocked.flags.writeable
+
+    @pytest.mark.parametrize("block_rows", [8, 16, 64, 200, 201])
+    def test_one_kernel_call_per_block(self, monkeypatch, block_rows):
+        # the blocked tests above mean something only if the update really
+        # runs in blocks of the patched size, the last taking the remainder
+        data = _blobs(50)
+        G = to_power(init_random(data.n, 4, seed=1), 2.0)
+        sizes, kernel = [], solvers._memberships_from_brackets
+
+        def spy(brackets, *args):
+            sizes.append(brackets.shape[0])
+            return kernel(brackets, *args)
+
+        monkeypatch.setattr(solvers, "_memberships_from_brackets", spy)
+        monkeypatch.setattr(solvers, "_BLOCK_ROWS", block_rows)
+        for kind, update in UPDATES.items():
+            sizes.clear()
+            update(data, G, 2.0)
+            full, rest = divmod(data.n, block_rows)
+            expected = [block_rows] * (full - 1) + [block_rows + rest] if full else [rest]
+            assert sizes == expected, kind
 
     def test_default_block_rows_past_two_blocks(self, monkeypatch):
         data = _blobs(4100)

@@ -74,6 +74,13 @@ class TestToPower:
         recomputed = (F.values ** 2.5).sum(axis=0)
         assert np.max(np.abs(G.col_sums - recomputed) / recomputed) <= 1e-12
 
+    def test_col_sums_over_several_products_match_recomputation(self):
+        # enough points that the sum adds several products, the last one short
+        values = np.random.default_rng(12).random((200_000, 4))
+        recomputed = values.sum(axis=0)
+        G = PowerMembership(values)
+        assert np.max(np.abs(G.col_sums - recomputed) / recomputed) <= 1e-12
+
     def test_vanished_cluster_raises(self):
         F = MembershipMatrix.from_values([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateClusterError, match=r"\[1\]"):

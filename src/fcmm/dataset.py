@@ -23,13 +23,6 @@ _ZERO_VARIANCE_RTOL = 1e-13
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
-# Most elements in one matrix-vector product of a sum over all points.
-# OpenBLAS 0.3.31 runs such a product on one thread below about 460,000
-# elements (measured at 1 and 2 threads); above that, the bits of its result
-# depend on the thread count. Slices this small, added in row order, keep
-# the sum's bits independent of it.
-_SUM_ELEMENTS = 2 ** 18
-
 
 def _integer(value, name, low) -> None:
     """Raise ValueError unless ``value`` is an integer (not a bool) of at least ``low``."""
@@ -44,17 +37,6 @@ def _real(value, name, low) -> None:
     """
     if not (isinstance(value, _REALS) and low < value < np.inf) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number > {low:g} and finite, got {value!r}")
-
-
-def _sliced_dot(v, M) -> np.ndarray:
-    """``v @ M`` as products of at most ``_SUM_ELEMENTS`` elements, added in row order."""
-    if M.size <= _SUM_ELEMENTS:  # one product: the loop's bits without its slicing cost
-        return v @ M
-    step = max(_SUM_ELEMENTS // M.shape[1], 1)
-    total = v[:step] @ M[:step]
-    for start in range(step, len(v), step):
-        total += v[start:start + step] @ M[start:start + step]
-    return total
 
 
 def _own_matrix(value, name) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _integer, _own_matrix, _real, _sliced_dot
+from .dataset import _integer, _own_matrix, _real
 from .exceptions import DegenerateClusterError
 
 ROW_SUM_TOL = 1e-9
@@ -66,7 +66,7 @@ class PowerMembership:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _own_matrix(self.values, "powered membership values"))
-        sums = _sliced_dot(np.ones(self.n), self.values)
+        sums = np.einsum("ij->j", self.values)  # no BLAS: bits free of its thread count
         sums.setflags(write=False)
         object.__setattr__(self, "col_sums", sums)
         if not 0.0 < sums.min() <= sums.max() < np.inf:  # also False on a NaN sum

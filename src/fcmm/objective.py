@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, _real, _sliced_dot
+from .dataset import DataMatrix, _real
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership
 
@@ -98,7 +98,7 @@ def phi(data: DataMatrix, G: PowerMembership) -> float:
     :func:`fcm_objective` at the centers of :func:`compute_centers`.
     """
     agg = aggregates(data, G)
-    linear = float(np.sum(_sliced_dot(data.sq_norms, G.values)))
+    linear = float(np.einsum("i,ij->", data.sq_norms, G.values))  # no BLAS, as col_sums
     return linear - float(np.sum(agg.quad / agg.mass))
 
 

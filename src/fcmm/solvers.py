@@ -240,6 +240,8 @@ def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
     report = validate(F0)
     if not report.passed:
         raise ValueError(f"F0 is not row-stochastic: {report}")
+    if report.min_entry < 0.0:  # within validate's rounding, but f ** r needs f >= 0
+        raise ValueError(f"F0 has a negative entry, min entry {report.min_entry:.3e}")
 
 
 def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,

@@ -1,8 +1,9 @@
 """Solver outputs do not depend on the BLAS thread count.
 
-Above a size, a threaded BLAS splits one matrix-vector product among its
-threads and the bits of the result follow the thread count; the package's
-sums over all points add products small enough to run on one thread.
+Above a size, a threaded BLAS splits one product among its threads and the
+bits of the result follow the thread count. The cluster masses and the
+objective's linear term are numpy reductions that use no BLAS; ``G'X`` is
+the one sum over all points that BLAS computes.
 Each run is a child process, since the thread count is read when numpy
 loads, and reports the thread count the BLAS really uses.
 """
@@ -39,8 +40,8 @@ for name, result in runs.items():
     digest.update(result.centers_final.tobytes())
     digest.update(result.trace.objectives().tobytes())
     print(name, digest.hexdigest())
-# cluster masses at more cluster counts than the solves use: on one product,
-# 50,000 rows differ between 1 and 2 threads at each of these
+# cluster masses at more cluster counts than the solves use: a BLAS product
+# over these 50,000 rows differs between 1 and 2 threads at each of them
 rng = np.random.default_rng(0)
 for c in (20, 57, 100):
     sums = PowerMembership(rng.random((50000, c))).col_sums

@@ -74,8 +74,8 @@ class TestToPower:
         recomputed = (F.values ** 2.5).sum(axis=0)
         assert np.max(np.abs(G.col_sums - recomputed) / recomputed) <= 1e-12
 
-    def test_col_sums_over_several_products_match_recomputation(self):
-        # enough points that the sum adds several products, the last one short
+    def test_col_sums_over_many_points_match_recomputation(self):
+        # 200,000 points: the reduction agrees with numpy's own column sum
         values = np.random.default_rng(12).random((200_000, 4))
         recomputed = values.sum(axis=0)
         G = PowerMembership(values)

@@ -408,6 +408,14 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match="row-stochastic"):
             solve_fcm_mm(data, bad, SolverConfig(c=2))
 
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_start_entry_below_zero_rejected_before_powering(self, iris_data, r):
+        # validate passes -1e-13 as rounding, but (-1e-13) ** 1.5 is NaN
+        values = init_random(iris_data.n, 3, 0).values.copy()
+        values[0] = [1.0 + 1e-13, -1e-13, 0.0]
+        with pytest.raises(ValueError, match=r"negative entry, min entry -1\.000e-13"):
+            solve_fcm_mm(iris_data, MembershipMatrix(values), SolverConfig(c=3, r=r))
+
     def test_start_row_count_must_match(self):
         data = blob_instance(seed=23)
         with pytest.raises(ValueError, match="rows but data has"):

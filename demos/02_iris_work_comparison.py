@@ -32,7 +32,7 @@ print(f"single-loop final objective: {res_mm.objective_final:.10f} "
       f"{res_mm.trace.total_membership_updates()} updates)")
 
 best = min(res_irw.objective_final, res_mm.objective_final)
-threshold = best + LANDMARK_RTOL * (1.0 + abs(best))
+threshold = best + LANDMARK_RTOL * abs(best)
 print(f"\nlandmark: objective <= {threshold:.10f} "
       "(within 1e-6 relative of the best final value)")
 

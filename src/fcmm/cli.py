@@ -172,7 +172,7 @@ def cmd_run(manifest: RunManifest):
 
 def updates_to_reach(result: SolverResult, target: float) -> Optional[int]:
     """Membership updates spent until the trace first reaches the target."""
-    threshold = target + LANDMARK_RTOL * (1.0 + abs(target))
+    threshold = target + LANDMARK_RTOL * abs(target)
     for rec in result.trace.records:
         if rec.objective <= threshold:
             return rec.membership_updates

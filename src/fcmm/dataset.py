@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-# Columns whose sample standard deviation falls below this (relative to the
-# column mean, with a unit floor) are treated as constant and only centered.
+# Columns whose sample standard deviation is at most this times the column
+# mean's magnitude are treated as constant and only centered.
 _ZERO_VARIANCE_RTOL = 1e-13
 
 # What a count and a real number may be; bool, a subclass of int, is neither.
@@ -208,5 +208,5 @@ def standardize(data: DataMatrix) -> DataMatrix:
     mean = data.points.mean(axis=0)
     centered = data.points - mean
     std = centered.std(axis=0, ddof=1)
-    scale = np.where(std > _ZERO_VARIANCE_RTOL * (1.0 + np.abs(mean)), std, 1.0)
+    scale = np.where(std > _ZERO_VARIANCE_RTOL * np.abs(mean), std, 1.0)
     return DataMatrix.from_points(centered / scale)

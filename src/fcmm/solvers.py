@@ -40,8 +40,8 @@ class SolverConfig:
     """Shared solver settings.
 
     ``outer_tol`` stops the outer loop once the reduced objective changes
-    by no more than ``outer_tol * (1 + |objective|)``; ``inner_tol`` stops
-    the re-weighting inner loop on the max elementwise membership change.
+    by at most ``outer_tol * |objective|``, in any data unit; ``inner_tol``
+    stops the re-weighting inner loop on the max elementwise membership change.
     Construction checks every field by the package's scalar rule, with a
     ValueError naming the field: ``c`` is an integer >= 2, the caps >= 1
     and ``seed`` >= 0 (a bool is none); ``r`` is a finite real number > 1
@@ -297,7 +297,7 @@ def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
         obj_new = phi(data, G_new)
         records.append(TraceRecord(it, obj_new, time.perf_counter_ns() - start,
                                    updates, inner))
-        converged = abs(obj_new - obj) <= cfg.outer_tol * (1.0 + abs(obj))
+        converged = abs(obj_new - obj) <= cfg.outer_tol * abs(obj)
         F, G, obj = F_new, G_new, obj_new
         if converged:
             termination = TERMINATION_CONVERGED

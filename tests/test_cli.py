@@ -407,6 +407,16 @@ def test_updates_to_reach_uses_relative_landmark():
     assert updates_to_reach(result, 0.0) is None
 
 
+def test_updates_to_reach_has_no_unit():
+    # objectives of data in a 1e-7 unit: record 0 lies 1e-13 above the target
+    from fcmm.solvers import SolverTrace, TraceRecord, SolverResult
+    unit = 1e-14
+    records = tuple(TraceRecord(i, obj * unit, i * 100, i, 0)
+                    for i, obj in enumerate([10.0, 5.0, 2.0 + 1e-9, 2.0]))
+    result = SolverResult(None, None, 2.0 * unit, SolverTrace(records), "converged")
+    assert updates_to_reach(result, 2.0 * unit) == 2
+
+
 def readme_commands():
     """Every ``fcmm`` command in README's fenced blocks, minus ``@file`` ones."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

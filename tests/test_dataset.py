@@ -253,6 +253,11 @@ class TestStandardize:
         np.testing.assert_allclose(data.points.mean(axis=0), 0, atol=1e-12)
         np.testing.assert_allclose(data.points.std(axis=0, ddof=1), 1, atol=1e-12)
 
+    def test_data_unit_does_not_matter(self, iris_raw):
+        # columns in a tiny unit vary; they must be scaled, not read as constant
+        tiny = standardize(DataMatrix.from_points(iris_raw.points * 1e-14))
+        assert np.max(np.abs(tiny.points - standardize(iris_raw).points)) <= 1e-12
+
     def test_sq_norms_recomputed(self):
         data = standardize(DataMatrix.from_points([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0]]))
         expect = np.einsum("ij,ij->i", data.points, data.points)

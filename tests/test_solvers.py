@@ -7,7 +7,7 @@ from fcmm.cli import SYNTHETIC_PRESETS
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
-from fcmm.objective import aggregates, compute_centers, phi
+from fcmm.objective import aggregates, compute_centers, fcm_objective, phi
 from fcmm.oracle import classic_update_oracle, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, irw_auxiliary, solve_fcm_classic, solve_fcm_mm,
                           solve_irw_fcm, update_membership_classic, update_membership_irw,
@@ -343,6 +343,43 @@ class TestTrajectoryCoincidence:
         for data, F0, cfg in runs:
             assert_bitwise_same_run(solve_fcm_mm(data, F0, cfg),
                                     solve_fcm_classic(data, F0, cfg))
+
+
+class TestStoppingRule:
+    """The outer test is relative to the objective, so a solve's stop has no unit."""
+
+    @pytest.mark.parametrize("solve", [solve_fcm_classic, solve_irw_fcm, solve_fcm_mm])
+    def test_whole_solve_ignores_the_data_unit(self, solve):
+        base = make_blobs(SyntheticSpec(blob_count=3, points_per_blob=50, dim=2,
+                                        blob_stddev=0.5, blob_center_scale=5.0, seed=0))
+        for seed in range(3):
+            F0 = init_random(base.n, 3, seed)
+            ref = solve(base, F0, SolverConfig(c=3))
+            for scale in (1e-7, 1e-3, 1e3, 1e7):
+                res = solve(DataMatrix.from_points(base.points * scale), F0, SolverConfig(c=3))
+                assert res.trace.records[-1].outer_iter == ref.trace.records[-1].outer_iter
+                assert (res.trace.total_membership_updates()
+                        == ref.trace.total_membership_updates())
+                rescaled = res.objective_final / scale ** 2
+                assert abs(rescaled - ref.objective_final) <= 1e-10 * ref.objective_final
+
+    @pytest.mark.parametrize("solve", [solve_irw_fcm, solve_fcm_mm])
+    def test_large_r_runs_to_the_optimum(self, iris_data, solve):
+        # phi is about 4e-7 at r = 20 and 2e-21 at r = 50, where a unit floor decided alone
+        for r in (20.0, 50.0):
+            for seed in range(3):
+                F0 = init_random(iris_data.n, 3, seed)
+                res = solve(iris_data, F0, SolverConfig(c=3, r=r))
+                tight = solve(iris_data, F0, SolverConfig(c=3, r=r, outer_tol=1e-13,
+                                                          max_outer_iters=5000))
+                # the tight run is a fixed point: one more MM step barely moves phi
+                G = to_power(tight.F_final, r)
+                step = phi(iris_data, to_power(update_membership_mm(iris_data, G, r), r))
+                assert tight.objective_final - step <= 1e-12 * tight.objective_final
+                assert (abs(res.objective_final - tight.objective_final)
+                        <= 1e-7 * tight.objective_final)
+                recomputed = fcm_objective(iris_data, res.F_final, res.centers_final, r)
+                assert abs(res.objective_final - recomputed) <= 1e-10 * recomputed
 
 
 class TestDegenerateHandling:

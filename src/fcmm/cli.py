@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -132,12 +131,12 @@ def write_trace_csv(result: SolverResult, path) -> None:
 
 
 def _algorithm_row(result: SolverResult) -> dict:
-    last = result.trace.records[-1] if result.trace.records else None
+    last = result.trace.records[-1]
     return {"final_objective": result.objective_final,
             "termination": result.termination,
             "total_membership_updates": result.trace.total_membership_updates(),
-            "outer_iters": last.outer_iter if last else 0,
-            "wall_time_ns": last.elapsed_ns if last else 0}
+            "outer_iters": last.outer_iter,
+            "wall_time_ns": last.elapsed_ns}
 
 
 def _summary_payload(manifest: RunManifest, results: dict) -> dict:
@@ -154,8 +153,9 @@ def _summary_payload(manifest: RunManifest, results: dict) -> dict:
 def cmd_run(manifest: RunManifest):
     """Execute the manifest and write trace CSVs plus summary.json.
 
-    Returns ``(exit_status, results)``; status 1 on a dataset load or output
-    write failure (degenerate terminations are recorded in the summary).
+    Returns ``(exit_status, results)``; status 1, with no file written, on a
+    dataset load failure or a refused start, and 1 on an output write
+    failure (degenerate terminations are recorded in the summary).
     """
     try:
         results = execute(manifest)
@@ -187,12 +187,7 @@ def cmd_compare(manifest: RunManifest):
     status, results = cmd_run(manifest)
     if status != 0:
         return status, None
-    finals = [res.objective_final for res in results.values()
-              if res.trace.records and not math.isnan(res.objective_final)]
-    if not finals:
-        print("error: no solver produced a usable trace", file=sys.stderr)
-        return 1, None
-    best = min(finals)
+    best = min(res.objective_final for res in results.values())
     per_algorithm = {name: {**_algorithm_row(result),
                             "updates_to_best": updates_to_reach(result, best)}
                      for name, result in results.items()}

@@ -16,7 +16,6 @@ from .dataset import _integer, _own_matrix, _real
 from .exceptions import DegenerateClusterError
 
 ROW_SUM_TOL = 1e-9
-ENTRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,11 @@ def validate(F: MembershipMatrix) -> MembershipReport:
     """Report the worst row-sum deviation and the smallest entry.
 
     Pure diagnostic: never raises. Passes when every row sum is within
-    ``ROW_SUM_TOL`` of 1 and no entry is below ``-ENTRY_TOL`` (tiny
-    negative rounding noise is tolerated).
+    ``ROW_SUM_TOL`` of 1 and no entry is negative, since ``f ** r`` needs
+    f >= 0. This is the solvers' rule for a start's memberships.
     """
     dev = float(np.max(np.abs(F.values.sum(axis=1) - 1.0)))
     min_entry = float(F.values.min())
-    passed = dev <= ROW_SUM_TOL and min_entry >= -ENTRY_TOL
+    passed = dev <= ROW_SUM_TOL and min_entry >= 0.0
     return MembershipReport(dev, min_entry, passed)
 

@@ -97,13 +97,13 @@ class SolverTrace:
 class SolverResult:
     """Final memberships, centers, objective and the full trace.
 
-    On degenerate termination the fields hold the last state whose
-    powered memberships were still valid; if even the starting matrix was
-    degenerate, ``centers_final`` is None and the objective is NaN.
+    Every result holds a state: c x d centers, a finite objective and at
+    least the start's trace record. On degenerate termination the fields
+    hold the last state whose powered memberships were still valid.
     """
 
     F_final: MembershipMatrix
-    centers_final: Optional[np.ndarray]
+    centers_final: np.ndarray
     objective_final: float
     trace: SolverTrace
     termination: str
@@ -232,7 +232,8 @@ def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> Me
     return update_membership_classic(data, compute_centers(aggregates(data, G_t)), r)
 
 
-def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
+def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig) -> PowerMembership:
+    """G of a start that fits, passes :func:`validate` and has mass in every cluster."""
     if F0.n != data.n:
         raise ValueError(f"F0 has {F0.n} rows but data has {data.n} points")
     if F0.c != cfg.c:
@@ -240,8 +241,10 @@ def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig):
     report = validate(F0)
     if not report.passed:
         raise ValueError(f"F0 is not row-stochastic: {report}")
-    if report.min_entry < 0.0:  # within validate's rounding, but f ** r needs f >= 0
-        raise ValueError(f"F0 has a negative entry, min entry {report.min_entry:.3e}")
+    try:
+        return to_power(F0, cfg.r)
+    except DegenerateClusterError as exc:
+        raise ValueError(f"F0 ** {cfg.r!r} is degenerate: {exc}") from None
 
 
 def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
@@ -271,18 +274,15 @@ def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
                max_inner: int) -> SolverResult:
     """Outer loop of all three solvers, one :func:`_reweighting_step` per iteration.
 
-    A collapsing cluster raises :class:`DegenerateClusterError` in the
-    step; the loop then stops with the last valid state and a partial trace.
+    A start that :func:`_check_start` refuses is a ValueError before any
+    step. A cluster collapsing during the solve raises
+    :class:`DegenerateClusterError` in the step; the loop then stops with
+    the last valid state and a partial trace.
     """
-    _check_start(data, F0, cfg)
+    G = _check_start(data, F0, cfg)
     start = time.perf_counter_ns()
     records = []
     updates = 0
-    try:
-        G = to_power(F0, cfg.r)
-    except DegenerateClusterError:
-        return SolverResult(F0, None, float("nan"), SolverTrace(()),
-                            TERMINATION_DEGENERATE)
     F, obj = F0, phi(data, G)
     records.append(TraceRecord(0, obj, time.perf_counter_ns() - start, 0, 0))
 

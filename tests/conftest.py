@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,15 @@ def random_instance(rng, n, d, c, r=2.0):
     data = DataMatrix.from_points(rng.normal(size=(n, d)))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
     return data, F, to_power(F, r)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
+def read_summary(path):
+    """Parse a summary.json, failing on the NaN and Infinity that strict JSON lacks."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,11 @@ with ``pytest -s`` or on failure); stated runtime budgets are asserted
 too. Everything is seeded and deterministic.
 """
 
-import json
 import time
 
 import numpy as np
 
-from conftest import random_instance
+from conftest import random_instance, read_summary
 from fcmm.cli import RunManifest, SYNTHETIC_PRESETS, cmd_run, iris_manifest
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.membership import MembershipMatrix, init_random, to_power, validate
@@ -281,8 +280,8 @@ def test_criterion_9_determinism(tmp_path, iris_path):
         assert names
         for name in names:
             assert strip_elapsed(out_a / name) == strip_elapsed(out_b / name)
-        sum_a = json.loads((out_a / "summary.json").read_text())
-        sum_b = json.loads((out_b / "summary.json").read_text())
+        sum_a = read_summary(out_a / "summary.json")
+        sum_b = read_summary(out_b / "summary.json")
         for summary in (sum_a, sum_b):
             summary.pop("config")
             for algo in summary.values():

@@ -1,4 +1,3 @@
-import json
 import re
 import shlex
 from pathlib import Path
@@ -6,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_summary
 from fcmm.cli import (RunManifest, SYNTHETIC_PRESETS, TRACE_HEADER, cmd_compare,
                       cmd_run, cmd_validate, iris_manifest, load_manifest_dataset, main,
                       manifest_from_args, _atomic_write, _parser, updates_to_reach)
@@ -58,7 +58,7 @@ class TestCmdRun:
         for name in ("irw", "mm"):
             rows = read_trace(tmp_path / f"{name}_trace.csv")
             assert len(rows) == len(results[name].trace.records)
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = read_summary(tmp_path / "summary.json")
         assert set(summary) == {"config", "irw", "mm"}
         for key in ("c", "r", "outer_tol", "inner_tol", "max_outer_iters",
                     "max_inner_iters", "seed", "standardize",
@@ -294,12 +294,14 @@ class TestMainEntryPoint:
         assert status == 0
         assert "fewest membership updates: tie between classic, mm" in capsys.readouterr().out
 
-    def test_compare_without_usable_trace_fails(self, tmp_path, capsys, iris_path):
-        # F0 ** 100000 underflows to a zero column, so every solver stops at its start
-        status = main(["compare", "--data", str(iris_path), "--drop-cols", "4",
-                       "--r", "100000", "--out", str(tmp_path / "out")])
-        assert status == 1
-        assert "no solver produced a usable trace" in capsys.readouterr().err
+    def test_zero_mass_start_fails_without_output(self, tmp_path, capsys, iris_path):
+        # F0 ** 100000 underflows to zero columns, so every solver refuses the start
+        for command in ("run", "compare"):
+            status = main([command, "--data", str(iris_path), "--drop-cols", "4",
+                           "--r", "100000", "--out", str(tmp_path / "out")])
+            assert status == 1
+            assert "cluster(s) [0, 1, 2] have zero mass" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("seed", "unrecognized arguments: seed"),

@@ -5,6 +5,7 @@ from conftest import random_instance
 from fcmm import objective, solvers
 from fcmm.cli import SYNTHETIC_PRESETS
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
+from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
 from fcmm.objective import aggregates, compute_centers, fcm_objective, phi
@@ -399,11 +400,8 @@ class TestDegenerateHandling:
     def test_zero_column_start_degenerates_immediately(self):
         F0 = MembershipMatrix.from_values(np.column_stack([np.ones(4), np.zeros(4)]))
         data = DataMatrix.from_points(np.arange(8.0).reshape(4, 2))
-        result = solve_fcm_mm(data, F0, SolverConfig(c=2))
-        assert result.termination == "degenerate"
-        assert result.centers_final is None
-        assert np.isnan(result.objective_final)
-        assert len(result.trace.records) == 0
+        with pytest.raises(ValueError, match="zero mass"):
+            solve_fcm_mm(data, F0, SolverConfig(c=2))
 
     def test_degenerate_rule_preserves_simplex(self):
         # symmetric instance: both centers land on the middle point forever
@@ -447,10 +445,10 @@ class TestSolverContracts:
 
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_start_entry_below_zero_rejected_before_powering(self, iris_data, r):
-        # validate passes -1e-13 as rounding, but (-1e-13) ** 1.5 is NaN
+        # (-1e-13) ** 1.5 is NaN, so validate refuses any negative entry
         values = init_random(iris_data.n, 3, 0).values.copy()
         values[0] = [1.0 + 1e-13, -1e-13, 0.0]
-        with pytest.raises(ValueError, match=r"negative entry, min entry -1\.000e-13"):
+        with pytest.raises(ValueError, match=r"min entry -1\.000e-13"):
             solve_fcm_mm(iris_data, MembershipMatrix(values), SolverConfig(c=3, r=r))
 
     def test_start_row_count_must_match(self):
@@ -515,3 +513,70 @@ class TestSolverContracts:
             for solver in (solve_fcm_classic, solve_irw_fcm, solve_fcm_mm):
                 res = solver(iris_data, F0, SolverConfig(c=3, max_outer_iters=k))
                 assert validate(res.F_final).passed
+
+
+def _start_with_row(values, row):
+    values = values.copy()
+    values[0] = row
+    return values
+
+
+START_CASES = {
+    "random": (lambda F: F, 2.0),
+    "row-sum-off-2e-9": (lambda F: _start_with_row(F, F[0] + [2e-9, 0.0, 0.0]), 2.0),
+    "entry-at-minus-1e-15": (lambda F: _start_with_row(F, [1.0 + 1e-15, -1e-15, 0.0]), 2.0),
+    "zero-column": (lambda F: np.column_stack([F[:, 0], 1.0 - F[:, 0], np.zeros(len(F))]), 2.0),
+    "underflow-at-r-1e5": (lambda F: F, 1e5),
+}
+
+
+def passes_start_rule(F0, r):
+    if not validate(F0).passed:
+        return False
+    try:
+        to_power(F0, r)
+    except DegenerateClusterError:
+        return False
+    return True
+
+
+class TestOneStartRule:
+    """A start passes the solvers exactly when it passes validate and F0 ** r has mass."""
+
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_validate_and_mass_decide_every_solver(self, iris_data, monkeypatch, case):
+        build, r = START_CASES[case]
+        F0 = MembershipMatrix(build(init_random(iris_data.n, 3, 0).values))
+        valid = passes_start_rule(F0, r)
+        updates = []
+        classic = solvers.update_membership_classic
+        monkeypatch.setattr(solvers, "update_membership_classic",
+                            lambda *args: updates.append(1) or classic(*args))
+        for solve in (solve_fcm_classic, solve_irw_fcm, solve_fcm_mm):
+            cfg = SolverConfig(c=3, r=r, max_outer_iters=2)
+            if valid:
+                assert len(solve(iris_data, F0, cfg).trace) == 3
+            else:
+                with pytest.raises(ValueError, match="row-stochastic|zero mass"):
+                    solve(iris_data, F0, cfg)
+                assert not updates
+
+
+class TestEveryResultHoldsState:
+    @pytest.mark.parametrize("solve", [solve_fcm_classic, solve_irw_fcm, solve_fcm_mm])
+    @pytest.mark.parametrize("case", ["all-zero-data", "max-iters", "iris-converged"])
+    def test_centers_objective_and_a_record(self, iris_data, solve, case):
+        if case == "all-zero-data":  # IRW stops degenerate after the start's record
+            data, F0, cfg = (DataMatrix.from_points(np.zeros((6, 2))), init_random(6, 3, 1),
+                             SolverConfig(c=3))
+        else:
+            data, F0 = iris_data, init_random(iris_data.n, 3, 7)
+            cfg = SolverConfig(c=3, max_outer_iters=2 if case == "max-iters" else 500)
+        result = solve(data, F0, cfg)
+        expected = {"all-zero-data": "degenerate" if solve is solve_irw_fcm else "converged",
+                    "max-iters": "max_iters", "iris-converged": "converged"}[case]
+        assert result.termination == expected
+        assert isinstance(result.centers_final, np.ndarray)
+        assert result.centers_final.shape == (cfg.c, data.d)
+        assert np.isfinite(result.objective_final)
+        assert len(result.trace) == 1 if expected == "degenerate" else len(result.trace) >= 1

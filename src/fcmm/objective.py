@@ -7,7 +7,8 @@ thousands it would dominate memory while being mathematically redundant.
 Central quantities for a powered membership G with columns g_j:
 
 * per-cluster aggregates ``y_j = sum_i g_ij x_i``, ``quad_j = |y_j|^2``
-  and ``mass_j = sum_i g_ij``;
+  and ``mass_j = sum_i g_ij``, computed once per (data, G) pair and held
+  on G, so phi and the next step's centers share one ``G'X`` product;
 * the fuzzy-means cost at explicit centers;
 * the reduced cost ``phi`` obtained by substituting the optimal centers;
 * the gradient of the term ``q(g) = quad / mass`` that phi subtracts.
@@ -55,13 +56,21 @@ def aggregates(data: DataMatrix, G: PowerMembership) -> ClusterAggregates:
     """Accumulate y_j, quad_j and mass_j for every cluster in O(ndc).
 
     ``mass`` is ``G.col_sums``, positive because :class:`PowerMembership`
-    rejects a zero column when it is built.
+    rejects a zero column when it is built. Both records are immutable, so
+    the result, read-only, is held on G for this ``data`` object and the
+    ``G'X`` product runs once per pair however often it is asked for.
     """
     if G.n != data.n:
         raise ValueError(f"G has {G.n} rows but data has {data.n} points")
+    if G._aggregates is not None and G._aggregates[0] is data:
+        return G._aggregates[1]
     y = G.values.T @ data.points
     quad = np.einsum("cd,cd->c", y, y)
-    return ClusterAggregates(y, quad, G.col_sums)
+    y.setflags(write=False)
+    quad.setflags(write=False)
+    agg = ClusterAggregates(y, quad, G.col_sums)
+    object.__setattr__(G, "_aggregates", (data, agg))
+    return agg
 
 
 def compute_centers(agg: ClusterAggregates) -> np.ndarray:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fcmm import objective
 from fcmm.dataset import DataMatrix, load_csv, standardize
 from fcmm.membership import MembershipMatrix, to_power
 
@@ -15,6 +16,23 @@ def random_instance(rng, n, d, c, r=2.0):
     data = DataMatrix.from_points(rng.normal(size=(n, d)))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
     return data, F, to_power(F, r)
+
+
+def count_products(monkeypatch):
+    """List that grows by one per ``G'X`` product taken from here on.
+
+    ``objective.aggregates`` builds a ClusterAggregates only when it takes
+    the product, not when it returns the one held on G.
+    """
+    built = []
+    build = objective.ClusterAggregates
+
+    def counted(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(objective, "ClusterAggregates", counted)
+    return built
 
 
 def _refuse_constant(name):

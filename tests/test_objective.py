@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import count_products, random_instance
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
@@ -52,6 +54,52 @@ class TestAggregates:
         G = PowerMembership.from_values(np.full((2, 2), 0.25))
         with pytest.raises(ValueError, match="2 rows but data has 3 points"):
             aggregates(data, G)
+
+    def test_mismatch_raises_before_the_held_result_is_read(self):
+        data, _, G = random_instance(np.random.default_rng(24), 4, 2, 2)
+        aggregates(data, G)
+        other = DataMatrix.from_points(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="4 rows but data has 3 points"):
+            aggregates(other, G)
+
+
+class TestHeldAggregates:
+    def test_one_product_per_data_and_g(self, monkeypatch):
+        data, _, G = random_instance(np.random.default_rng(25), 30, 4, 3)
+        products = count_products(monkeypatch)
+        agg = aggregates(data, G)
+        assert aggregates(data, G) is agg
+        assert len(products) == 1
+
+    def test_other_objects_get_their_own_equal_result(self, monkeypatch):
+        data, _, G = random_instance(np.random.default_rng(26), 30, 4, 3)
+        agg = aggregates(data, G)
+        products = count_products(monkeypatch)
+        same_points = DataMatrix.from_points(data.points.copy())
+        same_values = PowerMembership(G.values.copy())
+        for other in (aggregates(same_points, G), aggregates(data, same_values)):
+            assert other is not agg
+            for name in ("y", "quad", "mass"):
+                assert getattr(other, name).tobytes() == getattr(agg, name).tobytes()
+        assert len(products) == 2
+
+    def test_result_is_read_only(self):
+        data, _, G = random_instance(np.random.default_rng(27), 10, 3, 2)
+        agg = aggregates(data, G)
+        for array in (agg.y, agg.quad, agg.mass):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_g_compares_and_prints_as_before(self):
+        # one entry, so the fields' == reduces to a bool
+        G = single_cluster([0.5])
+        fresh = PowerMembership(G.values.copy())
+        text = repr(G)
+        aggregates(DataMatrix.from_points([[2.0, 3.0]]), G)
+        assert [f.name for f in dataclasses.fields(G)] == ["values", "col_sums"]
+        assert G == fresh and fresh == G
+        assert repr(G) == text == repr(fresh)
+        assert "aggregates" not in repr(G)
 
 
 class TestComputeCenters:

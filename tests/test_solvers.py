@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import count_products, random_instance
 from fcmm import objective, solvers
 from fcmm.cli import SYNTHETIC_PRESETS
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
@@ -248,6 +248,7 @@ class TestSolveIrw:
 
         monkeypatch.setattr(objective, "aggregates", counted)
         monkeypatch.setattr(solvers, "aggregates", counted)
+        products = count_products(monkeypatch)
         cfg = SolverConfig(c=3, inner_tol=inner_tol, max_outer_iters=1)
         result = solve_irw_fcm(iris_data, init_random(iris_data.n, 3, 3), cfg)
         k = result.trace.records[1].inner_iters
@@ -257,6 +258,9 @@ class TestSolveIrw:
             assert (k, step_calls) == (1, 1)
         else:
             assert k >= 2 and step_calls == k + 1
+        # One product per G: the start's, then each inner step's (the last in
+        # phi); the anchor's auxiliary and the final centers reuse theirs.
+        assert len(products) == 1 + k
 
     def test_zero_image_at_anchor_takes_the_mm_step(self):
         # Uniform memberships on symmetric data: every y_j is exactly 0, so
@@ -315,6 +319,23 @@ class TestSolveMm:
         for rec in result.trace.records:
             assert rec.membership_updates == rec.outer_iter
             assert rec.inner_iters == min(rec.outer_iter, 1)
+
+    def test_one_product_per_iterate(self, iris_data, monkeypatch):
+        calls = []
+
+        def counted(data, G):
+            calls.append(1)
+            return aggregates(data, G)
+
+        monkeypatch.setattr(objective, "aggregates", counted)
+        monkeypatch.setattr(solvers, "aggregates", counted)
+        products = count_products(monkeypatch)
+        result = solve_fcm_mm(iris_data, init_random(iris_data.n, 3, 5), SolverConfig(c=3))
+        iters = len(result.trace) - 1
+        assert iters >= 5
+        # phi and the next step's centers share each G's product.
+        assert len(calls) == 2 * iters + 2
+        assert len(products) == iters + 1
 
     def test_fewer_updates_than_irw_to_common_objective(self, iris_data):
         F0 = init_random(iris_data.n, 3, 42)

@@ -58,8 +58,6 @@ class PowerMembership:
     from ``values``; every center and objective formula divides by it, so a
     non-finite sum is rejected as malformed and a zero column as a degenerate
     cluster. ``values`` is held as in :class:`MembershipMatrix`: no stale sums.
-    :func:`fcmm.objective.aggregates` holds its result for one data matrix on
-    a private attribute, which is not a field: ``==`` and ``repr`` ignore it.
     """
 
     values: np.ndarray
@@ -67,7 +65,6 @@ class PowerMembership:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _own_matrix(self.values, "powered membership values"))
-        object.__setattr__(self, "_aggregates", None)  # (data, ClusterAggregates), see above
         sums = np.einsum("ij->j", self.values)  # no BLAS: bits free of its thread count
         sums.setflags(write=False)
         object.__setattr__(self, "col_sums", sums)

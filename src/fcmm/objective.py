@@ -1,4 +1,4 @@
-"""Objective values, cluster centers, and the gradient behind the surrogate.
+"""Objective values and cluster centers, from which phi's surrogate is read.
 
 Everything here reduces to products with the data matrix of length d, so
 the n x n Gram matrix is never materialized: for n in the tens of
@@ -10,15 +10,17 @@ Central quantities for a powered membership G with columns g_j:
   and ``mass_j = sum_i g_ij``, computed once per (data, G) pair and held
   on G, so phi and the next step's centers share one ``G'X`` product;
 * the fuzzy-means cost at explicit centers;
-* the reduced cost ``phi`` obtained by substituting the optimal centers;
-* the gradient of the term ``q(g) = quad / mass`` that phi subtracts.
+* the reduced cost ``phi`` obtained by substituting the optimal centers.
 
-The majorizing surrogate of phi needs no formula of its own: q is
-homogeneous of degree 1, so by Euler its tangent plane at g_t has no
-constant term, ``grad q(g_t) . g = sum_i g_i (2 x_i.m_t - |m_t|^2)`` with
-``m_t = y_t / mass_t``. Subtracted from phi's linear part it completes the
-square, ``h(G | G_t) = sum_ij g_ij |x_i - m_j^t|^2``: :func:`fcm_objective`
-at ``compute_centers(aggregates(data, G_t))``.
+Neither phi's gradient nor its majorizing surrogate needs a function of
+its own. The term ``q(g) = quad / mass`` that phi subtracts has gradient
+``2 x_i.m_t - |m_t|^2 = |x_i|^2 - |x_i - m_t|^2`` at g_t, with
+``m_t = y_t / mass_t``, so phi's gradient at G_t is the bracket matrix
+``|x_i - m_j^t|^2`` at G_t's centers, the squared distances the MM step
+builds. q is homogeneous of degree 1, so by Euler its tangent plane has
+no constant term, and phi's tangent plane at G_t is the surrogate
+``h(G | G_t) = sum_ij g_ij |x_i - m_j^t|^2``: :func:`fcm_objective` at
+``compute_centers(aggregates(data, G_t))``.
 """
 
 from __future__ import annotations
@@ -58,12 +60,15 @@ def aggregates(data: DataMatrix, G: PowerMembership) -> ClusterAggregates:
     ``mass`` is ``G.col_sums``, positive because :class:`PowerMembership`
     rejects a zero column when it is built. Both records are immutable, so
     the result, read-only, is held on G for this ``data`` object and the
-    ``G'X`` product runs once per pair however often it is asked for.
+    ``G'X`` product runs once per pair however often it is asked for. The
+    private ``_aggregates`` attribute holding it is written and read only
+    here; it is not a field, so ``==`` and ``repr`` of G ignore it.
     """
     if G.n != data.n:
         raise ValueError(f"G has {G.n} rows but data has {data.n} points")
-    if G._aggregates is not None and G._aggregates[0] is data:
-        return G._aggregates[1]
+    held = G.__dict__.get("_aggregates")
+    if held is not None and held[0] is data:
+        return held[1]
     y = G.values.T @ data.points
     quad = np.einsum("cd,cd->c", y, y)
     y.setflags(write=False)
@@ -110,21 +115,3 @@ def phi(data: DataMatrix, G: PowerMembership) -> float:
     linear = float(np.einsum("i,ij->", data.sq_norms, G.values))  # no BLAS, as col_sums
     return linear - float(np.sum(agg.quad / agg.mass))
 
-
-def tangent_gradient(data: DataMatrix, g_t) -> np.ndarray:
-    """Gradient of g -> (g' X'X g) / (g' 1) at g_t, Gram-free.
-
-    Returns the n-vector (2 mass (X'X g_t) - quad) / mass^2 with X'X g_t
-    computed as two O(nd) products. Homogeneous of degree 0: scaling g_t
-    leaves it unchanged.
-    """
-    g_t = np.asarray(g_t, dtype=np.float64)
-    if g_t.shape != (data.n,):
-        raise ValueError(f"g_t must be a length-{data.n} vector")
-    mass = float(g_t.sum())
-    if mass <= 0.0:
-        raise DegenerateClusterError("zero mass, gradient undefined")
-    y = data.points.T @ g_t
-    xxg = data.points @ y
-    quad = float(y @ y)
-    return (2.0 * mass * xxg - quad) / mass ** 2

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -113,7 +112,7 @@ _BLOCK_ROWS = 8192
 
 
 def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: float,
-                               out: Optional[np.ndarray] = None) -> np.ndarray:
+                               out: np.ndarray) -> np.ndarray:
     """Closed-form row update shared by all three solvers.
 
     Rows with every bracket (squared point-center distance) positive get
@@ -124,7 +123,7 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: flo
     largest weight is exactly 1 and the result is finite at any data scale.
     A row with a bracket at or below 0 has its point on a center: it splits
     uniformly over those clusters, 0 elsewhere. ``row_min`` holds each row's
-    smallest bracket. Rows go to ``out`` if given.
+    smallest bracket. Rows go to ``out``, of the brackets' shape.
     """
     c = brackets.shape[1]
     low = float(row_min.min())

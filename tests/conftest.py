@@ -6,7 +6,7 @@ import pytest
 
 from fcmm import objective
 from fcmm.dataset import DataMatrix, load_csv, standardize
-from fcmm.membership import MembershipMatrix, to_power
+from fcmm.membership import MembershipMatrix, PowerMembership, to_power
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -16,6 +16,12 @@ def random_instance(rng, n, d, c, r=2.0):
     data = DataMatrix.from_points(rng.normal(size=(n, d)))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
     return data, F, to_power(F, r)
+
+
+def bracket_gradient(data, g):
+    """Gradient of q(g) = |X'g|^2 / 1'g: ``|x_i|^2 - |x_i - m|^2`` at g's center m."""
+    m = objective.compute_centers(objective.aggregates(data, PowerMembership(g[:, None])))[0]
+    return data.sq_norms - np.einsum("id,id->i", data.points - m, data.points - m)
 
 
 def count_products(monkeypatch):

@@ -59,11 +59,17 @@ def bracket_matrices(draw):
     return np.asfortranarray(brackets) if draw(st.booleans()) else brackets
 
 
+def run_kernel(brackets, r):
+    """The kernel into a column-major result, as the blocked update calls it."""
+    out = np.empty(brackets.shape, order="F")
+    return _memberships_from_brackets(brackets, brackets.min(axis=1), r, out)
+
+
 class TestKernelMatchesLogSpace:
     @settings(max_examples=300, deadline=None)
     @given(brackets=bracket_matrices(), r=st.sampled_from(R_VALUES))
     def test_agrees_with_reference(self, brackets, r):
-        F = _memberships_from_brackets(brackets, brackets.min(axis=1), r)
+        F = run_kernel(brackets, r)
         reference = log_space_reference(brackets, r)
         split = (brackets <= 0.0).any(axis=1)
         np.testing.assert_array_equal(F[split], reference[split])
@@ -74,7 +80,7 @@ class TestKernelMatchesLogSpace:
         # the smallest bracket's reciprocal overflows (1 / 2e-310 = inf),
         # so r = 2 must take the row-min route
         brackets = np.array([[2e-310, 1e-309]])
-        F = _memberships_from_brackets(brackets, brackets.min(axis=1), 2.0)
+        F = run_kernel(brackets, 2.0)
         assert np.all(np.isfinite(F))
         assert abs(F.sum() - 1.0) <= 1e-15
         np.testing.assert_allclose(F, log_space_reference(brackets, 2.0),
@@ -98,7 +104,7 @@ class TestKernelMatchesLogSpace:
             expected = "reciprocal" if np.isfinite(c / low) else "scaled"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            F = _memberships_from_brackets(brackets, brackets.min(axis=1), 2.0)
+            F = run_kernel(brackets, 2.0)
         np.testing.assert_array_equal(F, routes[expected])
         assert np.max(np.abs(F - log_space_reference(brackets, 2.0))) <= 1e-13
 

@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import count_products, random_instance
+from conftest import bracket_gradient, count_products, random_instance
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
-from fcmm.objective import (ClusterAggregates, aggregates, compute_centers, fcm_objective,
-                            phi, tangent_gradient)
+from fcmm.objective import ClusterAggregates, aggregates, compute_centers, fcm_objective, phi
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
                           update_membership_classic)
@@ -248,7 +247,8 @@ class TestMajorizer:
                                               (5.0, 1e-3), (-3.0, 1e-3), (2.0, 1e3)])
     def test_equals_the_tangent_plane_form(self, shift, scale):
         # the paper's form: phi's linear part minus the tangent plane of
-        # each quad_j/mass_j at g_j^t, which by Euler has no constant term
+        # each quad_j/mass_j at g_j^t, which by Euler has no constant term;
+        # its coefficients expanded, 2 x_i.m_j - |m_j|^2, not as differences
         rng = np.random.default_rng(43)
         for _ in range(20):
             n, d, c = int(rng.integers(5, 30)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
@@ -258,49 +258,51 @@ class TestMajorizer:
             F_t = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
             G_t, G = to_power(F_t, r), to_power(F, r)
+            centers_t = anchor_centers(data, G_t)
             h_tan = float(data.sq_norms @ G.values.sum(axis=1)) - sum(
-                float(tangent_gradient(data, G_t.values[:, j]) @ G.values[:, j])
-                for j in range(c))
-            h = fcm_objective(data, F, anchor_centers(data, G_t), r)
+                float((2.0 * data.points @ m - m @ m) @ G.values[:, j])
+                for j, m in enumerate(centers_t))
+            h = fcm_objective(data, F, centers_t, r)
             # relative to |h| alone, so the 1e-3 scales get no absolute floor
             assert abs(h_tan - h) <= 1e-10 * abs(h)
 
 
 class TestTangentGradient:
+    """phi's gradient at G is the bracket matrix |x_i - m_j|^2 at G's centers."""
+
+    def test_phi_matches_finite_differences(self):
+        rng = np.random.default_rng(38)
+        data, _, G = random_instance(rng, 8, 2, 3)
+        brackets = np.stack([np.einsum("id,id->i", data.points - m, data.points - m)
+                             for m in anchor_centers(data, G)], axis=1)
+        step = 1e-5
+        fd = np.empty_like(brackets)
+        for i, j in np.ndindex(*brackets.shape):
+            up, down = G.values.copy(), G.values.copy()
+            up[i, j] += step
+            down[i, j] -= step
+            fd[i, j] = (phi(data, PowerMembership(up))
+                        - phi(data, PowerMembership(down))) / (2.0 * step)
+        assert np.max(np.abs(fd - brackets)) <= 1e-6 * (1.0 + np.max(np.abs(brackets)))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(39)
         data = DataMatrix.from_points(rng.normal(size=(15, 3)))
         g_t = rng.uniform(0.1, 1.0, size=15)
-        grad = tangent_gradient(data, g_t)
+        grad = bracket_gradient(data, g_t)
         fd = finite_diff_gradient(data, g_t, step=1e-5)
         assert np.max(np.abs(fd - grad)) <= 1e-6 * (1.0 + np.max(np.abs(grad)))
 
     def test_indicator_hand_expansion(self):
+        # g = e_0 puts the center on x_0, so q's gradient is 2 x.x_0 - |x_0|^2
         rng = np.random.default_rng(40)
         data = DataMatrix.from_points(rng.normal(size=(8, 3)))
         g = np.zeros(8)
         g[0] = 1.0
-        grad = tangent_gradient(data, g)
+        grad = bracket_gradient(data, g)
         x0 = data.points[0]
         expect = np.array([2 * float(x @ x0) for x in data.points]) - float(x0 @ x0)
         np.testing.assert_allclose(grad, expect, rtol=1e-12, atol=1e-12)
-
-    def test_scale_invariant(self):
-        rng = np.random.default_rng(41)
-        data = DataMatrix.from_points(rng.normal(size=(12, 2)))
-        g = rng.uniform(0.2, 1.0, size=12)
-        a = tangent_gradient(data, g)
-        b = tangent_gradient(data, 3.0 * g)
-        assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
-
-    def test_wrong_length_rejected(self):
-        data = DataMatrix.from_points(np.arange(6.0).reshape(3, 2))
-        with pytest.raises(ValueError, match="length-3 vector"):
-            tangent_gradient(data, np.ones(2))
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(DegenerateClusterError):
-            tangent_gradient(TWO_POINTS_1D, np.zeros(2))
 
 
 def test_quad_over_mass_is_convex():

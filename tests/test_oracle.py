@@ -8,10 +8,10 @@ import pytest
 import fcmm.objective
 import fcmm.oracle
 import fcmm.solvers
-from conftest import random_instance
+from conftest import bracket_gradient, random_instance
 from fcmm.dataset import DataMatrix
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random
-from fcmm.objective import aggregates, compute_centers, fcm_objective, tangent_gradient
+from fcmm.objective import aggregates, compute_centers, fcm_objective
 from fcmm.oracle import (OracleReport, classic_update_oracle, descent_chain_audit,
                          finite_diff_gradient, gram_quad_oracle, gram_vector_oracle,
                          run_suite, surrogate_argmin_oracle)
@@ -165,7 +165,7 @@ class TestFiniteDifferences:
             n = int(rng.integers(5, 16))
             data = DataMatrix.from_points(rng.normal(size=(n, 2)))
             g = rng.uniform(0.1, 1.0, size=n)
-            an = tangent_gradient(data, g)
+            an = bracket_gradient(data, g)
             fd = finite_diff_gradient(data, g, step=1e-5)
             assert np.max(np.abs(fd - an)) <= 1e-6 * (1.0 + np.max(np.abs(an)))
 
@@ -175,7 +175,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(73)
         data = DataMatrix.from_points(rng.normal(size=(10, 2)))
         g = rng.uniform(0.3, 1.0, size=10)
-        an = tangent_gradient(data, g)
+        an = bracket_gradient(data, g)
         err_coarse = np.max(np.abs(finite_diff_gradient(data, g, step=2e-3) - an))
         err_fine = np.max(np.abs(finite_diff_gradient(data, g, step=1e-3) - an))
         assert 2.5 < err_coarse / err_fine < 6.0
@@ -331,8 +331,8 @@ def test_run_suite_quick_all_pass():
     assert all(r.passed for r in reports)
 
 
-def _negated(tangent_gradient):
-    return lambda data, g_t: -tangent_gradient(data, g_t)
+def _undivided(compute_centers):
+    return lambda agg: agg.y  # the weighted sums, not divided by the masses
 
 
 def _sharper(update_membership_classic):
@@ -344,10 +344,11 @@ def _inflated(phi):
 
 
 @pytest.mark.parametrize("module, name, plant, caught_by", [
-    (fcmm.oracle, "tangent_gradient", _negated, {"gradient_fd"}),
+    (fcmm.oracle, "compute_centers", _undivided,
+     {"gradient_fd", "tangency", "classic_coincidence", "descent_chain"}),
     (fcmm.solvers, "update_membership_classic", _sharper, {"classic_coincidence"}),
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
-], ids=["gradient-sign", "kernel-exponent", "phi-scale"])
+], ids=["center-mass", "kernel-exponent", "phi-scale"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

@@ -18,7 +18,7 @@ SUBMODULES = {"cli", "dataset", "exceptions", "membership", "objective", "oracle
 MODULE_ONLY = {
     "solvers": ["update_membership_classic", "update_membership_irw", "update_membership_mm",
                 "irw_auxiliary", "TraceRecord"],
-    "objective": ["ClusterAggregates", "tangent_gradient"],
+    "objective": ["ClusterAggregates"],
     "membership": ["MembershipReport"],
     "oracle": ["OracleReport", "classic_update_oracle", "descent_chain_audit",
                "finite_diff_gradient", "gram_quad_oracle", "gram_vector_oracle",

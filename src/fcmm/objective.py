@@ -97,11 +97,25 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
     _real(r, "r", 1.0)
     if F.n != data.n or np.shape(centers) != (F.c, data.d):
         raise ValueError("dimension mismatch between data, memberships and centers")
+    return _weighted_cost(F, _sq_distances(data, centers), r)
+
+
+def _sq_distances(data: DataMatrix, centers) -> list:
+    """``|x_i - m_j|^2`` from the point-center differences: one contiguous
+    n-vector per center. At fixed centers they serve any number of F."""
+    out = []
+    for center in centers:
+        diff = data.points - center
+        out.append(np.einsum("id,id->i", diff, diff))
+    return out
+
+
+def _weighted_cost(F: MembershipMatrix, dists: list, r: float) -> float:
+    """``sum_j (f_.j^r) . dists[j]``, summed over clusters in order."""
     G = F.values ** r
     total = 0.0
-    for j, center in enumerate(centers):
-        diff = data.points - center
-        total += float(G[:, j] @ np.einsum("id,id->i", diff, diff))
+    for j, dist in enumerate(dists):
+        total += float(G[:, j] @ dist)
     return total
 
 

@@ -7,7 +7,12 @@ audit of the descent chain. None of it shares math with the optimized code
 paths, so agreement is evidence rather than tautology. Used only by the test
 suite and the ``validate`` command. Each Gram pair's dot product is taken
 once and mirrored, and the sums run over Python floats in the plain double
-loops' order and grouping, so the results are bitwise those loops'.
+loops' order and grouping, so the results are bitwise those loops'. The
+Gram matrix, an n x n table of Python floats (intended for n <= 200), is
+built on the first Gram oracle call for a ``DataMatrix`` and held on that
+object, so asking for many columns of one data matrix builds it once.
+Checks at fixed centers take the points' squared distances to them once
+and weight them for every membership they compare.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import numpy as np
 
 from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, init_random, to_power
-from .objective import aggregates, compute_centers, fcm_objective, phi
-from .solvers import (SolverConfig, irw_auxiliary, update_membership_irw,
+from .objective import _sq_distances, _weighted_cost, aggregates, compute_centers, phi
+from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_irw,
                       update_membership_mm)
 
 
@@ -45,15 +50,27 @@ class OracleReport:
                 f"tolerance={self.tolerance:.1e} samples={self.samples}")
 
 
-def _gram_matrix(points: np.ndarray) -> list:
-    """Explicit Gram matrix, as nested lists of floats, by a loop over point
-    pairs: each pair's dot product is taken once and mirrored."""
-    n = points.shape[0]
-    rows = list(points)
+def _gram_matrix(data: DataMatrix) -> tuple:
+    """Explicit Gram matrix of ``data.points``, a tuple of row tuples of
+    Python floats, by a loop over point pairs: each pair's dot product is
+    taken once and mirrored.
+
+    Built on the first call for a ``data`` object and held on it for as
+    long as it lives (about 0.8 MB at n = 200, the intended limit). The
+    private ``_gram`` attribute is written and read only here; it is not a
+    field, so ``==`` and ``repr`` of ``data`` ignore it.
+    """
+    held = data.__dict__.get("_gram")
+    if held is not None:
+        return held
+    n = data.n
+    rows = list(data.points)
     gram = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for k in range(i, n):
             gram[i][k] = gram[k][i] = float(np.dot(rows[i], rows[k]))
+    gram = tuple(map(tuple, gram))
+    object.__setattr__(data, "_gram", gram)
     return gram
 
 
@@ -80,14 +97,14 @@ def gram_quad_oracle(data: DataMatrix, g) -> float:
     Intended for n <= 200; the optimized path never forms this matrix.
     """
     g = _weights(data, g, "g")
-    return _quad_form(_gram_matrix(data.points), g.tolist())
+    return _quad_form(_gram_matrix(data), g.tolist())
 
 
 def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
     """Evaluate (X'X)g through the materialized Gram matrix."""
     g = _weights(data, g, "g").tolist()
     out = []
-    for row in _gram_matrix(data.points):
+    for row in _gram_matrix(data):
         total = 0.0
         for gram_ik, g_k in zip(row, g):
             total += gram_ik * g_k
@@ -101,7 +118,7 @@ def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarra
     _real(step, "step", 0.0)
     if np.any(g_t <= step):
         raise ValueError("components of g_t must exceed the step size")
-    gram = _gram_matrix(data.points)
+    gram = _gram_matrix(data)
     g_t = g_t.tolist()
 
     def ratio(g):
@@ -147,21 +164,22 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     below the value achieved by the closed-form update. The update's own
     output is included as a self-comparison sample. h is the fuzzy-means
     cost at G_t's optimal centers (Euler: the tangent plane of quad/mass has
-    no constant term), so they are taken once and each sample is one
-    :func:`~fcmm.objective.fcm_objective`.
+    no constant term), so the centers and every point's squared distance to
+    them are taken once, and each sample weights those distances as
+    :func:`~fcmm.objective.fcm_objective` does.
     """
     _integer(trials, "trials", 1)
     _integer(seed, "seed", 0)
-    centers_t = compute_centers(aggregates(data, G_t))
+    dists = _sq_distances(data, compute_centers(aggregates(data, G_t)))
     F_star = update_membership_mm(data, G_t, r)
-    h_star = fcm_objective(data, F_star, centers_t, r)
+    h_star = _weighted_cost(F_star, dists, r)
     tolerance = 1e-9 * (1.0 + abs(h_star))
 
     rng = np.random.default_rng(seed)
     worst = 0.0  # the self sample, h_star - h_star
     for _ in range(trials):
         F = MembershipMatrix.from_values(rng.dirichlet(np.ones(G_t.c), size=G_t.n))
-        worst = max(worst, h_star - fcm_objective(data, F, centers_t, r))
+        worst = max(worst, h_star - _weighted_cost(F, dists, r))
     return OracleReport.from_error("surrogate_argmin", max(0.0, worst),
                                    tolerance, trials + 1)
 
@@ -177,20 +195,22 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     each link within ``1e-10 * (1 + |phi(F)|)``. Errors are reported
     normalized by that scale, so the tolerance column reads 1e-10. h(. | G)
     is the fuzzy-means cost at G's optimal centers (Euler: the tangent plane
-    of quad/mass has no constant term), taken once per step, so the last
-    link compares that difference form with phi's expanded form.
+    of quad/mass has no constant term); the points' squared distances to
+    them are taken once per step for both h values, so the last link
+    compares that difference form with phi's expanded form. A start F0 the
+    solvers refuse is a ValueError before any step.
     """
     _integer(steps, "steps", 1)
     F = F0
-    G = to_power(F, cfg.r)
+    G = _check_start(data, F0, cfg)
     worst = 0.0
     obj = phi(data, G)
     for _ in range(steps):
-        centers = compute_centers(aggregates(data, G))
+        dists = _sq_distances(data, compute_centers(aggregates(data, G)))
         F_next = update_membership_mm(data, G, cfg.r)
         G_next = to_power(F_next, cfg.r)
-        h_next = fcm_objective(data, F_next, centers, cfg.r)
-        h_self = fcm_objective(data, F, centers, cfg.r)
+        h_next = _weighted_cost(F_next, dists, cfg.r)
+        h_self = _weighted_cost(F, dists, cfg.r)
         obj_next = phi(data, G_next)
         scale = 1.0 + abs(obj)
         worst = max(worst,
@@ -269,14 +289,14 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     per_anchor = max(25, trials // anchors)
     for _ in range(anchors):
         data, F_t, G_t, _ = _draw_instance(rng, n_max, 2.0)
-        centers_t = compute_centers(aggregates(data, G_t))
+        dists = _sq_distances(data, compute_centers(aggregates(data, G_t)))
         obj_t = phi(data, G_t)
-        tang_worst = max(tang_worst, abs(fcm_objective(data, F_t, centers_t, 2.0) - obj_t)
+        tang_worst = max(tang_worst, abs(_weighted_cost(F_t, dists, 2.0) - obj_t)
                          / (1.0 + abs(obj_t)))
         for _ in range(per_anchor):
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(F_t.c), size=data.n))
             obj = phi(data, to_power(F, 2.0))
-            gap = obj - fcm_objective(data, F, centers_t, 2.0)
+            gap = obj - _weighted_cost(F, dists, 2.0)
             dom_worst = max(dom_worst, gap / (1.0 + abs(obj)))
     reports.append(OracleReport.from_error("tangency", tang_worst, 1e-10, anchors))
     reports.append(OracleReport.from_error("domination", dom_worst, 1e-9,

@@ -2,6 +2,8 @@
 over both Gram triangles, against Gram-free forms and on the solvers' own
 guarantees."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ import fcmm.oracle
 import fcmm.solvers
 from conftest import bracket_gradient, random_instance
 from fcmm.dataset import DataMatrix
-from fcmm.membership import MembershipMatrix, PowerMembership, init_random
-from fcmm.objective import aggregates, compute_centers, fcm_objective
+from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
+from fcmm.objective import aggregates, compute_centers, fcm_objective, phi
 from fcmm.oracle import (OracleReport, classic_update_oracle, descent_chain_audit,
                          finite_diff_gradient, gram_quad_oracle, gram_vector_oracle,
                          run_suite, surrogate_argmin_oracle)
@@ -102,6 +104,75 @@ class TestOraclesMatchDoubleLoopsBitwise:
             g = G.values[:, j]
             assert gram_quad_oracle(data, g) == reference_quad(gram, g)
             assert np.array_equal(gram_vector_oracle(data, g), reference_vector(gram, g))
+
+
+def count_dots(monkeypatch):
+    """List that grows by one per ``np.dot`` call from here on: a Gram
+    build takes one per point pair, and no Gram oracle takes any other."""
+    calls = []
+    dot = np.dot
+
+    def counted(a, b):
+        calls.append(1)
+        return dot(a, b)
+
+    monkeypatch.setattr(np, "dot", counted)
+    return calls
+
+
+def count_distances(monkeypatch):
+    """List that grows by one per set of point-to-center distances taken."""
+    calls = []
+    distances = fcmm.objective._sq_distances
+
+    def counted(data, centers):
+        calls.append(1)
+        return distances(data, centers)
+
+    for module in (fcmm.objective, fcmm.oracle):
+        monkeypatch.setattr(module, "_sq_distances", counted)
+    return calls
+
+
+class TestHeldGram:
+    def test_built_once_per_data_matrix(self, monkeypatch):
+        rng, data = seeded_points(12, 3, seed=80)
+        g = rng.uniform(0.1, 1.0, size=12)
+        dots = count_dots(monkeypatch)
+        quad = gram_quad_oracle(data, g)
+        vector = gram_vector_oracle(data, g)
+        fd = finite_diff_gradient(data, g)
+        assert gram_quad_oracle(data, g) == quad
+        assert np.array_equal(gram_vector_oracle(data, g), vector)
+        assert np.array_equal(finite_diff_gradient(data, g), fd)
+        assert len(dots) == 12 * 13 // 2
+
+        # the same points array, held as is, in another DataMatrix
+        other = DataMatrix.from_points(data.points)
+        assert other.points is data.points
+        assert gram_quad_oracle(other, g) == quad
+        assert np.array_equal(gram_vector_oracle(other, g), vector)
+        assert len(dots) == 2 * 12 * 13 // 2
+
+    def test_held_gram_is_read_only(self):
+        _, data = seeded_points(4, 2, seed=81)
+        gram = fcmm.oracle._gram_matrix(data)
+        assert fcmm.oracle._gram_matrix(data) is gram
+        with pytest.raises(TypeError):
+            gram[0] = (1.0,) * 4
+        with pytest.raises(TypeError):
+            gram[0][0] = 1.0
+
+    def test_data_compares_and_prints_as_before(self):
+        # one point of one feature, so the fields' == reduces to a bool
+        data = DataMatrix.from_points([[2.0]])
+        fresh = DataMatrix.from_points([[2.0]])
+        text = repr(data)
+        assert gram_quad_oracle(data, [1.0]) == 4.0
+        assert [f.name for f in dataclasses.fields(data)] == ["points", "sq_norms"]
+        assert data == fresh and fresh == data
+        assert repr(data) == text == repr(fresh)
+        assert "gram" not in repr(data)
 
 
 class TestWeightShape:
@@ -269,6 +340,26 @@ class TestSurrogateArgmin:
         assert surrogate_argmin_oracle(data, G_t, 2.0, trials=1000, seed=0).passed
         assert len(calls) == 2 and all(G is G_t for G in calls)
 
+    def test_distances_taken_once(self, monkeypatch):
+        calls = count_distances(monkeypatch)
+        data, _, G_t = random_instance(np.random.default_rng(79), 40, 2, 3)
+        assert surrogate_argmin_oracle(data, G_t, 2.0, trials=1000, seed=0).passed
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_same_bits_as_one_objective_per_trial(self, r):
+        data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, r)
+        centers_t = compute_centers(aggregates(data, G_t))
+        h_star = fcm_objective(data, update_membership_mm(data, G_t, r), centers_t, r)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(1000):
+            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=40))
+            worst = max(worst, h_star - fcm_objective(data, F, centers_t, r))
+        report = surrogate_argmin_oracle(data, G_t, r, trials=1000, seed=5)
+        assert report.max_error.hex() == max(0.0, worst).hex()
+        assert report.tolerance.hex() == (1e-9 * (1.0 + abs(h_star))).hex()
+
 
 class TestDescentChainAudit:
     def test_blobs_pass(self):
@@ -298,6 +389,57 @@ class TestDescentChainAudit:
                                SolverConfig(c=2, outer_tol=1e-14, max_outer_iters=2000))
         report = descent_chain_audit(data, settled.F_final, SolverConfig(c=2), steps=5)
         assert report.passed
+
+
+    def test_distances_taken_once_per_step(self, monkeypatch):
+        calls = count_distances(monkeypatch)
+        data = DataMatrix.from_points(np.random.default_rng(82).normal(size=(30, 2)))
+        assert descent_chain_audit(data, init_random(30, 3, 0), SolverConfig(c=3),
+                                   steps=20).passed
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_same_bits_as_two_objectives_per_step(self, r):
+        data = DataMatrix.from_points(np.random.default_rng(83).normal(size=(30, 2)))
+        F = init_random(30, 3, 1)
+        G = to_power(F, r)
+        obj = phi(data, G)
+        worst = 0.0
+        for _ in range(40):
+            centers = compute_centers(aggregates(data, G))
+            F_next = update_membership_mm(data, G, r)
+            G_next = to_power(F_next, r)
+            h_next = fcm_objective(data, F_next, centers, r)
+            h_self = fcm_objective(data, F, centers, r)
+            obj_next = phi(data, G_next)
+            scale = 1.0 + abs(obj)
+            worst = max(worst, (obj_next - h_next) / scale, (h_next - h_self) / scale,
+                        abs(h_self - obj) / scale)
+            F, G, obj = F_next, G_next, obj_next
+        report = descent_chain_audit(data, init_random(30, 3, 1), SolverConfig(c=3, r=r),
+                                     steps=40)
+        assert worst > 0.0
+        assert report.max_error.hex() == worst.hex()
+
+    @pytest.mark.parametrize("start, c, match", [
+        ("rows sum to 2", 3, "not row-stochastic"),
+        ("3 clusters", 5, "3 clusters but config asks for 5"),
+        ("negative entry", 3, "not row-stochastic"),
+    ])
+    def test_refuses_the_starts_the_solvers_refuse(self, start, c, match):
+        rng = np.random.default_rng(84)
+        data = DataMatrix.from_points(rng.normal(size=(30, 2)))
+        values = rng.dirichlet(np.ones(3), size=30)
+        if start == "rows sum to 2":
+            values = 2.0 * values
+        elif start == "negative entry":
+            values[0] = [1.5, -0.5, 0.0]
+        F0 = MembershipMatrix.from_values(values)
+        cfg = SolverConfig(c=c)
+        with pytest.raises(ValueError, match=match):
+            solve_fcm_mm(data, F0, cfg)
+        with pytest.raises(ValueError, match=match):
+            descent_chain_audit(data, F0, cfg, steps=5)
 
 
 class TestOracleReport:
@@ -343,12 +485,18 @@ def _inflated(phi):
     return lambda data, G: phi(data, G) * (1.0 + 1e-9)
 
 
+def _per_shape(gram_matrix):
+    held = {}
+    return lambda data: held.setdefault(data.points.shape, gram_matrix(data))
+
+
 @pytest.mark.parametrize("module, name, plant, caught_by", [
     (fcmm.oracle, "compute_centers", _undivided,
      {"gradient_fd", "tangency", "classic_coincidence", "descent_chain"}),
     (fcmm.solvers, "update_membership_classic", _sharper, {"classic_coincidence"}),
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
-], ids=["center-mass", "kernel-exponent", "phi-scale"])
+    (fcmm.oracle, "_gram_matrix", _per_shape, {"gradient_fd"}),
+], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

@@ -97,7 +97,7 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
     _real(r, "r", 1.0)
     if F.n != data.n or np.shape(centers) != (F.c, data.d):
         raise ValueError("dimension mismatch between data, memberships and centers")
-    return _weighted_cost(F, _sq_distances(data, centers), r)
+    return _weighted_cost(F.values ** r, _sq_distances(data, centers))
 
 
 def _sq_distances(data: DataMatrix, centers) -> list:
@@ -110,9 +110,9 @@ def _sq_distances(data: DataMatrix, centers) -> list:
     return out
 
 
-def _weighted_cost(F: MembershipMatrix, dists: list, r: float) -> float:
-    """``sum_j (f_.j^r) . dists[j]``, summed over clusters in order."""
-    G = F.values ** r
+def _weighted_cost(G: np.ndarray, dists: list) -> float:
+    """``sum_j g_.j . dists[j]`` for powered memberships G, summed over
+    clusters in order."""
     total = 0.0
     for j, dist in enumerate(dists):
         total += float(G[:, j] @ dist)

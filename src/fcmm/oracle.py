@@ -5,14 +5,12 @@ Gram matrices, central finite differences, the textbook classic update from
 point-center differences, randomized surrogate probing, and a step-by-step
 audit of the descent chain. None of it shares math with the optimized code
 paths, so agreement is evidence rather than tautology. Used only by the test
-suite and the ``validate`` command. Each Gram pair's dot product is taken
-once and mirrored, and the sums run over Python floats in the plain double
-loops' order and grouping, so the results are bitwise those loops'. The
-Gram matrix, an n x n table of Python floats (intended for n <= 200), is
-built on the first Gram oracle call for a ``DataMatrix`` and held on that
-object, so asking for many columns of one data matrix builds it once.
-Checks at fixed centers take the points' squared distances to them once
-and weight them for every membership they compare.
+suite and the ``validate`` command. The Gram oracles call no BLAS: their
+sums run in plain Python loops' order from 0.0, so the results are bitwise
+those loops'. The Gram matrix (intended for n <= 200) is built on the first
+Gram oracle call for a ``DataMatrix`` and held on that object. Checks at
+fixed centers take the points' squared distances to them once and weight
+them for every membership they compare.
 """
 
 from __future__ import annotations
@@ -26,6 +24,8 @@ from .membership import MembershipMatrix, PowerMembership, init_random, to_power
 from .objective import _sq_distances, _weighted_cost, aggregates, compute_centers, phi
 from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_irw,
                       update_membership_mm)
+
+_CHUNK = 256  # trials per draw in surrogate_argmin_oracle
 
 
 @dataclass(frozen=True)
@@ -50,37 +50,30 @@ class OracleReport:
                 f"tolerance={self.tolerance:.1e} samples={self.samples}")
 
 
-def _gram_matrix(data: DataMatrix) -> tuple:
-    """Explicit Gram matrix of ``data.points``, a tuple of row tuples of
-    Python floats, by a loop over point pairs: each pair's dot product is
-    taken once and mirrored.
+def _gram_matrix(data: DataMatrix) -> np.ndarray:
+    """Explicit Gram matrix of ``data.points``, a read-only n x n ndarray.
 
-    Built on the first call for a ``data`` object and held on it for as
-    long as it lives (about 0.8 MB at n = 200, the intended limit). The
-    private ``_gram`` attribute is written and read only here; it is not a
-    field, so ``==`` and ``repr`` of ``data`` ignore it.
+    Entry (i, k) sums ``x_il * x_kl`` from 0.0 over the coordinates l in
+    order, one coordinate column per pass: bitwise a plain Python loop,
+    symmetric, and free of BLAS, whose dot product rounds as its build
+    does. Held on ``data`` once built (0.32 MB at n = 200) as a private
+    ``_gram`` attribute, not a field, so ``==`` and ``repr`` ignore it.
     """
     held = data.__dict__.get("_gram")
     if held is not None:
         return held
-    n = data.n
-    rows = list(data.points)
-    gram = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(i, n):
-            gram[i][k] = gram[k][i] = float(np.dot(rows[i], rows[k]))
-    gram = tuple(map(tuple, gram))
+    gram = np.zeros((data.n, data.n))
+    for column in data.points.T:
+        gram += column[:, None] * column
+    gram.setflags(write=False)
     object.__setattr__(data, "_gram", gram)
     return gram
 
 
-def _quad_form(gram: list, g: list) -> float:
-    """g' gram g by double loop, summed over i, then k."""
-    total = 0.0
-    for g_i, row in zip(g, gram):
-        for gram_ik, g_k in zip(row, g):
-            total += g_i * gram_ik * g_k
-    return total
+def _quad_form(gram: np.ndarray, g: np.ndarray) -> float:
+    """g' gram g as ``(g_i * gram_ik) * g_k`` summed over i, then k, by a
+    running sum from 0.0: bitwise a plain double loop, sign of zero too."""
+    return float(np.add.accumulate(np.append(0.0, g[:, None] * gram * g))[-1])
 
 
 def _weights(data: DataMatrix, g, name: str) -> np.ndarray:
@@ -96,20 +89,16 @@ def gram_quad_oracle(data: DataMatrix, g) -> float:
 
     Intended for n <= 200; the optimized path never forms this matrix.
     """
-    g = _weights(data, g, "g")
-    return _quad_form(_gram_matrix(data), g.tolist())
+    return _quad_form(_gram_matrix(data), _weights(data, g, "g"))
 
 
 def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
-    """Evaluate (X'X)g through the materialized Gram matrix."""
-    g = _weights(data, g, "g").tolist()
-    out = []
-    for row in _gram_matrix(data):
-        total = 0.0
-        for gram_ik, g_k in zip(row, g):
-            total += gram_ik * g_k
-        out.append(total)
-    return np.array(out)
+    """Evaluate (X'X)g through the materialized Gram matrix, each entry a
+    running sum of ``gram_ik * g_k`` over k from 0.0, as a plain loop."""
+    g = _weights(data, g, "g")
+    terms = np.zeros((data.n, data.n + 1))
+    terms[:, 1:] = _gram_matrix(data) * g
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarray:
@@ -119,11 +108,10 @@ def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarra
     if np.any(g_t <= step):
         raise ValueError("components of g_t must exceed the step size")
     gram = _gram_matrix(data)
-    g_t = g_t.tolist()
 
     def ratio(g):
         den = 0.0  # not sum(): from Python 3.12 it compensates rounding
-        for g_i in g:
+        for g_i in g.tolist():
             den += g_i
         return _quad_form(gram, g) / den
 
@@ -166,20 +154,26 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     cost at G_t's optimal centers (Euler: the tangent plane of quad/mass has
     no constant term), so the centers and every point's squared distance to
     them are taken once, and each sample weights those distances as
-    :func:`~fcmm.objective.fcm_objective` does.
+    :func:`~fcmm.objective.fcm_objective` does. Samples are drawn and
+    raised to the power r in chunks of ``_CHUNK`` trials: the same stream
+    as one draw per trial, in memory that does not grow with ``trials``.
+    A non-finite draw is a ValueError.
     """
     _integer(trials, "trials", 1)
     _integer(seed, "seed", 0)
     dists = _sq_distances(data, compute_centers(aggregates(data, G_t)))
     F_star = update_membership_mm(data, G_t, r)
-    h_star = _weighted_cost(F_star, dists, r)
+    h_star = _weighted_cost(F_star.values ** r, dists)
     tolerance = 1e-9 * (1.0 + abs(h_star))
 
     rng = np.random.default_rng(seed)
     worst = 0.0  # the self sample, h_star - h_star
-    for _ in range(trials):
-        F = MembershipMatrix.from_values(rng.dirichlet(np.ones(G_t.c), size=G_t.n))
-        worst = max(worst, h_star - _weighted_cost(F, dists, r))
+    for start in range(0, trials, _CHUNK):
+        draws = rng.dirichlet(np.ones(G_t.c), size=(min(_CHUNK, trials - start), G_t.n))
+        if not np.isfinite(draws).all():
+            raise ValueError("membership values must be finite")
+        for G in draws ** r:
+            worst = max(worst, h_star - _weighted_cost(G, dists))
     return OracleReport.from_error("surrogate_argmin", max(0.0, worst),
                                    tolerance, trials + 1)
 
@@ -201,23 +195,21 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     solvers refuse is a ValueError before any step.
     """
     _integer(steps, "steps", 1)
-    F = F0
     G = _check_start(data, F0, cfg)
     worst = 0.0
     obj = phi(data, G)
     for _ in range(steps):
         dists = _sq_distances(data, compute_centers(aggregates(data, G)))
-        F_next = update_membership_mm(data, G, cfg.r)
-        G_next = to_power(F_next, cfg.r)
-        h_next = _weighted_cost(F_next, dists, cfg.r)
-        h_self = _weighted_cost(F, dists, cfg.r)
+        G_next = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
+        h_next = _weighted_cost(G_next.values, dists)
+        h_self = _weighted_cost(G.values, dists)
         obj_next = phi(data, G_next)
         scale = 1.0 + abs(obj)
         worst = max(worst,
                     (obj_next - h_next) / scale,
                     (h_next - h_self) / scale,
                     abs(h_self - obj) / scale)
-        F, G, obj = F_next, G_next, obj_next
+        G, obj = G_next, obj_next
     return OracleReport.from_error("descent_chain", worst, 1e-10, steps)
 
 
@@ -253,11 +245,17 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     reports = []
 
-    # Gram-free aggregates vs explicit Gram evaluation.
+    # Gram-free aggregates vs explicit Gram evaluation. The last two data
+    # matrices share one shape, so a Gram matrix held per shape fails here;
+    # they come from a stream of their own, so no other check's draws move.
+    twins = np.random.default_rng([seed, 1])
+    twin, _, G_twin, _ = _draw_instance(twins, n_max, 2.0)
+    pairs = [_draw_instance(rng, n_max, 2.0)[::2] for _ in range(n_instances)]
+    pairs += [(twin, G_twin), (DataMatrix.from_points(twins.normal(size=twin.points.shape)),
+                               G_twin)]
     worst = 0.0
     samples = 0
-    for _ in range(n_instances):
-        data, _, G, _ = _draw_instance(rng, n_max, 2.0)
+    for data, G in pairs:
         agg = aggregates(data, G)
         for j in range(G.c):
             quad_ref = gram_quad_oracle(data, G.values[:, j])
@@ -288,15 +286,16 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     anchors = max(4, n_instances)
     per_anchor = max(25, trials // anchors)
     for _ in range(anchors):
-        data, F_t, G_t, _ = _draw_instance(rng, n_max, 2.0)
+        data, _, G_t, _ = _draw_instance(rng, n_max, 2.0)
         dists = _sq_distances(data, compute_centers(aggregates(data, G_t)))
         obj_t = phi(data, G_t)
-        tang_worst = max(tang_worst, abs(_weighted_cost(F_t, dists, 2.0) - obj_t)
+        tang_worst = max(tang_worst, abs(_weighted_cost(G_t.values, dists) - obj_t)
                          / (1.0 + abs(obj_t)))
         for _ in range(per_anchor):
-            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(F_t.c), size=data.n))
-            obj = phi(data, to_power(F, 2.0))
-            gap = obj - _weighted_cost(F, dists, 2.0)
+            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(G_t.c), size=data.n))
+            G = to_power(F, 2.0)
+            obj = phi(data, G)
+            gap = obj - _weighted_cost(G.values, dists)
             dom_worst = max(dom_worst, gap / (1.0 + abs(obj)))
     reports.append(OracleReport.from_error("tangency", tang_worst, 1e-10, anchors))
     reports.append(OracleReport.from_error("domination", dom_worst, 1e-9,

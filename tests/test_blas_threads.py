@@ -1,9 +1,11 @@
-"""Solver outputs do not depend on the BLAS thread count.
+"""Solver outputs and the verification battery's reports do not depend on
+the BLAS thread count.
 
 Above a size, a threaded BLAS splits one product among its threads and the
 bits of the result follow the thread count. The cluster masses and the
 objective's linear term are numpy reductions that use no BLAS; ``G'X`` is
-the one sum over all points that BLAS computes.
+the one sum over all points that BLAS computes. The battery's Gram oracles
+call no BLAS at all.
 Each run is a child process, since the thread count is read when numpy
 loads, and reports the thread count the BLAS really uses.
 """
@@ -25,6 +27,7 @@ import numpy as np
 from stamp import _blas_runtime
 from fcmm.dataset import SyntheticSpec, make_blobs, standardize
 from fcmm.membership import PowerMembership, init_random
+from fcmm.oracle import run_suite
 from fcmm.solvers import SolverConfig, solve_fcm_mm, solve_irw_fcm
 
 print("threads", _blas_runtime()[0])
@@ -46,6 +49,9 @@ rng = np.random.default_rng(0)
 for c in (20, 57, 100):
     sums = PowerMembership(rng.random((50000, c))).col_sums
     print("col_sums", c, hashlib.sha256(sums.tobytes()).hexdigest())
+# the verification battery; its Gram oracles call no BLAS
+errors = " ".join(report.max_error.hex() for report in run_suite("quick", 0))
+print("run_suite", hashlib.sha256(errors.encode()).hexdigest())
 """
 
 
@@ -66,5 +72,5 @@ def test_mm_and_irw_are_bitwise_on_one_and_two_blas_threads():
         threads, runs[asked] = _run(asked)
         if threads != asked:  # a 1-CPU machine, or a BLAS other than OpenBLAS
             pytest.skip(f"the BLAS ran {threads} thread(s) when asked for {asked}")
-    assert len(runs["1"]) == 5
+    assert len(runs["1"]) == 6
     assert runs["2"] == runs["1"]

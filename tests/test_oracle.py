@@ -1,4 +1,4 @@
-"""The brute-force oracles, checked bit for bit against plain double loops
+"""The brute-force oracles, checked bit for bit against plain Python loops
 over both Gram triangles, against Gram-free forms and on the solvers' own
 guarantees."""
 
@@ -21,47 +21,60 @@ from fcmm.solvers import SolverConfig, solve_fcm_mm, update_membership_mm
 
 
 def reference_gram(points):
-    """Every pair's dot product, both triangles, into an ndarray."""
-    n = points.shape[0]
-    gram = np.empty((n, n))
-    for i in range(n):
-        for k in range(n):
-            gram[i, k] = float(np.dot(points[i], points[k]))
+    """Every pair's coordinate products summed from 0.0 in coordinate
+    order, both triangles, as lists of Python floats: no numpy arithmetic."""
+    rows = points.tolist()
+    gram = []
+    for x_i in rows:
+        gram_row = []
+        for x_k in rows:
+            total = 0.0
+            for a, b in zip(x_i, x_k):
+                total += a * b
+            gram_row.append(total)
+        gram.append(gram_row)
     return gram
 
 
 def reference_quad(gram, g):
     total = 0.0
-    for i in range(gram.shape[0]):
-        for k in range(gram.shape[0]):
-            total += g[i] * gram[i, k] * g[k]
+    for g_i, row in zip(g, gram):
+        for gram_ik, g_k in zip(row, g):
+            total += g_i * gram_ik * g_k
     return total
 
 
 def reference_vector(gram, g):
-    out = np.zeros(gram.shape[0])
-    for i in range(gram.shape[0]):
-        for k in range(gram.shape[0]):
-            out[i] += gram[i, k] * g[k]
+    out = []
+    for row in gram:
+        total = 0.0
+        for gram_ik, g_k in zip(row, g):
+            total += gram_ik * g_k
+        out.append(total)
     return out
 
 
 def reference_finite_diff(gram, g_t, step):
     def ratio(g):
-        num = reference_quad(gram, g)
         den = 0.0
-        for i in range(g.shape[0]):
-            den += g[i]
-        return num / den
+        for g_i in g:
+            den += g_i
+        return reference_quad(gram, g) / den
 
-    out = np.empty(g_t.shape[0])
-    for i in range(g_t.shape[0]):
-        up = g_t.copy()
-        down = g_t.copy()
+    out = []
+    for i in range(len(g_t)):
+        up = list(g_t)
+        down = list(g_t)
         up[i] += step
         down[i] -= step
-        out[i] = (ratio(up) - ratio(down)) / (2.0 * step)
+        out.append((ratio(up) - ratio(down)) / (2.0 * step))
     return out
+
+
+def same_bits(array, floats):
+    """An oracle's float64 vector holds exactly these Python floats, signs
+    of zero included (``==`` and ``array_equal`` take -0.0 for 0.0)."""
+    return array.dtype == np.float64 and array.tobytes() == np.array(floats).tobytes()
 
 
 def seeded_points(n, d, seed, duplicates=False):
@@ -73,18 +86,23 @@ def seeded_points(n, d, seed, duplicates=False):
 
 
 class TestOraclesMatchDoubleLoopsBitwise:
-    """Pairs are mirrored and the sums run over Python floats, in the same
-    order and grouping as the plain loops, so every bit must agree."""
+    """The oracles' array sums run in the plain loops' order from 0.0, so
+    every bit must agree, the sign of a zero result included."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 80, 200])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_gram_oracles(self, n, d):
         rng, data = seeded_points(n, d, seed=100 * n + d, duplicates=d % 2 == 0)
         gram = reference_gram(data.points)
+        assert same_bits(fcmm.oracle._gram_matrix(data), gram)
+        # signed zeros: where every product is -0.0 (n = 1, or a row of
+        # positive entries), a sum that starts from its first term instead
+        # of from 0.0 returns -0.0
         for g in (rng.uniform(0.0, 1.0, size=n), np.ones(n), np.zeros(n),
-                  np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))):
-            assert gram_quad_oracle(data, g) == reference_quad(gram, g)
-            assert np.array_equal(gram_vector_oracle(data, g), reference_vector(gram, g))
+                  np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n)),
+                  np.where(np.arange(n) % 2 == 0, -0.0, 0.0), np.full(n, -0.0)):
+            assert gram_quad_oracle(data, g).hex() == reference_quad(gram, g.tolist()).hex()
+            assert same_bits(gram_vector_oracle(data, g), reference_vector(gram, g.tolist()))
 
     # the reference takes 2n loops over an n x n Gram matrix, so the large
     # case runs once
@@ -93,8 +111,8 @@ class TestOraclesMatchDoubleLoopsBitwise:
     def test_finite_diff_gradient(self, n, d):
         rng, data = seeded_points(n, d, seed=7 * n + d, duplicates=d % 2 == 0)
         g_t = rng.uniform(0.1, 1.0, size=n)
-        expected = reference_finite_diff(reference_gram(data.points), g_t, 1e-5)
-        assert np.array_equal(finite_diff_gradient(data, g_t, step=1e-5), expected)
+        expected = reference_finite_diff(reference_gram(data.points), g_t.tolist(), 1e-5)
+        assert same_bits(finite_diff_gradient(data, g_t, step=1e-5), expected)
 
     def test_columns_of_a_membership_matrix(self):
         rng = np.random.default_rng(77)
@@ -102,22 +120,24 @@ class TestOraclesMatchDoubleLoopsBitwise:
         gram = reference_gram(data.points)
         for j in range(4):
             g = G.values[:, j]
-            assert gram_quad_oracle(data, g) == reference_quad(gram, g)
-            assert np.array_equal(gram_vector_oracle(data, g), reference_vector(gram, g))
+            assert gram_quad_oracle(data, g).hex() == reference_quad(gram, g.tolist()).hex()
+            assert same_bits(gram_vector_oracle(data, g), reference_vector(gram, g.tolist()))
 
 
-def count_dots(monkeypatch):
-    """List that grows by one per ``np.dot`` call from here on: a Gram
-    build takes one per point pair, and no Gram oracle takes any other."""
-    calls = []
-    dot = np.dot
+def count_builds(monkeypatch):
+    """List of the distinct Gram matrices the oracles have received from
+    here on: a held matrix is the same object, so each entry is a build."""
+    built = []
+    gram_matrix = fcmm.oracle._gram_matrix
 
-    def counted(a, b):
-        calls.append(1)
-        return dot(a, b)
+    def counted(data):
+        gram = gram_matrix(data)
+        if not any(gram is other for other in built):
+            built.append(gram)
+        return gram
 
-    monkeypatch.setattr(np, "dot", counted)
-    return calls
+    monkeypatch.setattr(fcmm.oracle, "_gram_matrix", counted)
+    return built
 
 
 def count_distances(monkeypatch):
@@ -138,30 +158,31 @@ class TestHeldGram:
     def test_built_once_per_data_matrix(self, monkeypatch):
         rng, data = seeded_points(12, 3, seed=80)
         g = rng.uniform(0.1, 1.0, size=12)
-        dots = count_dots(monkeypatch)
+        built = count_builds(monkeypatch)
         quad = gram_quad_oracle(data, g)
         vector = gram_vector_oracle(data, g)
         fd = finite_diff_gradient(data, g)
         assert gram_quad_oracle(data, g) == quad
         assert np.array_equal(gram_vector_oracle(data, g), vector)
         assert np.array_equal(finite_diff_gradient(data, g), fd)
-        assert len(dots) == 12 * 13 // 2
+        assert len(built) == 1
 
         # the same points array, held as is, in another DataMatrix
         other = DataMatrix.from_points(data.points)
         assert other.points is data.points
         assert gram_quad_oracle(other, g) == quad
         assert np.array_equal(gram_vector_oracle(other, g), vector)
-        assert len(dots) == 2 * 12 * 13 // 2
+        assert len(built) == 2
 
     def test_held_gram_is_read_only(self):
         _, data = seeded_points(4, 2, seed=81)
         gram = fcmm.oracle._gram_matrix(data)
         assert fcmm.oracle._gram_matrix(data) is gram
-        with pytest.raises(TypeError):
-            gram[0] = (1.0,) * 4
-        with pytest.raises(TypeError):
-            gram[0][0] = 1.0
+        assert isinstance(gram, np.ndarray) and gram.shape == (4, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 0] = 1.0
 
     def test_data_compares_and_prints_as_before(self):
         # one point of one feature, so the fields' == reduces to a bool
@@ -346,19 +367,54 @@ class TestSurrogateArgmin:
         assert surrogate_argmin_oracle(data, G_t, 2.0, trials=1000, seed=0).passed
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
-    def test_same_bits_as_one_objective_per_trial(self, r):
+    @staticmethod
+    def check_one_objective_per_trial(monkeypatch, r, trials):
+        # The chunks' reference: one draw and one fcm_objective per trial.
+        # The closed-form update is swapped for every point on its farthest
+        # center, which each draw beats (f**r <= f), so max_error is the
+        # best draw's margin and every draw's bits can move it.
         data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, r)
         centers_t = compute_centers(aggregates(data, G_t))
-        h_star = fcm_objective(data, update_membership_mm(data, G_t, r), centers_t, r)
+
+        def farthest(data, G, r):
+            far = np.square(data.points[:, None, :] - centers_t).sum(axis=2).argmax(axis=1)
+            return MembershipMatrix.from_values(np.eye(3)[far])
+
+        monkeypatch.setattr(fcmm.oracle, "update_membership_mm", farthest)
+        h_bad = fcm_objective(data, farthest(data, G_t, r), centers_t, r)
         rng = np.random.default_rng(5)
         worst = 0.0
-        for _ in range(1000):
+        for _ in range(trials):
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=40))
-            worst = max(worst, h_star - fcm_objective(data, F, centers_t, r))
-        report = surrogate_argmin_oracle(data, G_t, r, trials=1000, seed=5)
-        assert report.max_error.hex() == max(0.0, worst).hex()
-        assert report.tolerance.hex() == (1e-9 * (1.0 + abs(h_star))).hex()
+            worst = max(worst, h_bad - fcm_objective(data, F, centers_t, r))
+        report = surrogate_argmin_oracle(data, G_t, r, trials=trials, seed=5)
+        assert worst > 0.0
+        assert report.max_error.hex() == worst.hex()
+        assert report.tolerance.hex() == (1e-9 * (1.0 + abs(h_bad))).hex()
+        assert report.samples == trials + 1
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_same_bits_as_one_objective_per_trial(self, monkeypatch, r):
+        self.check_one_objective_per_trial(monkeypatch, r, 1000)
+
+    @pytest.mark.parametrize("trials", [1, fcmm.oracle._CHUNK - 1, fcmm.oracle._CHUNK,
+                                        fcmm.oracle._CHUNK + 1])
+    def test_chunk_edges_same_bits_as_one_draw_per_trial(self, monkeypatch, trials):
+        self.check_one_objective_per_trial(monkeypatch, 1.5, trials)
+
+    def test_non_finite_draw_refused(self, monkeypatch):
+        data, _, G_t = random_instance(np.random.default_rng(81), 10, 2, 3)
+
+        class NanInLastChunk:
+            def dirichlet(self, alpha, size):
+                draws = np.full(np.shape(np.empty(size)) + (len(alpha),), 1.0 / len(alpha))
+                if np.shape(draws)[0] < fcmm.oracle._CHUNK:
+                    draws[-1, 0, 0] = np.nan
+                return draws
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NanInLastChunk())
+        with pytest.raises(ValueError, match="must be finite"):
+            surrogate_argmin_oracle(data, G_t, 2.0, trials=fcmm.oracle._CHUNK + 3, seed=0)
 
 
 class TestDescentChainAudit:
@@ -458,7 +514,8 @@ def test_run_suite_quick_all_pass():
     # may not drop, shrink or loosen one
     reports = run_suite("quick", seed=0)
     assert [(r.check_name, r.tolerance, r.samples) for r in reports[:-1]] == [
-        ("gram_agreement", 1e-10, 16),
+        # 16 from the five drawn instances, 2 x 5 from the two of one shape
+        ("gram_agreement", 1e-10, 26),
         ("gradient_fd", 1e-6, 10),
         ("tangency", 1e-10, 5),
         ("domination", 1e-9, 200),
@@ -495,7 +552,7 @@ def _per_shape(gram_matrix):
      {"gradient_fd", "tangency", "classic_coincidence", "descent_chain"}),
     (fcmm.solvers, "update_membership_classic", _sharper, {"classic_coincidence"}),
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
-    (fcmm.oracle, "_gram_matrix", _per_shape, {"gradient_fd"}),
+    (fcmm.oracle, "_gram_matrix", _per_shape, {"gram_agreement", "gradient_fd"}),
 ], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))

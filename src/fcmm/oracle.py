@@ -98,7 +98,7 @@ def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
     g = _weights(data, g, "g")
     terms = np.zeros((data.n, data.n + 1))
     terms[:, 1:] = _gram_matrix(data) * g
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    return np.add.accumulate(terms, axis=1)[:, -1].copy()
 
 
 def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarray:
@@ -155,9 +155,10 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     no constant term), so the centers and every point's squared distance to
     them are taken once, and each sample weights those distances as
     :func:`~fcmm.objective.fcm_objective` does. Samples are drawn and
-    raised to the power r in chunks of ``_CHUNK`` trials: the same stream
-    as one draw per trial, in memory that does not grow with ``trials``.
-    A non-finite draw is a ValueError.
+    raised to the power r in chunks of ``_CHUNK`` trials, the same stream
+    as one draw per trial: ``trials`` is unbounded, and one draw of all
+    would hold trials x n x c floats twice (8 MB each at 1000 trials,
+    n = 200, c = 5). A non-finite draw is a ValueError.
     """
     _integer(trials, "trials", 1)
     _integer(seed, "seed", 0)

@@ -367,13 +367,27 @@ class TestSurrogateArgmin:
         assert surrogate_argmin_oracle(data, G_t, 2.0, trials=1000, seed=0).passed
         assert len(calls) == 1
 
-    @staticmethod
-    def check_one_objective_per_trial(monkeypatch, r, trials):
-        # The chunks' reference: one draw and one fcm_objective per trial.
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_same_bits_as_one_objective_per_trial(self, r):
+        data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, r)
+        centers_t = compute_centers(aggregates(data, G_t))
+        h_star = fcm_objective(data, update_membership_mm(data, G_t, r), centers_t, r)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(1000):
+            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=40))
+            worst = max(worst, h_star - fcm_objective(data, F, centers_t, r))
+        report = surrogate_argmin_oracle(data, G_t, r, trials=1000, seed=5)
+        assert report.max_error.hex() == max(0.0, worst).hex()
+        assert report.tolerance.hex() == (1e-9 * (1.0 + abs(h_star))).hex()
+
+    @pytest.mark.parametrize("trials", [1, fcmm.oracle._CHUNK - 1, fcmm.oracle._CHUNK,
+                                        fcmm.oracle._CHUNK + 1, 1000])
+    def test_chunks_same_bits_as_one_draw_per_trial(self, monkeypatch, trials):
         # The closed-form update is swapped for every point on its farthest
         # center, which each draw beats (f**r <= f), so max_error is the
         # best draw's margin and every draw's bits can move it.
-        data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, r)
+        data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, 1.5)
         centers_t = compute_centers(aggregates(data, G_t))
 
         def farthest(data, G, r):
@@ -381,26 +395,16 @@ class TestSurrogateArgmin:
             return MembershipMatrix.from_values(np.eye(3)[far])
 
         monkeypatch.setattr(fcmm.oracle, "update_membership_mm", farthest)
-        h_bad = fcm_objective(data, farthest(data, G_t, r), centers_t, r)
+        h_bad = fcm_objective(data, farthest(data, G_t, 1.5), centers_t, 1.5)
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(trials):
             F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=40))
-            worst = max(worst, h_bad - fcm_objective(data, F, centers_t, r))
-        report = surrogate_argmin_oracle(data, G_t, r, trials=trials, seed=5)
+            worst = max(worst, h_bad - fcm_objective(data, F, centers_t, 1.5))
+        report = surrogate_argmin_oracle(data, G_t, 1.5, trials=trials, seed=5)
         assert worst > 0.0
         assert report.max_error.hex() == worst.hex()
-        assert report.tolerance.hex() == (1e-9 * (1.0 + abs(h_bad))).hex()
         assert report.samples == trials + 1
-
-    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
-    def test_same_bits_as_one_objective_per_trial(self, monkeypatch, r):
-        self.check_one_objective_per_trial(monkeypatch, r, 1000)
-
-    @pytest.mark.parametrize("trials", [1, fcmm.oracle._CHUNK - 1, fcmm.oracle._CHUNK,
-                                        fcmm.oracle._CHUNK + 1])
-    def test_chunk_edges_same_bits_as_one_draw_per_trial(self, monkeypatch, trials):
-        self.check_one_objective_per_trial(monkeypatch, 1.5, trials)
 
     def test_non_finite_draw_refused(self, monkeypatch):
         data, _, G_t = random_instance(np.random.default_rng(81), 10, 2, 3)

@@ -225,7 +225,11 @@ def cmd_validate(scale: str = "quick", seed: int = 0) -> int:
 
 
 def _parse_int_list(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated column indices, got {text!r}") from None
 
 
 def _parse_str_list(text):

@@ -97,15 +97,21 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
     _real(r, "r", 1.0)
     if F.n != data.n or np.shape(centers) != (F.c, data.d):
         raise ValueError("dimension mismatch between data, memberships and centers")
-    return _weighted_cost(F.values ** r, _sq_distances(data, centers))
+    return _weighted_cost(F.values ** r, _sq_distances(data.points, centers))
 
 
-def _sq_distances(data: DataMatrix, centers) -> list:
+def _sq_distances(points: np.ndarray, centers) -> list:
     """``|x_i - m_j|^2`` from the point-center differences: one contiguous
-    n-vector per center. At fixed centers they serve any number of F."""
+    n-vector per center. At fixed centers they serve any number of F.
+
+    The package's one difference-form distance routine: :func:`fcm_objective`,
+    the kernel's near-center rows in
+    :func:`~fcmm.solvers.update_membership_classic` and the oracle's checks
+    at fixed centers all call it.
+    """
     out = []
     for center in centers:
-        diff = data.points - center
+        diff = points - center
         out.append(np.einsum("id,id->i", diff, diff))
     return out
 

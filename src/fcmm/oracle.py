@@ -22,8 +22,8 @@ import numpy as np
 from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, init_random, to_power
 from .objective import _sq_distances, _weighted_cost, aggregates, compute_centers, phi
-from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_irw,
-                      update_membership_mm)
+from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_classic,
+                      update_membership_irw, update_membership_mm)
 
 _CHUNK = 256  # trials per draw in surrogate_argmin_oracle
 
@@ -151,9 +151,9 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     surrogate at each, and reports how far (if at all) any of them dips
     below the value achieved by the closed-form update. The update's own
     output is included as a self-comparison sample. h is the fuzzy-means
-    cost at G_t's optimal centers (Euler: the tangent plane of quad/mass has
-    no constant term), so the centers and every point's squared distance to
-    them are taken once, and each sample weights those distances as
+    cost at G_t's optimal centers (see :mod:`fcmm.objective`), so the
+    centers and every point's squared distance to them are taken once,
+    and each sample weights those distances as
     :func:`~fcmm.objective.fcm_objective` does. Samples are drawn and
     raised to the power r in chunks of ``_CHUNK`` trials, the same stream
     as one draw per trial: ``trials`` is unbounded, and one draw of all
@@ -162,7 +162,7 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     """
     _integer(trials, "trials", 1)
     _integer(seed, "seed", 0)
-    dists = _sq_distances(data, compute_centers(aggregates(data, G_t)))
+    dists = _sq_distances(data.points, compute_centers(aggregates(data, G_t)))
     F_star = update_membership_mm(data, G_t, r)
     h_star = _weighted_cost(F_star.values ** r, dists)
     tolerance = 1e-9 * (1.0 + abs(h_star))
@@ -189,9 +189,9 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
 
     each link within ``1e-10 * (1 + |phi(F)|)``. Errors are reported
     normalized by that scale, so the tolerance column reads 1e-10. h(. | G)
-    is the fuzzy-means cost at G's optimal centers (Euler: the tangent plane
-    of quad/mass has no constant term); the points' squared distances to
-    them are taken once per step for both h values, so the last link
+    is the fuzzy-means cost at G's optimal centers (see
+    :mod:`fcmm.objective`); the points' squared distances to them are
+    taken once per step for both h values, so the last link
     compares that difference form with phi's expanded form. A start F0 the
     solvers refuse is a ValueError before any step.
     """
@@ -200,7 +200,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     worst = 0.0
     obj = phi(data, G)
     for _ in range(steps):
-        dists = _sq_distances(data, compute_centers(aggregates(data, G)))
+        dists = _sq_distances(data.points, compute_centers(aggregates(data, G)))
         G_next = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
         h_next = _weighted_cost(G_next.values, dists)
         h_self = _weighted_cost(G.values, dists)
@@ -218,7 +218,8 @@ def _draw_instance(rng, n_max, r=None):
     """Gaussian points and a flat-Dirichlet membership of random shape.
 
     Draws n in [5, n_max], d in [1, 5], c in [2, 5], then r from
-    {1.5, 2, 3} unless given; returns data, F, G = F**r and r.
+    {1.5, 2, 3} unless given, then points and F; returns data, G = F**r
+    and r.
     """
     n = int(rng.integers(5, n_max + 1))
     d = int(rng.integers(1, 6))
@@ -227,7 +228,7 @@ def _draw_instance(rng, n_max, r=None):
         r = float(rng.choice([1.5, 2.0, 3.0]))
     data = DataMatrix.from_points(rng.normal(size=(n, d)))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
-    return data, F, to_power(F, r), r
+    return data, to_power(F, r), r
 
 
 def run_suite(scale: str = "quick", seed: int = 0) -> list:
@@ -250,8 +251,8 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     # matrices share one shape, so a Gram matrix held per shape fails here;
     # they come from a stream of their own, so no other check's draws move.
     twins = np.random.default_rng([seed, 1])
-    twin, _, G_twin, _ = _draw_instance(twins, n_max, 2.0)
-    pairs = [_draw_instance(rng, n_max, 2.0)[::2] for _ in range(n_instances)]
+    twin, G_twin, _ = _draw_instance(twins, n_max, 2.0)
+    pairs = [_draw_instance(rng, n_max, 2.0)[:2] for _ in range(n_instances)]
     pairs += [(twin, G_twin), (DataMatrix.from_points(twins.normal(size=twin.points.shape)),
                                G_twin)]
     worst = 0.0
@@ -273,7 +274,7 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
         data = DataMatrix.from_points(rng.normal(size=(n, d)))
         g_t = rng.uniform(0.1, 1.0, size=n)
         m = compute_centers(aggregates(data, PowerMembership(g_t[:, None])))[0]
-        grad = data.sq_norms - np.einsum("id,id->i", data.points - m, data.points - m)
+        grad = data.sq_norms - _sq_distances(data.points, [m])[0]
         fd = finite_diff_gradient(data, g_t, step=1e-5)
         worst = max(worst, float(np.max(np.abs(fd - grad)))
                     / (1.0 + float(np.max(np.abs(grad)))))
@@ -287,8 +288,8 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     anchors = max(4, n_instances)
     per_anchor = max(25, trials // anchors)
     for _ in range(anchors):
-        data, _, G_t, _ = _draw_instance(rng, n_max, 2.0)
-        dists = _sq_distances(data, compute_centers(aggregates(data, G_t)))
+        data, G_t, _ = _draw_instance(rng, n_max, 2.0)
+        dists = _sq_distances(data.points, compute_centers(aggregates(data, G_t)))
         obj_t = phi(data, G_t)
         tang_worst = max(tang_worst, abs(_weighted_cost(G_t.values, dists) - obj_t)
                          / (1.0 + abs(obj_t)))
@@ -307,7 +308,7 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     worst_irw = 0.0
     worst_classic = 0.0
     for _ in range(n_instances * 4):
-        data, _, G_t, r = _draw_instance(rng, n_max)
+        data, G_t, r = _draw_instance(rng, n_max)
         F_mm = update_membership_mm(data, G_t, r)
         F_irw = update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r)
         centers = compute_centers(aggregates(data, G_t))
@@ -317,8 +318,30 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
                             float(np.max(np.abs(F_mm.values - F_classic.values))))
     reports.append(OracleReport.from_error("single_step_equivalence", worst_irw,
                                            1e-12, n_instances * 4))
+
+    # The kernel at explicit centers, with points on them and 1e-9 from
+    # them, where it recomputes rows from the differences. r cycles through
+    # 1.5, 2 and 3 so every scale draws r = 3, which amplifies a near-center
+    # bracket's rounding most. A stream of their own: no other draws move.
+    near = np.random.default_rng([seed, 2])
+    for k in range(n_instances):
+        n = int(near.integers(5, n_max + 1))
+        d = int(near.integers(1, 6))
+        c = int(near.integers(2, 6))
+        r = (1.5, 2.0, 3.0)[k % 3]
+        centers = near.normal(size=(c, d))
+        points = near.normal(size=(n, d))
+        # every third point from the second on a center, from the third 1e-9 from one
+        owner = centers[near.integers(0, c, size=n)]
+        points[1::3] = owner[1::3]
+        points[2::3] = owner[2::3] + 1e-9 * near.normal(size=owner[2::3].shape)
+        data = DataMatrix.from_points(points)
+        F_kernel = update_membership_classic(data, centers, r)
+        F_classic = classic_update_oracle(data, centers, r)
+        worst_classic = max(worst_classic,
+                            float(np.max(np.abs(F_kernel.values - F_classic.values))))
     reports.append(OracleReport.from_error("classic_coincidence", worst_classic,
-                                           1e-12, n_instances * 4))
+                                           1e-12, n_instances * 5))
 
     # Monotone descent audit on synthetic blobs.
     spec = SyntheticSpec(blob_count=3, points_per_blob=20, dim=2,

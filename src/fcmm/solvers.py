@@ -27,7 +27,7 @@ import numpy as np
 from .dataset import DataMatrix, _integer, _real
 from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership, to_power, validate
-from .objective import aggregates, compute_centers, phi
+from .objective import _sq_distances, aggregates, compute_centers, phi
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITERS = "max_iters"
@@ -156,10 +156,12 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     rounds at about eps (x_i.x_i + m_j.m_j), so near a center it loses
     digits and may round negative. Rows with a bracket below
     ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
-    ~1e-12 of the bracket, are recomputed from the differences; so the
-    kernel sees a zero bracket only where a point equals a center. Each
-    point's smallest bracket, taken again for recomputed rows, picks those
-    rows and the kernel's route. The independent difference-form reference is
+    ~1e-12 of the bracket, are recomputed from the differences by
+    :func:`fcmm.objective._sq_distances`, the routine behind
+    :func:`~fcmm.objective.fcm_objective`; so the kernel sees a zero
+    bracket only where a point equals a center. Each point's smallest
+    bracket, taken again for recomputed rows, picks those rows and the
+    kernel's route. The independent difference-form reference is
     :func:`fcmm.oracle.classic_update_oracle`.
     """
     _real(r, "r", 1.0)
@@ -173,7 +175,7 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
         row_min = brackets.min(axis=0)
         rows = np.flatnonzero(row_min < 1e-4 * (sq_norms + top))
         if rows.size:
-            brackets[:, rows] = _difference_brackets(points[rows], centers)
+            brackets[:, rows] = _sq_distances(points[rows], centers)
             row_min[rows] = brackets[:, rows].min(axis=0)
         return _memberships_from_brackets(brackets.T, row_min, r, out)
 
@@ -184,15 +186,6 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
         block(data.points[rows], data.sq_norms[rows], values[rows])
     values.setflags(write=False)
     return MembershipMatrix(values)
-
-
-def _difference_brackets(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """c x b squared point-center distances through the differences."""
-    sq_dists = np.empty((centers.shape[0], points.shape[0]))
-    for j, center in enumerate(centers):
-        diff = points - center
-        sq_dists[j] = np.einsum("id,id->i", diff, diff)
-    return sq_dists
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
@@ -224,9 +217,9 @@ def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> Me
     """Surrogate-minimizing update anchored at G_t.
 
     The surrogate is ``h(G | G_t) = sum_ij g_ij |x_i - m_j^t|^2`` at the
-    centers ``m_t = y_t / mass_t`` (Euler: the tangent plane of quad/mass
-    has no constant term), minimized by the classic update at m_t, so this
-    takes those centers and calls :func:`update_membership_classic`.
+    centers ``m_t = y_t / mass_t`` (see :mod:`fcmm.objective`), minimized
+    by the classic update at m_t, so this takes those centers and calls
+    :func:`update_membership_classic`.
     """
     return update_membership_classic(data, compute_centers(aggregates(data, G_t)), r)
 

@@ -272,6 +272,15 @@ class TestOptionResolution:
         assert exc.value.code == 2
         assert "No such file" in capsys.readouterr().err
 
+    def test_drop_cols_not_integers_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_args(["run", "--drop-cols", "1,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("argument --drop-cols: expected comma-separated column indices, "
+                "got '1,x'") in err
+        assert "_parse_int_list" not in err
+
 
 class TestMainEntryPoint:
     def test_run_end_to_end(self, tmp_path, capsys):

@@ -145,9 +145,9 @@ def count_distances(monkeypatch):
     calls = []
     distances = fcmm.objective._sq_distances
 
-    def counted(data, centers):
+    def counted(points, centers):
         calls.append(1)
-        return distances(data, centers)
+        return distances(points, centers)
 
     for module in (fcmm.objective, fcmm.oracle):
         monkeypatch.setattr(module, "_sq_distances", counted)
@@ -524,7 +524,8 @@ def test_run_suite_quick_all_pass():
         ("tangency", 1e-10, 5),
         ("domination", 1e-9, 200),
         ("single_step_equivalence", 1e-12, 20),
-        ("classic_coincidence", 1e-12, 20),
+        # 20 MM steps against the textbook update, 5 kernel calls near centers
+        ("classic_coincidence", 1e-12, 25),
         ("descent_chain", 1e-10, 50),
     ]
     last = reports[-1]
@@ -551,13 +552,23 @@ def _per_shape(gram_matrix):
     return lambda data: held.setdefault(data.points.shape, gram_matrix(data))
 
 
+def _expanded(sq_distances):
+    # the near-center rows from the expanded form their recompute replaces
+    def expanded(points, centers):
+        sq_norms = np.einsum("id,id->i", points, points)
+        return [sq_norms + center @ center - 2.0 * (points @ center) for center in centers]
+    return expanded
+
+
 @pytest.mark.parametrize("module, name, plant, caught_by", [
     (fcmm.oracle, "compute_centers", _undivided,
      {"gradient_fd", "tangency", "classic_coincidence", "descent_chain"}),
     (fcmm.solvers, "update_membership_classic", _sharper, {"classic_coincidence"}),
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
     (fcmm.oracle, "_gram_matrix", _per_shape, {"gram_agreement", "gradient_fd"}),
-], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape"])
+    (fcmm.solvers, "_sq_distances", _expanded, {"classic_coincidence"}),
+], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape",
+        "near-center-recompute"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

@@ -5,12 +5,19 @@ Gram matrices, central finite differences, the textbook classic update from
 point-center differences, randomized surrogate probing, and a step-by-step
 audit of the descent chain. None of it shares math with the optimized code
 paths, so agreement is evidence rather than tautology. Used only by the test
-suite and the ``validate`` command. The Gram oracles call no BLAS: their
-sums run in plain Python loops' order from 0.0, so the results are bitwise
-those loops'. The Gram matrix (intended for n <= 200) is built on the first
-Gram oracle call for a ``DataMatrix`` and held on that object. Checks at
-fixed centers take the points' squared distances to them once and weight
-them for every membership they compare.
+suite and the ``validate`` command. The Gram oracles, the finite
+differences and the fuzzy-means costs call no BLAS: every sum is a running
+sum in a plain Python loop's order from 0.0, so the results are bitwise
+those loops' on any BLAS thread count. No check loops in Python per
+trial or per perturbed vector: the finite differences take all 2n
+perturbed vectors in row chunks, and a check at fixed centers takes the
+points' squared distances to them once and costs a stack of memberships
+in one array pass (a chunk of certificate trials, an audit step's two h
+values, an anchor's domination samples). The Gram matrix (intended for
+n <= 200) is built on the first Gram oracle call for a ``DataMatrix`` and
+held on that object. In :func:`run_suite`, a solver-side update that raises
+ValueError counts as an infinite error for its check, so a broken kernel
+is reported as a failed check rather than stopping the battery.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ import numpy as np
 
 from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, init_random, to_power
-from .objective import _sq_distances, _weighted_cost, aggregates, compute_centers, phi
+from .objective import (_running_sum, _sq_distances, _weighted_cost, aggregates,
+                        compute_centers, phi)
 from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_classic,
                       update_membership_irw, update_membership_mm)
 
 _CHUNK = 256  # trials per draw in surrogate_argmin_oracle
+_FD_TERMS = 1 << 17  # Gram products per chunk in finite_diff_gradient (1 MB)
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,7 @@ def _gram_matrix(data: DataMatrix) -> np.ndarray:
 def _quad_form(gram: np.ndarray, g: np.ndarray) -> float:
     """g' gram g as ``(g_i * gram_ik) * g_k`` summed over i, then k, by a
     running sum from 0.0: bitwise a plain double loop, sign of zero too."""
-    return float(np.add.accumulate(np.append(0.0, g[:, None] * gram * g))[-1])
+    return float(_running_sum((g[:, None] * gram * g).ravel()))
 
 
 def _weights(data: DataMatrix, g, name: str) -> np.ndarray:
@@ -95,33 +104,36 @@ def gram_quad_oracle(data: DataMatrix, g) -> float:
 def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
     """Evaluate (X'X)g through the materialized Gram matrix, each entry a
     running sum of ``gram_ik * g_k`` over k from 0.0, as a plain loop."""
-    g = _weights(data, g, "g")
-    terms = np.zeros((data.n, data.n + 1))
-    terms[:, 1:] = _gram_matrix(data) * g
-    return np.add.accumulate(terms, axis=1)[:, -1].copy()
+    return _running_sum(_gram_matrix(data) * _weights(data, g, "g"))
 
 
 def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of g -> (g'X'Xg)/(g'1), per component."""
+    """Central finite differences of g -> (g'X'Xg)/(g'1), per component.
+
+    The 2n perturbed vectors' quadratic forms (as :func:`_quad_form`) and
+    sums are running sums from 0.0, so every bit is a plain loop's. They
+    are taken for a chunk of components at a time, at most ``_FD_TERMS``
+    Gram products or one component's 2n^2, so at n <= 256 no temporary
+    exceeds 1 MB.
+    """
     g_t = _weights(data, g_t, "g_t")
     _real(step, "step", 0.0)
     if np.any(g_t <= step):
         raise ValueError("components of g_t must exceed the step size")
     gram = _gram_matrix(data)
-
-    def ratio(g):
-        den = 0.0  # not sum(): from Python 3.12 it compensates rounding
-        for g_i in g.tolist():
-            den += g_i
-        return _quad_form(gram, g) / den
-
-    out = np.empty(data.n)
-    for i in range(data.n):
-        up = g_t.copy()
-        down = g_t.copy()
-        up[i] += step
-        down[i] -= step
-        out[i] = (ratio(up) - ratio(down)) / (2.0 * step)
+    n = data.n
+    out = np.empty(n)
+    width = max(1, _FD_TERMS // (2 * n * n))
+    for start in range(0, n, width):
+        comps = np.arange(start, min(start + width, n))
+        k = comps.size
+        # row p is g_t with component comps[p] up a step, row k + p with it down
+        g = np.tile(g_t, (2 * k, 1))
+        g[np.arange(k), comps] += step
+        g[np.arange(k, 2 * k), comps] -= step
+        quad = _running_sum((g[:, :, None] * gram * g[:, None, :]).reshape(2 * k, -1))
+        ratio = quad / _running_sum(g)
+        out[comps] = (ratio[:k] - ratio[k:]) / (2.0 * step)
     return out
 
 
@@ -173,8 +185,7 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
         draws = rng.dirichlet(np.ones(G_t.c), size=(min(_CHUNK, trials - start), G_t.n))
         if not np.isfinite(draws).all():
             raise ValueError("membership values must be finite")
-        for G in draws ** r:
-            worst = max(worst, h_star - _weighted_cost(G, dists))
+        worst = max(worst, *(h_star - _weighted_cost(draws ** r, dists)).tolist())
     return OracleReport.from_error("surrogate_argmin", max(0.0, worst),
                                    tolerance, trials + 1)
 
@@ -202,8 +213,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     for _ in range(steps):
         dists = _sq_distances(data.points, compute_centers(aggregates(data, G)))
         G_next = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
-        h_next = _weighted_cost(G_next.values, dists)
-        h_self = _weighted_cost(G.values, dists)
+        h_next, h_self = _weighted_cost(np.stack([G_next.values, G.values]), dists).tolist()
         obj_next = phi(data, G_next)
         scale = 1.0 + abs(obj)
         worst = max(worst,
@@ -229,6 +239,23 @@ def _draw_instance(rng, n_max, r=None):
     data = DataMatrix.from_points(rng.normal(size=(n, d)))
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(c), size=n))
     return data, to_power(F, r), r
+
+
+def _solver_side(update):
+    """``update().values``, or None where the solver-side update raises
+    ValueError: a broken kernel fails its check, it does not stop the
+    battery. The references' errors still propagate."""
+    try:
+        return update().values
+    except ValueError:
+        return None
+
+
+def _max_gap(values, reference) -> float:
+    """Largest entrywise ``|values - reference|``; inf where either is None."""
+    if values is None or reference is None:
+        return np.inf
+    return float(np.max(np.abs(values - reference)))
 
 
 def run_suite(scale: str = "quick", seed: int = 0) -> list:
@@ -293,12 +320,12 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
         obj_t = phi(data, G_t)
         tang_worst = max(tang_worst, abs(_weighted_cost(G_t.values, dists) - obj_t)
                          / (1.0 + abs(obj_t)))
-        for _ in range(per_anchor):
-            F = MembershipMatrix.from_values(rng.dirichlet(np.ones(G_t.c), size=data.n))
-            G = to_power(F, 2.0)
-            obj = phi(data, G)
-            gap = obj - _weighted_cost(G.values, dists)
-            dom_worst = max(dom_worst, gap / (1.0 + abs(obj)))
+        # one draw of all samples is the stream of one draw per sample
+        draws = rng.dirichlet(np.ones(G_t.c), size=(per_anchor, data.n))
+        Gs = [to_power(MembershipMatrix.from_values(F), 2.0) for F in draws]
+        objs = np.array([phi(data, G) for G in Gs])
+        gaps = objs - _weighted_cost(np.stack([G.values for G in Gs]), dists)
+        dom_worst = max(dom_worst, *(gaps / (1.0 + np.abs(objs))).tolist())
     reports.append(OracleReport.from_error("tangency", tang_worst, 1e-10, anchors))
     reports.append(OracleReport.from_error("domination", dom_worst, 1e-9,
                                            anchors * per_anchor))
@@ -309,13 +336,13 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
     worst_classic = 0.0
     for _ in range(n_instances * 4):
         data, G_t, r = _draw_instance(rng, n_max)
-        F_mm = update_membership_mm(data, G_t, r)
-        F_irw = update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r)
+        F_mm = _solver_side(lambda: update_membership_mm(data, G_t, r))
+        F_irw = _solver_side(
+            lambda: update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r))
         centers = compute_centers(aggregates(data, G_t))
-        F_classic = classic_update_oracle(data, centers, r)
-        worst_irw = max(worst_irw, float(np.max(np.abs(F_mm.values - F_irw.values))))
-        worst_classic = max(worst_classic,
-                            float(np.max(np.abs(F_mm.values - F_classic.values))))
+        F_classic = classic_update_oracle(data, centers, r).values
+        worst_irw = max(worst_irw, _max_gap(F_mm, F_irw))
+        worst_classic = max(worst_classic, _max_gap(F_mm, F_classic))
     reports.append(OracleReport.from_error("single_step_equivalence", worst_irw,
                                            1e-12, n_instances * 4))
 
@@ -336,10 +363,9 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
         points[1::3] = owner[1::3]
         points[2::3] = owner[2::3] + 1e-9 * near.normal(size=owner[2::3].shape)
         data = DataMatrix.from_points(points)
-        F_kernel = update_membership_classic(data, centers, r)
-        F_classic = classic_update_oracle(data, centers, r)
-        worst_classic = max(worst_classic,
-                            float(np.max(np.abs(F_kernel.values - F_classic.values))))
+        F_kernel = _solver_side(lambda: update_membership_classic(data, centers, r))
+        F_classic = classic_update_oracle(data, centers, r).values
+        worst_classic = max(worst_classic, _max_gap(F_kernel, F_classic))
     reports.append(OracleReport.from_error("classic_coincidence", worst_classic,
                                            1e-12, n_instances * 5))
 

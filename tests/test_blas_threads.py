@@ -2,10 +2,13 @@
 the BLAS thread count.
 
 Above a size, a threaded BLAS splits one product among its threads and the
-bits of the result follow the thread count. The cluster masses and the
-objective's linear term are numpy reductions that use no BLAS; ``G'X`` is
-the one sum over all points that BLAS computes. The battery's Gram oracles
-call no BLAS at all.
+bits of the result follow the thread count. The cluster masses and phi's
+linear term are numpy reductions that use no BLAS, and ``fcm_objective``
+and the battery's surrogate costs are running sums in a plain loop's order.
+``G'X`` is a BLAS product over all points: on these 50,000 rows its bits
+hold on 1 and 2 OpenBLAS threads at c = 10, where the solves run, but not
+at c = 20, so the c = 20 objectives below weight inputs whose last bits may
+follow the thread count. The battery's Gram oracles call no BLAS at all.
 Each run is a child process, since the thread count is read when numpy
 loads, and reports the thread count the BLAS really uses.
 """
@@ -26,7 +29,8 @@ import hashlib
 import numpy as np
 from stamp import _blas_runtime
 from fcmm.dataset import SyntheticSpec, make_blobs, standardize
-from fcmm.membership import PowerMembership, init_random
+from fcmm.membership import PowerMembership, init_random, to_power
+from fcmm.objective import aggregates, compute_centers, fcm_objective
 from fcmm.oracle import run_suite
 from fcmm.solvers import SolverConfig, solve_fcm_mm, solve_irw_fcm
 
@@ -49,6 +53,15 @@ rng = np.random.default_rng(0)
 for c in (20, 57, 100):
     sums = PowerMembership(rng.random((50000, c))).col_sums
     print("col_sums", c, hashlib.sha256(sums.tobytes()).hexdigest())
+# fcm_objective, the battery's reference, at the random start's centers and
+# after 5 MM iterations: its BLAS dot products differed between 1 and 2
+# threads at each of these four
+for c in (10, 20):
+    F = init_random(data.n, c, 0)
+    centers = compute_centers(aggregates(data, to_power(F, 2.0)))
+    mm = solve_fcm_mm(data, F, SolverConfig(c=c, r=2.0, max_outer_iters=5))
+    print("fcm_objective", c, fcm_objective(data, F, centers, 2.0).hex(),
+          fcm_objective(data, mm.F_final, mm.centers_final, 2.0).hex())
 # the verification battery; its Gram oracles call no BLAS
 errors = " ".join(report.max_error.hex() for report in run_suite("quick", 0))
 print("run_suite", hashlib.sha256(errors.encode()).hexdigest())
@@ -72,5 +85,5 @@ def test_mm_and_irw_are_bitwise_on_one_and_two_blas_threads():
         threads, runs[asked] = _run(asked)
         if threads != asked:  # a 1-CPU machine, or a BLAS other than OpenBLAS
             pytest.skip(f"the BLAS ran {threads} thread(s) when asked for {asked}")
-    assert len(runs["1"]) == 6
+    assert len(runs["1"]) == 8
     assert runs["2"] == runs["1"]

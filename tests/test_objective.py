@@ -7,7 +7,8 @@ from conftest import bracket_gradient, count_products, random_instance
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
-from fcmm.objective import ClusterAggregates, aggregates, compute_centers, fcm_objective, phi
+from fcmm.objective import (ClusterAggregates, _sq_distances, _weighted_cost, aggregates,
+                            compute_centers, fcm_objective, phi)
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
                           update_membership_classic)
@@ -146,6 +147,53 @@ class TestComputeCenters:
         agg = ClusterAggregates(np.ones((2, 3)), np.full(2, 3.0), np.array([1.0, 0.0]))
         with pytest.raises(DegenerateClusterError):
             compute_centers(agg)
+
+
+def reference_cost(G, dists):
+    """``sum_j g_.j . dists[j]`` on Python floats: over the points from 0.0
+    for each cluster, then over the clusters in order from 0.0."""
+    rows = G.tolist()
+    total = 0.0
+    for j, dist in enumerate(dists):
+        cluster = 0.0
+        for g_i, d_i in zip(rows, dist.tolist()):
+            cluster += g_i[j] * d_i
+        total += cluster
+    return total
+
+
+class TestCostMatchesDoubleLoopBitwise:
+    """The fuzzy-means cost sums in a plain double loop's order and calls
+    no BLAS, so every bit agrees, sign of zero included, in either memory
+    order and for one G or a stack of them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 17, 129])
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_weighted_cost(self, n, c, order):
+        rng = np.random.default_rng(10 * n + c)
+        dists = _sq_distances(rng.normal(size=(n, 2)), rng.normal(size=(c, 2)))
+        stack = rng.uniform(0.0, 1.0, size=(5, n, c))
+        stack[1] = rng.normal(size=(n, c))
+        stack[2] = -0.0
+        stack[3] = np.where(rng.random((n, c)) < 0.5, -0.0, 0.0)
+        stack = np.asarray(stack, order=order)
+        singles = [np.asarray(G, order=order) for G in stack]
+        for G in singles:
+            assert _weighted_cost(G, dists).hex() == reference_cost(G, dists).hex()
+        costs = _weighted_cost(stack, dists)
+        assert costs.tobytes() == np.array([_weighted_cost(G, dists) for G in singles]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 17, 129])
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fcm_objective(self, n, c, order):
+        rng = np.random.default_rng(20 * n + c)
+        data = DataMatrix.from_points(rng.normal(size=(n, 3)))
+        F = MembershipMatrix(np.asarray(rng.dirichlet(np.ones(c), size=n), order=order))
+        centers = rng.normal(size=(c, 3))
+        expected = reference_cost(F.values ** 1.5, _sq_distances(data.points, centers))
+        assert fcm_objective(data, F, centers, 1.5).hex() == expected.hex()
 
 
 class TestObjectiveValues:

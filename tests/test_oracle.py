@@ -114,6 +114,16 @@ class TestOraclesMatchDoubleLoopsBitwise:
         expected = reference_finite_diff(reference_gram(data.points), g_t.tolist(), 1e-5)
         assert same_bits(finite_diff_gradient(data, g_t, step=1e-5), expected)
 
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 6, 7, 8])
+    def test_finite_diff_gradient_in_chunks(self, monkeypatch, width):
+        # chunks of `width` components (0: fewer products than one
+        # component's, still one), the last short where 7 is no multiple
+        monkeypatch.setattr(fcmm.oracle, "_FD_TERMS", max(1, 2 * 7 * 7 * width))
+        rng, data = seeded_points(7, 3, seed=90 + width)
+        g_t = rng.uniform(0.1, 1.0, size=7)
+        expected = reference_finite_diff(reference_gram(data.points), g_t.tolist(), 1e-5)
+        assert same_bits(finite_diff_gradient(data, g_t, step=1e-5), expected)
+
     def test_columns_of_a_membership_matrix(self):
         rng = np.random.default_rng(77)
         data, _, G = random_instance(rng, 30, 3, 4)
@@ -560,6 +570,26 @@ def _expanded(sq_distances):
     return expanded
 
 
+def _stale_row_min(update_membership_classic):
+    # the kernel with its near-center rows recomputed but their smallest
+    # bracket left at the expanded form's, which may be zero or negative
+    # where the recomputed row is not: its rows come out NaN (numpy's
+    # warning silenced, as outside the tests) and the membership check
+    # raises ValueError; one block, as at these n
+    def stale(data, centers, r):
+        center_sq = np.einsum("cd,cd->c", centers, centers)
+        brackets = (-2.0 * centers) @ data.points.T
+        brackets += center_sq[:, None] + data.sq_norms
+        row_min = brackets.min(axis=0)
+        rows = np.flatnonzero(row_min < 1e-4 * (data.sq_norms + center_sq.max()))
+        brackets[:, rows] = fcmm.solvers._sq_distances(data.points[rows], centers)
+        out = np.empty((data.n, len(centers)), order="F")
+        with np.errstate(invalid="ignore"):
+            values = fcmm.solvers._memberships_from_brackets(brackets.T, row_min, r, out)
+        return MembershipMatrix(values)
+    return stale
+
+
 @pytest.mark.parametrize("module, name, plant, caught_by", [
     (fcmm.oracle, "compute_centers", _undivided,
      {"gradient_fd", "tangency", "classic_coincidence", "descent_chain"}),
@@ -567,12 +597,31 @@ def _expanded(sq_distances):
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
     (fcmm.oracle, "_gram_matrix", _per_shape, {"gram_agreement", "gradient_fd"}),
     (fcmm.solvers, "_sq_distances", _expanded, {"classic_coincidence"}),
+    (fcmm.oracle, "update_membership_classic", _stale_row_min, {"classic_coincidence"}),
 ], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape",
-        "near-center-recompute"])
+        "near-center-recompute", "stale-row-min"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}
     assert failed == caught_by
+
+
+def _raises(*args):
+    raise ValueError("membership values must be finite")
+
+
+def test_run_suite_reports_a_raising_solver_update(monkeypatch):
+    # the re-weighting update serves single_step_equivalence alone
+    monkeypatch.setattr(fcmm.oracle, "update_membership_irw", _raises)
+    reports = run_suite("quick", seed=0)
+    assert [(r.check_name, r.max_error) for r in reports if not r.passed] == [
+        ("single_step_equivalence", np.inf)]
+
+
+def test_run_suite_raises_where_the_reference_raises(monkeypatch):
+    monkeypatch.setattr(fcmm.oracle, "classic_update_oracle", _raises)
+    with pytest.raises(ValueError, match="must be finite"):
+        run_suite("quick", seed=0)
 
 
 def test_run_suite_rejects_unknown_scale():

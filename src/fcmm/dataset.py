@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -158,8 +157,6 @@ def load_csv(path, drop_columns: Iterable[int] = ()) -> DataMatrix:
     positions in error messages are 1-based and count data rows, i.e. a
     header row is not counted.
     """
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(filter(None, csv.reader(fh)))
     if not rows:

@@ -111,8 +111,8 @@ def _sq_distances(points: np.ndarray, centers) -> list:
     n-vector per center. At fixed centers they serve any number of F.
 
     The package's one difference-form distance routine: :func:`fcm_objective`,
-    the kernel's near-center rows in
-    :func:`~fcmm.solvers.update_membership_classic` and the oracle's checks
+    the kernel's near-center step
+    :func:`~fcmm.solvers._near_center` and the oracle's checks
     at fixed centers all call it.
     """
     out = []

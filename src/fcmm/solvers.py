@@ -143,6 +143,22 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: flo
     return values
 
 
+def _near_center(brackets, row_min, points, sq_norms, centers, top) -> None:
+    """Recompute in place the c x b brackets of points near a center, and their ``row_min``.
+
+    The expanded bracket ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` rounds at about eps
+    (x_i.x_i + m_j.m_j), so near a center it loses digits and may round negative.
+    Points with a bracket below ``1e-4 (x_i.x_i + top)``, ``top`` the largest m_j.m_j,
+    where that rounding would exceed ~1e-12 of the bracket, get theirs from the
+    differences by :func:`fcmm.objective._sq_distances`, as fcm_objective does, and
+    their smallest taken again; so the kernel sees a zero bracket only at a center.
+    """
+    rows = np.flatnonzero(row_min < 1e-4 * (sq_norms + top))
+    if rows.size:
+        brackets[:, rows] = _sq_distances(points[rows], centers)
+        row_min[rows] = brackets[:, rows].min(axis=0)
+
+
 def update_membership_classic(data: DataMatrix, centers: np.ndarray,
                               r: float) -> MembershipMatrix:
     """The closed-form update of all three solvers, from c x d centers, in row blocks.
@@ -150,19 +166,9 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
     rounds a few-row product differently). Each block builds its c x b
-    brackets and runs the kernel in cache, into one column-major n x c result.
-
-    The brackets are ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` from one product; it
-    rounds at about eps (x_i.x_i + m_j.m_j), so near a center it loses
-    digits and may round negative. Rows with a bracket below
-    ``1e-4 (x_i.x_i + max_j m_j.m_j)``, where that rounding would exceed
-    ~1e-12 of the bracket, are recomputed from the differences by
-    :func:`fcmm.objective._sq_distances`, the routine behind
-    :func:`~fcmm.objective.fcm_objective`; so the kernel sees a zero
-    bracket only where a point equals a center. Each point's smallest
-    bracket, taken again for recomputed rows, picks those rows and the
-    kernel's route. The independent difference-form reference is
-    :func:`fcmm.oracle.classic_update_oracle`.
+    brackets from one product, :func:`_near_center` recomputes those near a
+    center, and the kernel runs in cache into one column-major n x c result;
+    the difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
     """
     _real(r, "r", 1.0)
     center_sq = np.einsum("cd,cd->c", centers, centers)
@@ -173,10 +179,7 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
         brackets = (-2.0 * centers) @ points.T
         brackets += center_sq[:, None] + sq_norms
         row_min = brackets.min(axis=0)
-        rows = np.flatnonzero(row_min < 1e-4 * (sq_norms + top))
-        if rows.size:
-            brackets[:, rows] = _sq_distances(points[rows], centers)
-            row_min[rows] = brackets[:, rows].min(axis=0)
+        _near_center(brackets, row_min, points, sq_norms, centers, top)
         return _memberships_from_brackets(brackets.T, row_min, r, out)
 
     values = np.empty((data.n, centers.shape[0]), order="F")

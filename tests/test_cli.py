@@ -90,11 +90,15 @@ class TestCmdRun:
                 assert ra[3] == rb[3] and ra[4] == rb[4]
 
     def test_missing_csv_is_load_error(self, tmp_path, capsys):
-        manifest = RunManifest(cfg=SolverConfig(c=3), algorithms=("mm",),
-                               output_dir=str(tmp_path), csv_path="does/not/exist.csv")
-        status, results = cmd_run(manifest)
-        assert status == 1 and results is None
-        assert "error" in capsys.readouterr().err
+        # open's own OSError names the path: a missing file, and a directory
+        for path in ("does/not/exist.csv", str(tmp_path)):
+            manifest = RunManifest(cfg=SolverConfig(c=3), algorithms=("mm",),
+                                   output_dir=str(tmp_path / "out"), csv_path=path)
+            status, results = cmd_run(manifest)
+            assert status == 1 and results is None
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno ") and f"'{path}'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_failed_summary_write_is_write_error(self, tmp_path, capsys):
         (tmp_path / "summary.json").mkdir()
@@ -284,12 +288,28 @@ class TestOptionResolution:
 
 class TestMainEntryPoint:
     def test_run_end_to_end(self, tmp_path, capsys):
-        status = main(["run", "--synthetic", "blobs-small", "--algos", "mm",
-                       "--seed", "5", "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        assert main(["run", "--synthetic", "blobs-small", "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "classic: objective 3.29286586615 (converged, 11 updates)\n"
+            "irw: objective 3.29286586613 (converged, 110 updates)\n"
+            "mm: objective 3.29286586615 (converged, 11 updates)\n"
+            f"wrote traces and summary.json to {out}\n")
+        assert (out / "summary.json").exists()
+
+    def test_compare_stdout(self, tmp_path, capsys, iris_path):
+        status = main(["compare", "--data", str(iris_path), "--drop-cols", "4", "--c", "3",
+                       "--algos", "classic,irw,mm", "--seed", "42", "--out", str(tmp_path)])
         assert status == 0
-        out = capsys.readouterr().out
-        assert "wrote traces" in out
-        assert (tmp_path / "out" / "summary.json").exists()
+        # every byte but the wall_ms figures, each masked with its padding
+        out = re.sub(r" +\d+\.\d\d(?=  converged\n)", " <wall_ms>", capsys.readouterr().out)
+        assert out == (
+            "best final objective: 99.7508217941\n"
+            " algorithm    final objective  outer  updates_to_best    wall_ms  termination\n"
+            "   classic          99.750822     22               16 <wall_ms>  converged\n"
+            "       irw        99.75082179     15              342 <wall_ms>  converged\n"
+            "        mm          99.750822     22               16 <wall_ms>  converged\n"
+            "fewest membership updates: tie between classic, mm\n")
 
     def test_compare_end_to_end(self, tmp_path, capsys):
         status = main(["compare", "--synthetic", "blobs-small",

@@ -2,7 +2,10 @@
 over both Gram triangles, against Gram-free forms and on the solvers' own
 guarantees."""
 
+import ast
 import dataclasses
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -545,6 +548,14 @@ def test_run_suite_quick_all_pass():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("scale, seeds", [("quick", range(32)), ("full", range(8))],
+                         ids=["quick-seeds-0-31", "full-seeds-0-7"])
+def test_run_suite_passes_across_seeds(scale, seeds):
+    failed = [(seed, r.check_name) for seed in seeds for r in run_suite(scale, seed)
+              if not r.passed]
+    assert failed == []
+
+
 def _undivided(compute_centers):
     return lambda agg: agg.y  # the weighted sums, not divided by the masses
 
@@ -570,24 +581,32 @@ def _expanded(sq_distances):
     return expanded
 
 
-def _stale_row_min(update_membership_classic):
-    # the kernel with its near-center rows recomputed but their smallest
-    # bracket left at the expanded form's, which may be zero or negative
-    # where the recomputed row is not: its rows come out NaN (numpy's
-    # warning silenced, as outside the tests) and the membership check
-    # raises ValueError; one block, as at these n
-    def stale(data, centers, r):
-        center_sq = np.einsum("cd,cd->c", centers, centers)
-        brackets = (-2.0 * centers) @ data.points.T
-        brackets += center_sq[:, None] + data.sq_norms
-        row_min = brackets.min(axis=0)
-        rows = np.flatnonzero(row_min < 1e-4 * (data.sq_norms + center_sq.max()))
-        brackets[:, rows] = fcmm.solvers._sq_distances(data.points[rows], centers)
-        out = np.empty((data.n, len(centers)), order="F")
-        with np.errstate(invalid="ignore"):
-            values = fcmm.solvers._memberships_from_brackets(brackets.T, row_min, r, out)
-        return MembershipMatrix(values)
-    return stale
+def _stale_row_min(near_center):
+    # the real step handed a copy of the row minima: recomputed rows keep the
+    # expanded form's smallest bracket, which may be zero or negative where
+    # the recomputed row is not, so the split step turns them NaN
+    return lambda brackets, row_min, *rest: near_center(brackets, row_min.copy(), *rest)
+
+
+def _skipped(near_center):
+    return lambda *args: None  # near-center rows stay in the expanded form
+
+
+def _unsplit(memberships):
+    # the kernel's own source without its ``if low <= 0.0:`` block, compiled
+    # in its module: a point on a center keeps the general route's 0/0
+    tree = ast.parse(textwrap.dedent(inspect.getsource(memberships)))
+    body = tree.body[0].body
+    [split] = [node for node in body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "low <= 0.0"]
+    body.remove(split)
+    namespace = dict(vars(fcmm.solvers))
+    exec(compile(tree, inspect.getsourcefile(memberships), "exec"), namespace)
+    return namespace[memberships.__name__]
+
+
+def _halved(weighted_cost):
+    return lambda *args: 0.5 * weighted_cost(*args)
 
 
 @pytest.mark.parametrize("module, name, plant, caught_by", [
@@ -597,9 +616,15 @@ def _stale_row_min(update_membership_classic):
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
     (fcmm.oracle, "_gram_matrix", _per_shape, {"gram_agreement", "gradient_fd"}),
     (fcmm.solvers, "_sq_distances", _expanded, {"classic_coincidence"}),
-    (fcmm.oracle, "update_membership_classic", _stale_row_min, {"classic_coincidence"}),
+    # numpy's invalid-value warning, an error under pytest, comes from the split step
+    pytest.param(fcmm.solvers, "_near_center", _stale_row_min, {"classic_coincidence"},
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+    (fcmm.solvers, "_near_center", _skipped, {"classic_coincidence"}),
+    (fcmm.solvers, "_memberships_from_brackets", _unsplit, {"classic_coincidence"}),
+    (fcmm.oracle, "_weighted_cost", _halved, {"tangency", "domination", "descent_chain"}),
 ], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape",
-        "near-center-recompute", "stale-row-min"])
+        "near-center-recompute", "stale-row-min", "near-center-recompute-off",
+        "split-rows-not-split", "surrogate-cost-halved"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

@@ -250,7 +250,6 @@ def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
     add("--algos", type=_parse_str_list, default=("classic", "irw", "mm"),
         help="comma-separated subset of classic,irw,mm")
     add("--outer-tol", type=float, default=cfg["outer_tol"])
-    add("--inner-tol", type=float, default=cfg["inner_tol"])
     add("--max-outer", type=int, default=cfg["max_outer_iters"])
     add("--max-inner", type=int, default=cfg["max_inner_iters"])
     add("--no-standardize", dest="standardize", action="store_false",
@@ -260,8 +259,7 @@ def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
 
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
     cfg = SolverConfig(c=args.c, r=args.r, seed=args.seed, outer_tol=args.outer_tol,
-                       inner_tol=args.inner_tol, max_outer_iters=args.max_outer,
-                       max_inner_iters=args.max_inner)
+                       max_outer_iters=args.max_outer, max_inner_iters=args.max_inner)
     synthetic = None
     if args.synthetic is not None:
         synthetic = SyntheticSpec(seed=cfg.seed, **SYNTHETIC_PRESETS[args.synthetic])

@@ -30,8 +30,8 @@ from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, init_random, to_power
 from .objective import (_running_sum, _sq_distances, _weighted_cost, aggregates,
                         compute_centers, phi)
-from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_classic,
-                      update_membership_irw, update_membership_mm)
+from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_irw,
+                      update_membership_mm)
 
 _CHUNK = 256  # trials per draw in surrogate_argmin_oracle
 _FD_TERMS = 1 << 17  # Gram products per chunk in finite_diff_gradient (1 MB)
@@ -241,6 +241,25 @@ def _draw_instance(rng, n_max, r=None):
     return data, to_power(F, r), r
 
 
+def _draw_on_centers(rng, n_max, r):
+    """:func:`_draw_instance` with points on its MM centers and 1e-9 from them.
+
+    With k = min(c - 1, (n - c) // 2), rows 1..2k go one-hot in cluster 0, so
+    clusters 1..k weigh them 0 and their centers stay bitwise in place as
+    rows 1..k move onto them and rows k+1..2k to 1e-9 from them. The other
+    n - 2k >= c rows keep the centers apart; with fewer, some coincide.
+    """
+    data, G, r = _draw_instance(rng, n_max, r)
+    k = min(G.c - 1, (G.n - G.c) // 2)
+    g = G.values.copy()
+    g[1:2 * k + 1] = np.eye(G.c)[0]
+    G = PowerMembership(g)
+    centers = compute_centers(aggregates(data, G))[1:k + 1]
+    points = data.points.copy()
+    points[1:2 * k + 1] = np.vstack([centers, centers + 1e-9 * rng.normal(size=centers.shape)])
+    return DataMatrix.from_points(points), G, r
+
+
 def _solver_side(update):
     """``update().values``, or None where the solver-side update raises
     ValueError: a broken kernel fails its check, it does not stop the
@@ -331,11 +350,16 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
                                            anchors * per_anchor))
 
     # One surrogate step equals one re-weighting inner step, and equals one
-    # classic center-then-membership alternation by the textbook formula.
+    # classic center-then-membership alternation by the textbook formula. The
+    # last n_instances (own stream: no other draws move) put points on and near
+    # MM centers, r cycling from 3, where their rounding shows most, to 1.5 and 2.
+    near = np.random.default_rng([seed, 2])
+    instances = [_draw_instance(rng, n_max) for _ in range(n_instances * 4)]
+    instances += [_draw_on_centers(near, n_max, (3.0, 1.5, 2.0)[k % 3])
+                  for k in range(n_instances)]
     worst_irw = 0.0
     worst_classic = 0.0
-    for _ in range(n_instances * 4):
-        data, G_t, r = _draw_instance(rng, n_max)
+    for data, G_t, r in instances:
         F_mm = _solver_side(lambda: update_membership_mm(data, G_t, r))
         F_irw = _solver_side(
             lambda: update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r))
@@ -344,30 +368,9 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
         worst_irw = max(worst_irw, _max_gap(F_mm, F_irw))
         worst_classic = max(worst_classic, _max_gap(F_mm, F_classic))
     reports.append(OracleReport.from_error("single_step_equivalence", worst_irw,
-                                           1e-12, n_instances * 4))
-
-    # The kernel at explicit centers, with points on them and 1e-9 from
-    # them, where it recomputes rows from the differences. r cycles through
-    # 1.5, 2 and 3 so every scale draws r = 3, which amplifies a near-center
-    # bracket's rounding most. A stream of their own: no other draws move.
-    near = np.random.default_rng([seed, 2])
-    for k in range(n_instances):
-        n = int(near.integers(5, n_max + 1))
-        d = int(near.integers(1, 6))
-        c = int(near.integers(2, 6))
-        r = (1.5, 2.0, 3.0)[k % 3]
-        centers = near.normal(size=(c, d))
-        points = near.normal(size=(n, d))
-        # every third point from the second on a center, from the third 1e-9 from one
-        owner = centers[near.integers(0, c, size=n)]
-        points[1::3] = owner[1::3]
-        points[2::3] = owner[2::3] + 1e-9 * near.normal(size=owner[2::3].shape)
-        data = DataMatrix.from_points(points)
-        F_kernel = _solver_side(lambda: update_membership_classic(data, centers, r))
-        F_classic = classic_update_oracle(data, centers, r).values
-        worst_classic = max(worst_classic, _max_gap(F_kernel, F_classic))
+                                           1e-12, len(instances)))
     reports.append(OracleReport.from_error("classic_coincidence", worst_classic,
-                                           1e-12, n_instances * 5))
+                                           1e-12, len(instances)))
 
     # Monotone descent audit on synthetic blobs.
     spec = SyntheticSpec(blob_count=3, points_per_blob=20, dim=2,

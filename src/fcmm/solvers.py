@@ -39,18 +39,17 @@ class SolverConfig:
     """Shared solver settings.
 
     ``outer_tol`` stops the outer loop once the reduced objective changes
-    by at most ``outer_tol * |objective|``, in any data unit; ``inner_tol``
-    stops the re-weighting inner loop on the max elementwise membership change.
+    by at most ``outer_tol * |objective|``, in any data unit. The inner loop's
+    one setting is ``max_inner_iters``: unitless memberships need one ``INNER_TOL``.
     Construction checks every field by the package's scalar rule, with a
     ValueError naming the field: ``c`` is an integer >= 2, the caps >= 1
     and ``seed`` >= 0 (a bool is none); ``r`` is a finite real number > 1
-    and the tolerances > 0 (NaN and infinity are neither).
+    and ``outer_tol`` > 0 (NaN and infinity are neither).
     """
 
     c: int
     r: float = 2.0
     outer_tol: float = 1e-8
-    inner_tol: float = 1e-8
     max_outer_iters: int = 500
     max_inner_iters: int = 100
     seed: int = 0
@@ -62,7 +61,6 @@ class SolverConfig:
         _integer(self.seed, "seed", 0)
         _real(self.r, "r", 1.0)
         _real(self.outer_tol, "outer_tol", 0.0)
-        _real(self.inner_tol, "inner_tol", 0.0)
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,7 @@ class SolverResult:
 
 
 _BLOCK_ROWS = 8192
+INNER_TOL = 1e-8  # max membership change that ends the re-weighting inner loop
 
 
 def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: float,
@@ -249,14 +248,14 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     At the anchor G the re-weighting center ``s_j y_j / |y_j|`` equals
     ``y_j / mass_j``, so the first inner step is the MM step. Only when a
     second step runs are the scalars s taken at G; later steps apply the
-    linearized update at the frozen s until the max elementwise membership
-    change drops to ``inner_tol`` or the cap is hit. Returns the new F and
-    G and the number of inner steps, each one membership update.
+    linearized update at the frozen s until no membership moves by more than
+    ``INNER_TOL`` (memberships have no unit, so one bound fits every dataset)
+    or the cap is hit. Returns the new F and G and the inner steps, one update each.
     """
     F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
     G_in = to_power(F_in, cfg.r)
     inner, s = 1, None
-    while inner < max_inner and np.abs(F_in.values - F_prev.values).max() > cfg.inner_tol:
+    while inner < max_inner and np.abs(F_in.values - F_prev.values).max() > INNER_TOL:
         if s is None:
             s = irw_auxiliary(data, G)
         F_prev, F_in = F_in, update_membership_irw(data, G_in, s, cfg.r)

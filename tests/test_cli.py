@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from fcmm.cli import (RunManifest, SYNTHETIC_PRESETS, TRACE_HEADER, cmd_compare,
                       manifest_from_args, _atomic_write, _parser, updates_to_reach)
 from fcmm.dataset import SyntheticSpec, load_csv
 from fcmm.solvers import SolverConfig
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def blobs_manifest(out, algorithms=("irw", "mm"), seed=0, **cfg_kwargs):
@@ -60,10 +65,9 @@ class TestCmdRun:
             assert len(rows) == len(results[name].trace.records)
         summary = read_summary(tmp_path / "summary.json")
         assert set(summary) == {"config", "irw", "mm"}
-        for key in ("c", "r", "outer_tol", "inner_tol", "max_outer_iters",
-                    "max_inner_iters", "seed", "standardize",
-                    "algorithms", "dataset", "output_dir"):
-            assert key in summary["config"]
+        assert set(summary["config"]) == {
+            "c", "r", "outer_tol", "max_outer_iters", "max_inner_iters", "seed",
+            "standardize", "algorithms", "dataset", "output_dir"}
         for name in ("irw", "mm"):
             assert summary[name]["termination"] == "converged"
 
@@ -183,7 +187,6 @@ OPTION_CASES = {
     "seed": (["--seed", "7"], ["--seed", "9"]),
     "algos": (["--algos", "irw,mm"], ["--algos", "mm"]),
     "outer_tol": (["--outer-tol", "1e-6"], ["--outer-tol", "1e-4"]),
-    "inner_tol": (["--inner-tol", "1e-6"], ["--inner-tol", "1e-4"]),
     "max_outer": (["--max-outer", "50"], ["--max-outer", "60"]),
     "max_inner": (["--max-inner", "20"], ["--max-inner", "30"]),
     "standardize": (["--no-standardize"], []),
@@ -270,6 +273,18 @@ class TestOptionResolution:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("in_file", [False, True], ids=["flag", "argument-file"])
+    def test_inner_tol_flag_is_gone(self, tmp_path, capsys, in_file):
+        # the inner loop's one setting is --max-inner; its tolerance is a constant
+        gone = ["--inner-tol", "1e-6"]
+        if in_file:
+            gone = [argfile(tmp_path / "run.args", gone)]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--synthetic", "blobs-small", *gone, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inner-tol 1e-6" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_separate_at_argument_is_a_file_name(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--synthetic", "blobs-small", "--out", f"@{tmp_path / 'missing'}"])
@@ -295,7 +310,17 @@ class TestMainEntryPoint:
             "irw: objective 3.29286586613 (converged, 110 updates)\n"
             "mm: objective 3.29286586615 (converged, 11 updates)\n"
             f"wrote traces and summary.json to {out}\n")
-        assert (out / "summary.json").exists()
+        assert read_summary(out / "summary.json")["config"]["dataset"] == {"synthetic": {
+            "blob_count": 3, "points_per_blob": 20, "dim": 2, "blob_stddev": 0.5,
+            "blob_center_scale": 5.0, "seed": 7}}
+
+    def test_module_entry_point_runs(self):
+        # ``python -m fcmm.cli`` from a source checkout, no install
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        child = subprocess.run([sys.executable, "-m", "fcmm.cli", "validate"], cwd=REPO,
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert [line.startswith("[PASS] ") for line in child.stdout.splitlines()] == [True] * 8
 
     def test_compare_stdout(self, tmp_path, capsys, iris_path):
         status = main(["compare", "--data", str(iris_path), "--drop-cols", "4", "--c", "3",
@@ -450,7 +475,7 @@ def test_updates_to_reach_has_no_unit():
 
 def readme_commands():
     """Every ``fcmm`` command in README's fenced blocks, minus ``@file`` ones."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (REPO / "README.md").read_text()
     commands = []
     for block in re.findall(r"```[a-z]*\n(.*?)```", readme, flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():

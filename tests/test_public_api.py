@@ -84,8 +84,8 @@ def test_signatures(qualname, params):
 @pytest.mark.parametrize("qualname, fields", [
     ("dataset.DataMatrix", ["points"]),
     ("membership.PowerMembership", ["values"]),
-    ("solvers.SolverConfig", ["c", "r", "outer_tol", "inner_tol", "max_outer_iters",
-                              "max_inner_iters", "seed"]),
+    ("solvers.SolverConfig", ["c", "r", "outer_tol", "max_outer_iters", "max_inner_iters",
+                              "seed"]),
     ("cli.RunManifest", ["cfg", "algorithms", "output_dir", "csv_path", "drop_columns",
                          "synthetic", "standardize"]),
 ])

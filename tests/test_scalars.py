@@ -53,7 +53,6 @@ REALS = {
     "SyntheticSpec.blob_center_scale": (0.0, lambda v: SyntheticSpec(**SPEC, blob_center_scale=v)),
     "SolverConfig.r": (1.0, lambda v: SolverConfig(**CONFIG, r=v)),
     "SolverConfig.outer_tol": (0.0, lambda v: SolverConfig(**CONFIG, outer_tol=v)),
-    "SolverConfig.inner_tol": (0.0, lambda v: SolverConfig(**CONFIG, inner_tol=v)),
     "to_power.r": (1.0, lambda v: to_power(F, v)),
     "fcm_objective.r": (1.0, lambda v: fcm_objective(DATA, F, CENTERS, v)),
     "update_membership_classic.r": (1.0, lambda v: update_membership_classic(DATA, CENTERS, v)),

@@ -9,7 +9,7 @@ from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
 from fcmm.objective import aggregates, compute_centers, fcm_objective, phi
-from fcmm.oracle import classic_update_oracle, gram_quad_oracle
+from fcmm.oracle import classic_update_oracle, descent_chain_audit, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, irw_auxiliary, solve_fcm_classic, solve_fcm_mm,
                           solve_irw_fcm, update_membership_classic, update_membership_irw,
                           update_membership_mm)
@@ -211,16 +211,16 @@ def assert_bitwise_same_run(a, b):
 
 
 class TestSolveIrw:
-    def test_huge_inner_tol_reproduces_mm_trajectory(self):
+    def test_one_step_cap_reproduces_mm_trajectory(self):
         data = blob_instance(seed=10)
         F0 = init_random(data.n, 2, 5)
-        loose = SolverConfig(c=2, inner_tol=1e9)
-        full_irw = solve_irw_fcm(data, F0, loose)
+        one_step = SolverConfig(c=2, max_inner_iters=1)
+        full_irw = solve_irw_fcm(data, F0, one_step)
         full_mm = solve_fcm_mm(data, F0, SolverConfig(c=2))
         assert all(rec.inner_iters == 1 for rec in full_irw.trace.records[1:])
         assert_bitwise_same_run(full_irw, full_mm)
         for k in range(1, min(9, full_mm.trace.records[-1].outer_iter + 1)):
-            capped = SolverConfig(c=2, inner_tol=1e9, max_outer_iters=k)
+            capped = SolverConfig(c=2, max_inner_iters=1, max_outer_iters=k)
             irw_k = solve_irw_fcm(data, F0, capped)
             mm_k = solve_fcm_mm(data, F0, SolverConfig(c=2, max_outer_iters=k))
             assert_bitwise_same_run(irw_k, mm_k)
@@ -238,8 +238,8 @@ class TestSolveIrw:
             mm = solve_fcm_mm(data, F0, SolverConfig(c=3))
             assert_bitwise_same_run(irw, mm)
 
-    @pytest.mark.parametrize("inner_tol", [1e9, 1e-8])
-    def test_auxiliary_only_for_a_second_inner_step(self, iris_data, monkeypatch, inner_tol):
+    @pytest.mark.parametrize("max_inner", [1, 100])
+    def test_auxiliary_only_for_a_second_inner_step(self, iris_data, monkeypatch, max_inner):
         calls = []
 
         def counted(data, G):
@@ -249,12 +249,12 @@ class TestSolveIrw:
         monkeypatch.setattr(objective, "aggregates", counted)
         monkeypatch.setattr(solvers, "aggregates", counted)
         products = count_products(monkeypatch)
-        cfg = SolverConfig(c=3, inner_tol=inner_tol, max_outer_iters=1)
+        cfg = SolverConfig(c=3, max_inner_iters=max_inner, max_outer_iters=1)
         result = solve_irw_fcm(iris_data, init_random(iris_data.n, 3, 3), cfg)
         k = result.trace.records[1].inner_iters
         # Outside the step: phi at the start and after it, and the final centers.
         step_calls = len(calls) - 3
-        if inner_tol > 1.0:
+        if max_inner == 1:
             assert (k, step_calls) == (1, 1)
         else:
             assert k >= 2 and step_calls == k + 1
@@ -472,10 +472,13 @@ class TestSolverContracts:
         with pytest.raises(ValueError, match=r"min entry -1\.000e-13"):
             solve_fcm_mm(iris_data, MembershipMatrix(values), SolverConfig(c=3, r=r))
 
-    def test_start_row_count_must_match(self):
-        data = blob_instance(seed=23)
-        with pytest.raises(ValueError, match="rows but data has"):
-            solve_fcm_mm(data, init_random(data.n - 1, 2, 0), SolverConfig(c=2))
+    def test_start_row_count_must_match(self, iris_data):
+        # refused by the start's own check, before aggregates sees the rows
+        F0, cfg = init_random(151, 3, 0), SolverConfig(c=3)
+        for run in (solve_fcm_mm, solve_irw_fcm, solve_fcm_classic,
+                    lambda data, F0, cfg: descent_chain_audit(data, F0, cfg, steps=1)):
+            with pytest.raises(ValueError, match="^F0 has 151 rows but data has 150 points$"):
+                run(iris_data, F0, cfg)
 
     def test_config_cluster_count_must_match(self):
         data = blob_instance(seed=23)
@@ -502,7 +505,7 @@ class TestSolverContracts:
             SolverConfig(**{"c": 3, field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("r", "2"), ("r", None), ("r", True), ("outer_tol", None), ("inner_tol", "1e-8")])
+        ("r", "2"), ("r", None), ("r", True), ("outer_tol", None), ("outer_tol", "1e-8")])
     def test_config_rejects_non_real_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             SolverConfig(**{"c": 3, field: value})
@@ -515,7 +518,7 @@ class TestSolverContracts:
         assert result.trace.records[-1].outer_iter <= 4
         assert max(rec.inner_iters for rec in result.trace.records) <= 2
 
-    @pytest.mark.parametrize("field", ["r", "outer_tol", "inner_tol"])
+    @pytest.mark.parametrize("field", ["r", "outer_tol"])
     def test_config_rejects_non_finite(self, field):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):

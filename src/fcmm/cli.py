@@ -34,7 +34,7 @@ from typing import Optional
 
 from .dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
 from .membership import init_random
-from .oracle import run_suite
+from .oracle import SCALES, run_suite
 from .solvers import SOLVERS, SolverConfig, SolverResult
 
 TRACE_HEADER = "iter,objective,elapsed_ns,membership_updates,inner_iters"
@@ -277,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
                        ("compare", "run and rank solvers by work")):
         _add_manifest_flags(sub.add_parser(name, help=text))
     val_p = sub.add_parser("validate", help="run the verification battery")
-    val_p.add_argument("--scale", choices=("quick", "full"), default="quick")
+    val_p.add_argument("--scale", choices=tuple(SCALES), default="quick")
     val_p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -5,23 +5,23 @@ Gram matrices, central finite differences, the textbook classic update from
 point-center differences, randomized surrogate probing, and a step-by-step
 audit of the descent chain. None of it shares math with the optimized code
 paths, so agreement is evidence rather than tautology. Used only by the test
-suite and the ``validate`` command. The Gram oracles, the finite
-differences and the fuzzy-means costs call no BLAS: every sum is a running
-sum in a plain Python loop's order from 0.0, so the results are bitwise
-those loops' on any BLAS thread count. No check loops in Python per
-trial or per perturbed vector: the finite differences take all 2n
-perturbed vectors in row chunks, and a check at fixed centers takes the
-points' squared distances to them once and costs a stack of memberships
-in one array pass (a chunk of certificate trials, an audit step's two h
-values, an anchor's domination samples). The Gram matrix (intended for
+suite and the ``validate`` command, whose battery is the table ``CHECKS``.
+The Gram oracles, the finite differences and the fuzzy-means costs call no
+BLAS: every sum is a running sum in a plain Python loop's order from 0.0,
+so the results are bitwise those loops' on any BLAS thread count. The
+finite differences take all 2n perturbed vectors in row chunks, and a
+check at fixed centers takes the points' squared distances to them once
+and costs a stack of memberships in one array pass (a chunk of
+certificate trials, an audit step's two h values, an anchor's domination
+samples). Only domination loops in Python per sample, for one ``phi`` call
+each: the program's phi is what it checks. The Gram matrix (intended for
 n <= 200) is built on the first Gram oracle call for a ``DataMatrix`` and
-held on that object. In :func:`run_suite`, a solver-side update that raises
-ValueError counts as an infinite error for its check, so a broken kernel
-is reported as a failed check rather than stopping the battery.
+held on that object.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +91,14 @@ def _weights(data: DataMatrix, g, name: str) -> np.ndarray:
     if g.shape != (data.n,):
         raise ValueError(f"{name} must be a length-{data.n} vector")
     return g
+
+
+def _worst(errors) -> float:
+    """The largest of 0.0 and the floats ``errors``, the first of equals as
+    Python's ``max`` takes it; NaN if any error is NaN, which ``max`` would
+    drop, so a NaN error fails its check."""
+    errors = [0.0, *errors]
+    return np.nan if np.isnan(errors).any() else max(errors)
 
 
 def gram_quad_oracle(data: DataMatrix, g) -> float:
@@ -180,14 +188,13 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     tolerance = 1e-9 * (1.0 + abs(h_star))
 
     rng = np.random.default_rng(seed)
-    worst = 0.0  # the self sample, h_star - h_star
+    gaps = []  # with _worst's 0.0 for the self sample, h_star - h_star
     for start in range(0, trials, _CHUNK):
         draws = rng.dirichlet(np.ones(G_t.c), size=(min(_CHUNK, trials - start), G_t.n))
         if not np.isfinite(draws).all():
             raise ValueError("membership values must be finite")
-        worst = max(worst, *(h_star - _weighted_cost(draws ** r, dists)).tolist())
-    return OracleReport.from_error("surrogate_argmin", max(0.0, worst),
-                                   tolerance, trials + 1)
+        gaps += (h_star - _weighted_cost(draws ** r, dists)).tolist()
+    return OracleReport.from_error("surrogate_argmin", _worst(gaps), tolerance, trials + 1)
 
 
 def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
@@ -208,7 +215,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     """
     _integer(steps, "steps", 1)
     G = _check_start(data, F0, cfg)
-    worst = 0.0
+    errors = []
     obj = phi(data, G)
     for _ in range(steps):
         dists = _sq_distances(data.points, compute_centers(aggregates(data, G)))
@@ -216,12 +223,10 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
         h_next, h_self = _weighted_cost(np.stack([G_next.values, G.values]), dists).tolist()
         obj_next = phi(data, G_next)
         scale = 1.0 + abs(obj)
-        worst = max(worst,
-                    (obj_next - h_next) / scale,
-                    (h_next - h_self) / scale,
-                    abs(h_self - obj) / scale)
+        errors += [(obj_next - h_next) / scale, (h_next - h_self) / scale,
+                   abs(h_self - obj) / scale]
         G, obj = G_next, obj_next
-    return OracleReport.from_error("descent_chain", worst, 1e-10, steps)
+    return OracleReport.from_error("descent_chain", _worst(errors), 1e-10, steps)
 
 
 def _draw_instance(rng, n_max, r=None):
@@ -261,60 +266,35 @@ def _draw_on_centers(rng, n_max, r):
 
 
 def _solver_side(update):
-    """``update().values``, or None where the solver-side update raises
-    ValueError: a broken kernel fails its check, it does not stop the
-    battery. The references' errors still propagate."""
+    """``update().values``, or inf where that solver-side update raises ValueError:
+    a broken kernel fails its check (a NaN gap if both sides raise) instead of
+    stopping the battery. The references' errors still propagate."""
     try:
         return update().values
     except ValueError:
-        return None
-
-
-def _max_gap(values, reference) -> float:
-    """Largest entrywise ``|values - reference|``; inf where either is None."""
-    if values is None or reference is None:
         return np.inf
-    return float(np.max(np.abs(values - reference)))
 
 
-def run_suite(scale: str = "quick", seed: int = 0) -> list:
-    """Run the full verification battery and return one report per check.
-
-    ``quick`` keeps instances at n <= 30 with at most 200 randomized
-    trials; ``full`` raises both. Deterministic for a fixed seed.
-    """
-    _integer(seed, "seed", 0)
-    if scale == "quick":
-        n_instances, n_max, trials = 5, 30, 200
-    elif scale == "full":
-        n_instances, n_max, trials = 20, 100, 1000
-    else:
-        raise ValueError(f"unknown scale {scale!r}, expected 'quick' or 'full'")
-    rng = np.random.default_rng(seed)
-    reports = []
-
-    # Gram-free aggregates vs explicit Gram evaluation. The last two data
-    # matrices share one shape, so a Gram matrix held per shape fails here;
-    # they come from a stream of their own, so no other check's draws move.
-    twins = np.random.default_rng([seed, 1])
-    twin, G_twin, _ = _draw_instance(twins, n_max, 2.0)
-    pairs = [_draw_instance(rng, n_max, 2.0)[:2] for _ in range(n_instances)]
-    pairs += [(twin, G_twin), (DataMatrix.from_points(twins.normal(size=twin.points.shape)),
-                               G_twin)]
-    worst = 0.0
-    samples = 0
+def _gram_agreement(rng, size):
+    """Gram-free aggregates against explicit Gram evaluation. The last two data
+    matrices share one shape and G, so a Gram matrix held per shape fails here."""
+    pairs = [_draw_instance(rng, size.n_max, 2.0)[:2] for _ in range(size.instances + 1)]
+    twin, G = pairs[-1]
+    pairs.append((DataMatrix.from_points(rng.normal(size=twin.points.shape)), G))
+    errors = []
     for data, G in pairs:
-        agg = aggregates(data, G)
-        for j in range(G.c):
-            quad_ref = gram_quad_oracle(data, G.values[:, j])
-            worst = max(worst, abs(agg.quad[j] - quad_ref) / (1.0 + abs(quad_ref)))
-            samples += 1
-    reports.append(OracleReport.from_error("gram_agreement", worst, 1e-10, samples))
+        quad_refs = [gram_quad_oracle(data, g) for g in G.values.T]
+        errors += [abs(quad - ref) / (1.0 + abs(ref))
+                   for quad, ref in zip(aggregates(data, G).quad, quad_refs)]
+    return [OracleReport.from_error("gram_agreement", _worst(errors), 1e-10, len(errors))]
 
-    # Central finite differences of q = quad / mass vs |x_i|^2 - |x_i - m|^2
-    # at g_t's center m: phi's gradient is the brackets the MM step builds.
-    worst = 0.0
-    for _ in range(n_instances * 2):
+
+def _gradient_fd(rng, size):
+    """Central finite differences of q = quad / mass against
+    |x_i|^2 - |x_i - m|^2 at g_t's center m: phi's gradient is the brackets
+    the MM step builds."""
+    errors = []
+    for _ in range(size.instances * 2):
         n = int(rng.integers(5, 16))
         d = int(rng.integers(1, 4))
         data = DataMatrix.from_points(rng.normal(size=(n, d)))
@@ -322,69 +302,89 @@ def run_suite(scale: str = "quick", seed: int = 0) -> list:
         m = compute_centers(aggregates(data, PowerMembership(g_t[:, None])))[0]
         grad = data.sq_norms - _sq_distances(data.points, [m])[0]
         fd = finite_diff_gradient(data, g_t, step=1e-5)
-        worst = max(worst, float(np.max(np.abs(fd - grad)))
-                    / (1.0 + float(np.max(np.abs(grad)))))
-    reports.append(OracleReport.from_error("gradient_fd", worst, 1e-6,
-                                           n_instances * 2))
+        errors.append(np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad))))
+    return [OracleReport.from_error("gradient_fd", _worst(errors), 1e-6, len(errors))]
 
-    # Surrogate touches the objective at the anchor and dominates elsewhere;
-    # h(. | G_t), the cost at G_t's centers, is a difference form, phi is not.
-    tang_worst = 0.0
-    dom_worst = 0.0
-    anchors = max(4, n_instances)
-    per_anchor = max(25, trials // anchors)
+
+def _surrogate_contact(rng, size):
+    """The surrogate touches the objective at the anchor and dominates it
+    elsewhere; h(. | G_t), the cost at G_t's centers, is a difference form,
+    phi is not."""
+    tangency, domination = [], []
+    anchors = max(4, size.instances)
+    per_anchor = max(25, size.trials // anchors)
     for _ in range(anchors):
-        data, G_t, _ = _draw_instance(rng, n_max, 2.0)
+        data, G_t, _ = _draw_instance(rng, size.n_max, 2.0)
         dists = _sq_distances(data.points, compute_centers(aggregates(data, G_t)))
         obj_t = phi(data, G_t)
-        tang_worst = max(tang_worst, abs(_weighted_cost(G_t.values, dists) - obj_t)
-                         / (1.0 + abs(obj_t)))
+        tangency.append(abs(_weighted_cost(G_t.values, dists) - obj_t) / (1.0 + abs(obj_t)))
         # one draw of all samples is the stream of one draw per sample
         draws = rng.dirichlet(np.ones(G_t.c), size=(per_anchor, data.n))
         Gs = [to_power(MembershipMatrix.from_values(F), 2.0) for F in draws]
         objs = np.array([phi(data, G) for G in Gs])
         gaps = objs - _weighted_cost(np.stack([G.values for G in Gs]), dists)
-        dom_worst = max(dom_worst, *(gaps / (1.0 + np.abs(objs))).tolist())
-    reports.append(OracleReport.from_error("tangency", tang_worst, 1e-10, anchors))
-    reports.append(OracleReport.from_error("domination", dom_worst, 1e-9,
-                                           anchors * per_anchor))
+        domination += (gaps / (1.0 + np.abs(objs))).tolist()
+    return [OracleReport.from_error("tangency", _worst(tangency), 1e-10, anchors),
+            OracleReport.from_error("domination", _worst(domination), 1e-9,
+                                    anchors * per_anchor)]
 
-    # One surrogate step equals one re-weighting inner step, and equals one
-    # classic center-then-membership alternation by the textbook formula. The
-    # last n_instances (own stream: no other draws move) put points on and near
-    # MM centers, r cycling from 3, where their rounding shows most, to 1.5 and 2.
-    near = np.random.default_rng([seed, 2])
-    instances = [_draw_instance(rng, n_max) for _ in range(n_instances * 4)]
-    instances += [_draw_on_centers(near, n_max, (3.0, 1.5, 2.0)[k % 3])
-                  for k in range(n_instances)]
-    worst_irw = 0.0
-    worst_classic = 0.0
+
+def _single_step(rng, size):
+    """One surrogate step equals one re-weighting inner step, and one classic
+    center-then-membership alternation by the textbook formula. The last
+    ``size.instances`` draws put points on and 1e-9 from the MM centers, r
+    cycling from 3, where their rounding shows most, to 1.5 and 2."""
+    instances = [_draw_instance(rng, size.n_max) for _ in range(size.instances * 4)]
+    instances += [_draw_on_centers(rng, size.n_max, (3.0, 1.5, 2.0)[k % 3])
+                  for k in range(size.instances)]
+    irw_gaps, classic_gaps = [], []
     for data, G_t, r in instances:
         F_mm = _solver_side(lambda: update_membership_mm(data, G_t, r))
         F_irw = _solver_side(
             lambda: update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r))
-        centers = compute_centers(aggregates(data, G_t))
-        F_classic = classic_update_oracle(data, centers, r).values
-        worst_irw = max(worst_irw, _max_gap(F_mm, F_irw))
-        worst_classic = max(worst_classic, _max_gap(F_mm, F_classic))
-    reports.append(OracleReport.from_error("single_step_equivalence", worst_irw,
-                                           1e-12, len(instances)))
-    reports.append(OracleReport.from_error("classic_coincidence", worst_classic,
-                                           1e-12, len(instances)))
+        F_classic = classic_update_oracle(data, compute_centers(aggregates(data, G_t)), r).values
+        irw_gaps.append(np.max(np.abs(F_mm - F_irw)))
+        classic_gaps.append(np.max(np.abs(F_mm - F_classic)))
+    return [OracleReport.from_error(name, _worst(gaps), 1e-12, len(instances)) for name, gaps
+            in (("single_step_equivalence", irw_gaps), ("classic_coincidence", classic_gaps))]
 
-    # Monotone descent audit on synthetic blobs.
-    spec = SyntheticSpec(blob_count=3, points_per_blob=20, dim=2,
-                         blob_stddev=0.5, blob_center_scale=5.0, seed=seed)
-    blob_data = make_blobs(spec)
-    cfg = SolverConfig(c=3, seed=seed)
-    F0 = init_random(blob_data.n, cfg.c, cfg.seed)
-    steps = 50 if scale == "quick" else 100
-    reports.append(descent_chain_audit(blob_data, F0, cfg, steps))
 
-    # Randomized surrogate-minimizer certificate.
-    n = 20 if scale == "quick" else 40
-    data = DataMatrix.from_points(rng.normal(size=(n, 2)))
-    G_t = to_power(MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=n)), 2.0)
-    reports.append(surrogate_argmin_oracle(data, G_t, 2.0, trials, seed))
+def _descent(rng, size):
+    """Monotone descent audit on synthetic blobs from a random start."""
+    seed = int(rng.integers(1 << 32))
+    blobs = make_blobs(SyntheticSpec(blob_count=3, points_per_blob=20, dim=2,
+                                     blob_stddev=0.5, blob_center_scale=5.0, seed=seed))
+    return [descent_chain_audit(blobs, init_random(blobs.n, 3, seed), SolverConfig(c=3),
+                                size.steps)]
 
-    return reports
+
+def _certificate(rng, size):
+    """Randomized surrogate-minimizer certificate."""
+    data = DataMatrix.from_points(rng.normal(size=(size.certificate_n, 2)))
+    F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=size.certificate_n))
+    return [surrogate_argmin_oracle(data, to_power(F, 2.0), 2.0, size.trials,
+                                    int(rng.integers(1 << 32)))]
+
+
+# Every check with the fixed key of its stream, default_rng([seed, key]):
+# a check's draws are its own, so a draw added to one moves no other's.
+CHECKS = ((1, _gram_agreement), (2, _gradient_fd), (3, _surrogate_contact),
+          (4, _single_step), (5, _descent), (6, _certificate))
+
+# Every per-scale size, the scales in ``fcmm validate --scale``'s order.
+_Sizes = namedtuple("_Sizes", "instances n_max trials steps certificate_n")
+SCALES = {"quick": _Sizes(5, 30, 200, 50, 20), "full": _Sizes(20, 100, 1000, 100, 40)}
+
+
+def run_suite(scale: str = "quick", seed: int = 0) -> list:
+    """Run the full verification battery and return its reports, by ``CHECKS``.
+
+    ``quick`` keeps instances at n <= 30 with at most 200 randomized
+    trials; ``full`` raises both (``SCALES``). Each check draws from its own
+    ``default_rng([seed, key])``. Deterministic for a fixed seed.
+    """
+    _integer(seed, "seed", 0)
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}, expected one of {tuple(SCALES)}")
+    return [report for key, check in CHECKS
+            for report in check(np.random.default_rng([seed, key]), SCALES[scale])]

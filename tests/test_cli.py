@@ -406,6 +406,19 @@ class TestMainEntryPoint:
         assert main(["validate", "--scale", "quick"]) == 0
         assert "[PASS]" in capsys.readouterr().out
 
+    def test_validate_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: fcmm validate [-h] [--scale {quick,full}] [--seed SEED]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --scale {quick,full}\n"
+            "  --seed SEED\n")
+
     def test_validate_negative_seed_is_usage_error(self, capsys):
         assert main(["validate", "--seed", "-1"]) == 2
         captured = capsys.readouterr()

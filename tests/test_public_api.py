@@ -20,9 +20,9 @@ MODULE_ONLY = {
                 "irw_auxiliary", "TraceRecord"],
     "objective": ["ClusterAggregates"],
     "membership": ["MembershipReport"],
-    "oracle": ["OracleReport", "classic_update_oracle", "descent_chain_audit",
-               "finite_diff_gradient", "gram_quad_oracle", "gram_vector_oracle",
-               "run_suite", "surrogate_argmin_oracle"],
+    "oracle": ["CHECKS", "OracleReport", "SCALES", "classic_update_oracle",
+               "descent_chain_audit", "finite_diff_gradient", "gram_quad_oracle",
+               "gram_vector_oracle", "run_suite", "surrogate_argmin_oracle"],
 }
 
 

@@ -34,8 +34,7 @@ class MembershipMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _own_matrix(self.values, "membership values"))
-        if not np.isfinite(self.values).all():
-            raise ValueError("membership values must be finite")
+        _check_finite(self.values)
 
     @property
     def n(self) -> int:
@@ -65,14 +64,9 @@ class PowerMembership:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _own_matrix(self.values, "powered membership values"))
-        sums = np.einsum("ij->j", self.values)  # no BLAS: bits free of its thread count
+        sums = _column_sums(self.values)
         sums.setflags(write=False)
         object.__setattr__(self, "col_sums", sums)
-        if not 0.0 < sums.min() <= sums.max() < np.inf:  # also False on a NaN sum
-            if not np.isfinite(sums).all():
-                raise ValueError(f"powered membership values must be finite, column sums {sums.tolist()}")
-            raise DegenerateClusterError(f"cluster(s) {np.flatnonzero(sums <= 0.0).tolist()} "
-                                         "have zero mass (column sum of g is 0)")
 
     @property
     def n(self) -> int:
@@ -85,6 +79,27 @@ class PowerMembership:
     @classmethod
     def from_values(cls, values) -> "PowerMembership":
         return cls(np.asarray(values, dtype=np.float64))
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """:class:`MembershipMatrix`'s rule on an array: a ValueError unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("membership values must be finite")
+
+
+def _column_sums(values: np.ndarray) -> np.ndarray:
+    """Column sums of powered memberships, by :class:`PowerMembership`'s rule.
+
+    Summed without BLAS, so their bits do not follow its thread count. A
+    non-finite sum is a ValueError, a zero column a DegenerateClusterError.
+    """
+    sums = np.einsum("ij->j", values)
+    if not 0.0 < sums.min() <= sums.max() < np.inf:  # also False on a NaN sum
+        if not np.isfinite(sums).all():
+            raise ValueError(f"powered membership values must be finite, column sums {sums.tolist()}")
+        raise DegenerateClusterError(f"cluster(s) {np.flatnonzero(sums <= 0.0).tolist()} "
+                                     "have zero mass (column sum of g is 0)")
+    return sums
 
 
 def init_random(n: int, c: int, seed: int) -> MembershipMatrix:

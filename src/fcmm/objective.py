@@ -71,13 +71,19 @@ def aggregates(data: DataMatrix, G: PowerMembership) -> ClusterAggregates:
     held = G.__dict__.get("_aggregates")
     if held is not None and held[0] is data:
         return held[1]
-    y = G.values.T @ data.points
-    quad = np.einsum("cd,cd->c", y, y)
+    y, quad = _weighted_sums(data, G.values)
     y.setflags(write=False)
     quad.setflags(write=False)
     agg = ClusterAggregates(y, quad, G.col_sums)
     object.__setattr__(G, "_aggregates", (data, agg))
     return agg
+
+
+def _weighted_sums(data: DataMatrix, values: np.ndarray):
+    """``y = G'X`` and ``quad_j = |y_j|^2``, writable, for n x c powered memberships:
+    the package's one ``G'X`` product, for :func:`aggregates` and IRW's inner steps."""
+    y = values.T @ data.points
+    return y, np.einsum("cd,cd->c", y, y)
 
 
 def compute_centers(agg: ClusterAggregates) -> np.ndarray:

@@ -26,8 +26,9 @@ import numpy as np
 
 from .dataset import DataMatrix, _integer, _real
 from .exceptions import DegenerateClusterError
-from .membership import MembershipMatrix, PowerMembership, to_power, validate
-from .objective import _sq_distances, aggregates, compute_centers, phi
+from .membership import (MembershipMatrix, PowerMembership, _check_finite, _column_sums,
+                         to_power, validate)
+from .objective import _sq_distances, _weighted_sums, aggregates, compute_centers, phi
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITERS = "max_iters"
@@ -158,18 +159,15 @@ def _near_center(brackets, row_min, points, sq_norms, centers, top) -> None:
         row_min[rows] = brackets[:, rows].min(axis=0)
 
 
-def update_membership_classic(data: DataMatrix, centers: np.ndarray,
-                              r: float) -> MembershipMatrix:
-    """The closed-form update of all three solvers, from c x d centers, in row blocks.
+def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarray:
+    """The memberships of :func:`update_membership_classic` as a writable array.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
     rounds a few-row product differently). Each block builds its c x b
     brackets from one product, :func:`_near_center` recomputes those near a
-    center, and the kernel runs in cache into one column-major n x c result;
-    the difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
+    center, and the kernel runs in cache into one column-major n x c result.
     """
-    _real(r, "r", 1.0)
     center_sq = np.einsum("cd,cd->c", centers, centers)
     top = center_sq.max()
 
@@ -186,6 +184,18 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     for start, stop in zip(starts, [*starts[1:], data.n]):
         rows = slice(start, stop)
         block(data.points[rows], data.sq_norms[rows], values[rows])
+    return values
+
+
+def update_membership_classic(data: DataMatrix, centers: np.ndarray,
+                              r: float) -> MembershipMatrix:
+    """The closed-form update of all three solvers, from c x d centers.
+
+    :func:`_classic_values` computes it, held read-only without a copy; the
+    difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
+    """
+    _real(r, "r", 1.0)
+    values = _classic_values(data, centers, r)
     values.setflags(write=False)
     return MembershipMatrix(values)
 
@@ -201,18 +211,23 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
     """Linearized-subproblem update at G with the scalars s frozen.
 
     The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
-    the squared distance to the center ``s_j y_j / |y_j|``: its direction
-    comes from G and its norm is held at s_j; those centers go to
-    :func:`update_membership_classic`. Undefined where quad_j = 0
-    (all-zero weighted cluster image).
+    the squared distance to the center ``s_j y_j / |y_j|`` of
+    :func:`_irw_centers`; those centers go to :func:`update_membership_classic`.
     """
     agg = aggregates(data, G)
-    if (agg.quad <= 0.0).any():
-        dead = np.flatnonzero(agg.quad <= 0.0).tolist()
+    return update_membership_classic(data, _irw_centers(agg.y, agg.quad, s), r)
+
+
+def _irw_centers(y: np.ndarray, quad: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Re-weighting centers ``s_j y_j / |y_j|``: direction from the weighted
+    sums y, norm held at s_j. Undefined where quad_j = |y_j|^2 = 0 (all-zero
+    weighted cluster image), a DegenerateClusterError naming those clusters.
+    """
+    if (quad <= 0.0).any():
+        dead = np.flatnonzero(quad <= 0.0).tolist()
         raise DegenerateClusterError(
             f"cluster(s) {dead} have zero weighted image, re-weighting undefined")
-    centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
-    return update_membership_classic(data, centers, r)
+    return y * (s / np.sqrt(quad))[:, None]
 
 
 def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> MembershipMatrix:
@@ -251,17 +266,28 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     linearized update at the frozen s until no membership moves by more than
     ``INNER_TOL`` (memberships have no unit, so one bound fits every dataset)
     or the cap is hit. Returns the new F and G and the inner steps, one update each.
+
+    Steps 2.. run :func:`update_membership_irw` and :func:`to_power` on plain
+    arrays, with every check of their records; records are built for the last step.
     """
-    F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
-    G_in = to_power(F_in, cfg.r)
+    F_mm = update_membership_mm(data, G, cfg.r)
+    G_mm = to_power(F_mm, cfg.r)
+    prev, values, powered = F.values, F_mm.values, G_mm.values
     inner, s = 1, None
-    while inner < max_inner and np.abs(F_in.values - F_prev.values).max() > INNER_TOL:
+    while inner < max_inner and np.abs(values - prev).max() > INNER_TOL:
         if s is None:
             s = irw_auxiliary(data, G)
-        F_prev, F_in = F_in, update_membership_irw(data, G_in, s, cfg.r)
-        G_in = to_power(F_in, cfg.r)
+        centers = _irw_centers(*_weighted_sums(data, powered), s)
+        prev, values = values, _classic_values(data, centers, cfg.r)
+        _check_finite(values)
+        powered = values ** cfg.r
+        _column_sums(powered)
         inner += 1
-    return F_in, G_in, inner
+    if inner == 1:
+        return F_mm, G_mm, 1
+    values.setflags(write=False)
+    powered.setflags(write=False)
+    return MembershipMatrix(values), PowerMembership(powered), inner
 
 
 def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,

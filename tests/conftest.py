@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcmm import objective
+from fcmm import objective, solvers
 from fcmm.dataset import DataMatrix, load_csv, standardize
 from fcmm.membership import MembershipMatrix, PowerMembership, to_power
 
@@ -27,17 +27,20 @@ def bracket_gradient(data, g):
 def count_products(monkeypatch):
     """List that grows by one per ``G'X`` product taken from here on.
 
-    ``objective.aggregates`` builds a ClusterAggregates only when it takes
-    the product, not when it returns the one held on G.
+    Counted at the package's one product site, ``objective._weighted_sums``,
+    under both names it has: ``objective.aggregates`` calls it only when it
+    takes the product, not when it returns the one held on G, and the
+    re-weighting inner steps call it as ``solvers._weighted_sums``.
     """
     built = []
-    build = objective.ClusterAggregates
+    product = objective._weighted_sums
 
     def counted(*args):
         built.append(1)
-        return build(*args)
+        return product(*args)
 
-    monkeypatch.setattr(objective, "ClusterAggregates", counted)
+    for module in (objective, solvers):
+        monkeypatch.setattr(module, "_weighted_sums", counted)
     return built
 
 

@@ -1,0 +1,146 @@
+"""solve_irw_fcm against a plain double loop of the public single steps.
+
+The solver runs inner steps 2.. on arrays; the reference below runs every
+step through the public records, as the double loop reads in the paper:
+``update_membership_mm``, then ``update_membership_irw`` at the scalars of
+``irw_auxiliary`` until no membership moves by more than ``INNER_TOL`` or
+the cap is hit, with ``to_power`` after each step. The two must agree
+bitwise.
+"""
+
+import numpy as np
+import pytest
+
+from fcmm import solvers
+from fcmm.cli import SYNTHETIC_PRESETS
+from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
+from fcmm.exceptions import DegenerateClusterError
+from fcmm.membership import init_random, to_power
+from fcmm.objective import aggregates, phi
+from fcmm.solvers import (INNER_TOL, SolverConfig, irw_auxiliary, solve_irw_fcm,
+                          update_membership_classic, update_membership_irw,
+                          update_membership_mm)
+
+
+def irw_step(data, G, s, r):
+    """``update_membership_irw``, checked bitwise against its definition:
+    the classic update at the centers ``s_j y_j / |y_j|``."""
+    F = update_membership_irw(data, G, s, r)
+    agg = aggregates(data, G)
+    centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
+    assert F.values.tobytes() == update_membership_classic(data, centers, r).values.tobytes()
+    return F
+
+
+def reference_irw(data, F0, cfg):
+    """(F, objective, trace rows, termination) of the double loop, one record per step.
+
+    A trace row is (outer iteration, objective, membership updates, inner steps).
+    """
+    G = to_power(F0, cfg.r)
+    F, obj = F0, phi(data, G)
+    rows, updates = [(0, obj, 0, 0)], 0
+    for it in range(1, cfg.max_outer_iters + 1):
+        try:
+            F_prev, F_in = F, update_membership_mm(data, G, cfg.r)
+            G_in = to_power(F_in, cfg.r)
+            inner, s = 1, None
+            while (inner < cfg.max_inner_iters
+                   and np.abs(F_in.values - F_prev.values).max() > INNER_TOL):
+                s = irw_auxiliary(data, G) if s is None else s
+                F_prev, F_in = F_in, irw_step(data, G_in, s, cfg.r)
+                G_in = to_power(F_in, cfg.r)
+                inner += 1
+        except DegenerateClusterError:
+            return F, obj, rows, "degenerate"
+        updates += inner
+        obj_new = phi(data, G_in)
+        rows.append((it, obj_new, updates, inner))
+        converged = abs(obj_new - obj) <= cfg.outer_tol * abs(obj)
+        F, G, obj = F_in, G_in, obj_new
+        if converged:
+            return F, obj, rows, "converged"
+    return F, obj, rows, "max_iters"
+
+
+def assert_parity(data, F0, cfg):
+    result = solve_irw_fcm(data, F0, cfg)
+    F, obj, rows, termination = reference_irw(data, F0, cfg)
+    assert result.termination == termination
+    assert result.F_final.values.tobytes() == F.values.tobytes()
+    assert result.objective_final.hex() == obj.hex()
+    assert [(rec.outer_iter, rec.objective.hex(), rec.membership_updates, rec.inner_iters)
+            for rec in result.trace.records] == [
+        (it, o.hex(), updates, inner) for it, o, updates, inner in rows]
+    return result
+
+
+def test_iris_starts(iris_data):
+    for seed in range(40):
+        assert_parity(iris_data, init_random(iris_data.n, 3, seed), SolverConfig(c=3, seed=seed))
+
+
+@pytest.mark.parametrize("max_inner", [2, 5, 100])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_blobs_small(r, max_inner):
+    data = standardize(make_blobs(SyntheticSpec(seed=0, **SYNTHETIC_PRESETS["blobs-small"])))
+    assert_parity(data, init_random(data.n, 3, 0),
+                  SolverConfig(c=3, r=r, max_inner_iters=max_inner))
+
+
+def test_more_than_one_row_block():
+    rng = np.random.default_rng(3)
+    n = 2 * solvers._BLOCK_ROWS + 1000
+    data = DataMatrix.from_points(rng.normal(size=(n, 3)) + rng.normal(scale=3.0, size=(3, 3))[
+        rng.integers(0, 3, size=n)])
+    result = assert_parity(data, init_random(n, 3, 1), SolverConfig(c=3, max_outer_iters=2))
+    assert result.trace.records[1].inner_iters >= 2
+
+
+class TestDegenerateInnerSteps:
+    """A collapse on an inner step ends the solve as the double loop's would."""
+
+    @pytest.mark.parametrize("max_inner", [1, 2, 100])
+    def test_all_zero_data_degenerates_at_a_second_step(self, max_inner):
+        data, F0 = DataMatrix.from_points(np.zeros((6, 2))), init_random(6, 3, 1)
+        result = assert_parity(data, F0, SolverConfig(c=3, max_inner_iters=max_inner))
+        if max_inner == 1:
+            assert result.termination == "converged"
+        else:  # the last valid state is the start, with its record alone
+            assert result.termination == "degenerate"
+            assert result.F_final.values.tobytes() == F0.values.tobytes()
+            assert len(result.trace) == 1
+
+    @staticmethod
+    def spoil_second_update(monkeypatch, spoil):
+        """Pass the kernel's second array (the first re-weighting step) through ``spoil``."""
+        calls = []
+        kernel = solvers._classic_values
+
+        def spoiled(*args):
+            values = kernel(*args)
+            calls.append(1)
+            return spoil(values) if len(calls) == 2 else values
+
+        monkeypatch.setattr(solvers, "_classic_values", spoiled)
+
+    def test_zero_mass(self, iris_data, monkeypatch):
+        def zero_column(values):
+            values[:, 1] = 0.0
+            return values
+
+        self.spoil_second_update(monkeypatch, zero_column)
+        F0 = init_random(iris_data.n, 3, 0)
+        result = solve_irw_fcm(iris_data, F0, SolverConfig(c=3))
+        assert result.termination == "degenerate"
+        assert result.F_final is F0 and len(result.trace) == 1
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda values: values * np.nan, "membership values must be finite"),
+        pytest.param(lambda values: values * 1e200, "powered membership values must be finite",
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ], ids=["memberships", "mass"])
+    def test_non_finite(self, iris_data, monkeypatch, spoil, message):
+        self.spoil_second_update(monkeypatch, spoil)
+        with pytest.raises(ValueError, match=message):
+            solve_irw_fcm(iris_data, init_random(iris_data.n, 3, 0), SolverConfig(c=3))

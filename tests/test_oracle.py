@@ -633,6 +633,11 @@ def _unsplit(memberships):
     return namespace[memberships.__name__]
 
 
+def _unnormalized(irw_centers):
+    # the re-weighting centers s_j y_j, without the 1 / |y_j|
+    return lambda y, quad, s: y * s[:, None]
+
+
 def _halved(weighted_cost):
     return lambda *args: 0.5 * weighted_cost(*args)
 
@@ -664,6 +669,8 @@ def _nan_cost(weighted_cost):
      {"classic_coincidence", "single_step_equivalence"}),
     (fcmm.solvers, "_memberships_from_brackets", _unsplit,
      {"classic_coincidence", "single_step_equivalence"}),
+    # the helper IRW's inner steps share with update_membership_irw
+    (fcmm.solvers, "_irw_centers", _unnormalized, {"single_step_equivalence"}),
     (fcmm.oracle, "_weighted_cost", _halved, {"tangency", "domination", "descent_chain"}),
     # a NaN error fails its check: a worst-of by Python's max would drop it
     (fcmm.oracle, "phi", _nan_phi, {"tangency", "domination", "descent_chain"}),
@@ -671,7 +678,8 @@ def _nan_cost(weighted_cost):
      {"tangency", "domination", "descent_chain", "surrogate_argmin"}),
 ], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape",
         "near-center-recompute", "stale-row-min", "near-center-recompute-off",
-        "split-rows-not-split", "surrogate-cost-halved", "phi-nan", "surrogate-cost-nan"])
+        "split-rows-not-split", "irw-centers-unnormalized", "surrogate-cost-halved", "phi-nan",
+        "surrogate-cost-nan"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

@@ -198,12 +198,16 @@ def standardize(data: DataMatrix) -> DataMatrix:
 
     Uses the sample standard deviation (denominator n - 1, hence the n >= 2
     precondition). Columns that are constant, up to floating-point noise,
-    are centered only. Idempotent to within rounding.
+    are centered only. Idempotent to within rounding. Works at scales 1e-300 to 1e300.
     """
     if data.n < 2:
         raise ValueError(f"standardize needs at least 2 points, got {data.n}")
     mean = data.points.mean(axis=0)
     centered = data.points - mean
-    std = centered.std(axis=0, ddof=1)
+    with np.errstate(over="ignore"):
+        std = centered.std(axis=0, ddof=1)
+    if not 2.0**-500 < std.min() <= std.max() < np.inf:  # squares may have left the float range
+        unit = np.ldexp(1.0, np.frexp(np.abs(centered).max(axis=0))[1] - 1)  # exact rescale
+        std = (centered / unit).std(axis=0, ddof=1) * unit
     scale = np.where(std > _ZERO_VARIANCE_RTOL * np.abs(mean), std, 1.0)
     return DataMatrix.from_points(centered / scale)

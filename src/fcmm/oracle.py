@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
-from .membership import MembershipMatrix, PowerMembership, init_random, to_power
+from .membership import MembershipMatrix, PowerMembership, _check_finite, init_random, to_power
 from .objective import (_running_sum, _sq_distances, _weighted_cost, aggregates,
                         compute_centers, phi)
 from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_irw,
@@ -79,10 +79,11 @@ def _gram_matrix(data: DataMatrix) -> np.ndarray:
     return gram
 
 
-def _quad_form(gram: np.ndarray, g: np.ndarray) -> float:
-    """g' gram g as ``(g_i * gram_ik) * g_k`` summed over i, then k, by a
-    running sum from 0.0: bitwise a plain double loop, sign of zero too."""
-    return float(_running_sum((g[:, None] * gram * g).ravel()))
+def _quad_forms(gram: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """g' gram g for each row g of the k x n stack gs, as ``(g_i * gram_ik) * g_k``
+    summed over i, then k, by a running sum from 0.0: bitwise a plain double
+    loop, sign of zero too. The one g'Kg of the Gram oracles."""
+    return _running_sum((gs[:, :, None] * gram * gs[:, None, :]).reshape(len(gs), -1))
 
 
 def _weights(data: DataMatrix, g, name: str) -> np.ndarray:
@@ -106,7 +107,7 @@ def gram_quad_oracle(data: DataMatrix, g) -> float:
 
     Intended for n <= 200; the optimized path never forms this matrix.
     """
-    return _quad_form(_gram_matrix(data), _weights(data, g, "g"))
+    return float(_quad_forms(_gram_matrix(data), _weights(data, g, "g")[None])[0])
 
 
 def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
@@ -118,7 +119,7 @@ def gram_vector_oracle(data: DataMatrix, g) -> np.ndarray:
 def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of g -> (g'X'Xg)/(g'1), per component.
 
-    The 2n perturbed vectors' quadratic forms (as :func:`_quad_form`) and
+    The 2n perturbed vectors' quadratic forms (by :func:`_quad_forms`) and
     sums are running sums from 0.0, so every bit is a plain loop's. They
     are taken for a chunk of components at a time, at most ``_FD_TERMS``
     Gram products or one component's 2n^2, so at n <= 256 no temporary
@@ -139,8 +140,7 @@ def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarra
         g = np.tile(g_t, (2 * k, 1))
         g[np.arange(k), comps] += step
         g[np.arange(k, 2 * k), comps] -= step
-        quad = _running_sum((g[:, :, None] * gram * g[:, None, :]).reshape(2 * k, -1))
-        ratio = quad / _running_sum(g)
+        ratio = _quad_forms(gram, g) / _running_sum(g)
         out[comps] = (ratio[:k] - ratio[k:]) / (2.0 * step)
     return out
 
@@ -191,8 +191,7 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     gaps = []  # with _worst's 0.0 for the self sample, h_star - h_star
     for start in range(0, trials, _CHUNK):
         draws = rng.dirichlet(np.ones(G_t.c), size=(min(_CHUNK, trials - start), G_t.n))
-        if not np.isfinite(draws).all():
-            raise ValueError("membership values must be finite")
+        _check_finite(draws)
         gaps += (h_star - _weighted_cost(draws ** r, dists)).tolist()
     return OracleReport.from_error("surrogate_argmin", _worst(gaps), tolerance, trials + 1)
 

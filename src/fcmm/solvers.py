@@ -170,20 +170,16 @@ def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarr
     """
     center_sq = np.einsum("cd,cd->c", centers, centers)
     top = center_sq.max()
-
-    def block(points, sq_norms, out):
+    values = np.empty((data.n, centers.shape[0]), order="F")
+    starts = range(0, max(data.n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], data.n]):
+        points, sq_norms = data.points[start:stop], data.sq_norms[start:stop]
         # Built c x b, so broadcasts and per-point scans run along the points.
         brackets = (-2.0 * centers) @ points.T
         brackets += center_sq[:, None] + sq_norms
         row_min = brackets.min(axis=0)
         _near_center(brackets, row_min, points, sq_norms, centers, top)
-        return _memberships_from_brackets(brackets.T, row_min, r, out)
-
-    values = np.empty((data.n, centers.shape[0]), order="F")
-    starts = range(0, max(data.n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
-    for start, stop in zip(starts, [*starts[1:], data.n]):
-        rows = slice(start, stop)
-        block(data.points[rows], data.sq_norms[rows], values[rows])
+        _memberships_from_brackets(brackets.T, row_min, r, values[start:stop])
     return values
 
 

@@ -258,6 +258,21 @@ class TestStandardize:
         tiny = standardize(DataMatrix.from_points(iris_raw.points * 1e-14))
         assert np.max(np.abs(tiny.points - standardize(iris_raw).points)) <= 1e-12
 
+    # squares of the centred values leave the float range beyond about 1e+-154
+    def test_extreme_scales(self, iris_raw):
+        base = np.random.default_rng(7).normal(size=(20, 2))
+        for scale in (1e160, 1e300, 1e-160, 1e-300):
+            data = standardize(DataMatrix.from_points(base * scale))
+            assert np.max(np.abs(data.points.std(axis=0, ddof=1) - 1.0)) <= 1e-12, scale
+        # in range, the direct formula's bits; a constant column, whose std
+        # is 0, takes the power-of-two rescale, which is exact
+        centered = iris_raw.points - iris_raw.points.mean(axis=0)
+        direct = centered / centered.std(axis=0, ddof=1)
+        assert standardize(iris_raw).points.tobytes() == direct.tobytes()
+        padded = standardize(DataMatrix.from_points(np.column_stack([iris_raw.points,
+                                                                     np.full(150, 5.0)])))
+        assert padded.points[:, :4].tobytes() == direct.tobytes()
+
     def test_sq_norms_recomputed(self):
         data = standardize(DataMatrix.from_points([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0]]))
         expect = np.einsum("ij,ij->i", data.points, data.points)

@@ -672,14 +672,16 @@ def _nan_cost(weighted_cost):
     # the helper IRW's inner steps share with update_membership_irw
     (fcmm.solvers, "_irw_centers", _unnormalized, {"single_step_equivalence"}),
     (fcmm.oracle, "_weighted_cost", _halved, {"tangency", "domination", "descent_chain"}),
+    # the one g'Kg routine of the Gram oracle and the finite differences
+    (fcmm.oracle, "_quad_forms", _halved, {"gram_agreement", "gradient_fd"}),
     # a NaN error fails its check: a worst-of by Python's max would drop it
     (fcmm.oracle, "phi", _nan_phi, {"tangency", "domination", "descent_chain"}),
     (fcmm.oracle, "_weighted_cost", _nan_cost,
      {"tangency", "domination", "descent_chain", "surrogate_argmin"}),
 ], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape",
         "near-center-recompute", "stale-row-min", "near-center-recompute-off",
-        "split-rows-not-split", "irw-centers-unnormalized", "surrogate-cost-halved", "phi-nan",
-        "surrogate-cost-nan"])
+        "split-rows-not-split", "irw-centers-unnormalized", "surrogate-cost-halved",
+        "quad-form-halved", "phi-nan", "surrogate-cost-nan"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

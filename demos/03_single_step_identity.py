@@ -24,8 +24,8 @@ Run:  python demos/03_single_step_identity.py
 
 import numpy as np
 
-from fcmm import (DataMatrix, MembershipMatrix, SolverConfig, aggregates,
-                  compute_centers, init_random, solve_fcm_mm, solve_irw_fcm, to_power)
+from fcmm import (DataMatrix, MembershipMatrix, SolverConfig, compute_centers, init_random,
+                  solve_fcm_mm, solve_irw_fcm, to_power)
 from fcmm.oracle import classic_update_oracle
 from fcmm.solvers import irw_auxiliary, update_membership_irw, update_membership_mm
 
@@ -42,7 +42,7 @@ for _ in range(200):
 
     F_mm = update_membership_mm(data, G, r)
     F_irw = update_membership_irw(data, G, irw_auxiliary(data, G), r)
-    F_classic = classic_update_oracle(data, compute_centers(aggregates(data, G)), r)
+    F_classic = classic_update_oracle(data, compute_centers(data, G), r)
 
     worst_irw = max(worst_irw, np.max(np.abs(F_mm.values - F_irw.values)))
     worst_classic = max(worst_classic, np.max(np.abs(F_mm.values - F_classic.values)))

@@ -21,8 +21,8 @@ Run:  python demos/04_surrogate_geometry.py
 
 import numpy as np
 
-from fcmm import (DataMatrix, MembershipMatrix, aggregates, compute_centers,
-                  fcm_objective, init_random, phi, to_power)
+from fcmm import (DataMatrix, MembershipMatrix, compute_centers, fcm_objective, init_random,
+                  phi, to_power)
 from fcmm.solvers import update_membership_mm
 
 rng = np.random.default_rng(4)
@@ -31,7 +31,7 @@ data = DataMatrix.from_points(rng.normal(size=(40, 3)))
 anchor = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=40))
 G_anchor = to_power(anchor, 2.0)
 p_anchor = phi(data, G_anchor)
-centers_anchor = compute_centers(aggregates(data, G_anchor))
+centers_anchor = compute_centers(data, G_anchor)
 
 print(f"anchor objective phi      : {p_anchor:.10f}")
 print(f"surrogate at the anchor   : {fcm_objective(data, anchor, centers_anchor, 2.0):.10f}")
@@ -53,7 +53,7 @@ for step in range(1, 11):
     obj = phi(data, G)
     F_next = update_membership_mm(data, G, 2.0)
     G_next = to_power(F_next, 2.0)
-    h_next = fcm_objective(data, F_next, compute_centers(aggregates(data, G)), 2.0)
+    h_next = fcm_objective(data, F_next, compute_centers(data, G), 2.0)
     obj_next = phi(data, G_next)
     assert obj_next <= h_next <= obj + 1e-10 * (1 + abs(obj))
     print(f"{step:>5} {obj:>16.10f} {h_next:>16.10f} {obj_next:>16.10f}")

@@ -154,8 +154,9 @@ def cmd_run(manifest: RunManifest):
     """Execute the manifest and write trace CSVs plus summary.json.
 
     Returns ``(exit_status, results)``; status 1, with no file written, on a
-    dataset load failure or a refused start, and 1 on an output write
-    failure (degenerate terminations are recorded in the summary).
+    dataset load failure, a refused start or a non-finite objective, and 1
+    on an output write failure (degenerate terminations are recorded in the
+    summary).
     """
     try:
         results = execute(manifest)

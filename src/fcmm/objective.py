@@ -22,7 +22,7 @@ its own. The term ``q(g) = quad / mass`` that phi subtracts has gradient
 builds. q is homogeneous of degree 1, so by Euler its tangent plane has
 no constant term, and phi's tangent plane at G_t is the surrogate
 ``h(G | G_t) = sum_ij g_ij |x_i - m_j^t|^2``: :func:`fcm_objective` at
-``compute_centers(aggregates(data, G_t))``.
+``compute_centers(data, G_t)``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, _real
-from .exceptions import DegenerateClusterError
 from .membership import MembershipMatrix, PowerMembership
 
 
@@ -86,11 +85,10 @@ def _weighted_sums(data: DataMatrix, values: np.ndarray):
     return y, np.einsum("cd,cd->c", y, y)
 
 
-def compute_centers(agg: ClusterAggregates) -> np.ndarray:
-    """Optimal c x d centers for fixed memberships: m_j = y_j / mass_j."""
-    if np.any(agg.mass <= 0.0):
-        raise DegenerateClusterError("zero cluster mass, centers undefined")
-    return agg.y / agg.mass[:, None]
+def compute_centers(data: DataMatrix, G: PowerMembership) -> np.ndarray:
+    """Optimal c x d centers for fixed memberships: m_j = y_j / mass_j, from
+    the ``G'X`` product held on G; :class:`PowerMembership` keeps mass_j > 0."""
+    return aggregates(data, G).y / G.col_sums[:, None]
 
 
 def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,

@@ -182,7 +182,7 @@ def surrogate_argmin_oracle(data: DataMatrix, G_t: PowerMembership, r: float,
     """
     _integer(trials, "trials", 1)
     _integer(seed, "seed", 0)
-    dists = _sq_distances(data.points, compute_centers(aggregates(data, G_t)))
+    dists = _sq_distances(data.points, compute_centers(data, G_t))
     F_star = update_membership_mm(data, G_t, r)
     h_star = _weighted_cost(F_star.values ** r, dists)
     tolerance = 1e-9 * (1.0 + abs(h_star))
@@ -217,7 +217,7 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     errors = []
     obj = phi(data, G)
     for _ in range(steps):
-        dists = _sq_distances(data.points, compute_centers(aggregates(data, G)))
+        dists = _sq_distances(data.points, compute_centers(data, G))
         G_next = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
         h_next, h_self = _weighted_cost(np.stack([G_next.values, G.values]), dists).tolist()
         obj_next = phi(data, G_next)
@@ -258,7 +258,7 @@ def _draw_on_centers(rng, n_max, r):
     g = G.values.copy()
     g[1:2 * k + 1] = np.eye(G.c)[0]
     G = PowerMembership(g)
-    centers = compute_centers(aggregates(data, G))[1:k + 1]
+    centers = compute_centers(data, G)[1:k + 1]
     points = data.points.copy()
     points[1:2 * k + 1] = np.vstack([centers, centers + 1e-9 * rng.normal(size=centers.shape)])
     return DataMatrix.from_points(points), G, r
@@ -298,7 +298,7 @@ def _gradient_fd(rng, size):
         d = int(rng.integers(1, 4))
         data = DataMatrix.from_points(rng.normal(size=(n, d)))
         g_t = rng.uniform(0.1, 1.0, size=n)
-        m = compute_centers(aggregates(data, PowerMembership(g_t[:, None])))[0]
+        m = compute_centers(data, PowerMembership(g_t[:, None]))[0]
         grad = data.sq_norms - _sq_distances(data.points, [m])[0]
         fd = finite_diff_gradient(data, g_t, step=1e-5)
         errors.append(np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad))))
@@ -314,7 +314,7 @@ def _surrogate_contact(rng, size):
     per_anchor = max(25, size.trials // anchors)
     for _ in range(anchors):
         data, G_t, _ = _draw_instance(rng, size.n_max, 2.0)
-        dists = _sq_distances(data.points, compute_centers(aggregates(data, G_t)))
+        dists = _sq_distances(data.points, compute_centers(data, G_t))
         obj_t = phi(data, G_t)
         tangency.append(abs(_weighted_cost(G_t.values, dists) - obj_t) / (1.0 + abs(obj_t)))
         # one draw of all samples is the stream of one draw per sample
@@ -341,7 +341,7 @@ def _single_step(rng, size):
         F_mm = _solver_side(lambda: update_membership_mm(data, G_t, r))
         F_irw = _solver_side(
             lambda: update_membership_irw(data, G_t, irw_auxiliary(data, G_t), r))
-        F_classic = classic_update_oracle(data, compute_centers(aggregates(data, G_t)), r).values
+        F_classic = classic_update_oracle(data, compute_centers(data, G_t), r).values
         irw_gaps.append(np.max(np.abs(F_mm - F_irw)))
         classic_gaps.append(np.max(np.abs(F_mm - F_classic)))
     return [OracleReport.from_error(name, _worst(gaps), 1e-12, len(instances)) for name, gaps

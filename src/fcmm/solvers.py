@@ -66,13 +66,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One outer-iteration snapshot of a solve."""
+    """One outer-iteration snapshot of a solve. A non-finite objective is a
+    ValueError naming the iteration: phi's ``|y_j|^2`` overflows beyond about 1e150."""
 
     outer_iter: int
     objective: float
     elapsed_ns: int
     membership_updates: int
     inner_iters: int
+
+    def __post_init__(self):
+        if not -np.inf < self.objective < np.inf:  # also False on NaN
+            raise ValueError(f"objective {self.objective!r} at outer iteration "
+                             f"{self.outer_iter} is not finite; standardize the data")
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def update_membership_mm(data: DataMatrix, G_t: PowerMembership, r: float) -> Me
     by the classic update at m_t, so this takes those centers and calls
     :func:`update_membership_classic`.
     """
-    return update_membership_classic(data, compute_centers(aggregates(data, G_t)), r)
+    return update_membership_classic(data, compute_centers(data, G_t), r)
 
 
 def _check_start(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig) -> PowerMembership:
@@ -319,7 +325,7 @@ def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
             termination = TERMINATION_CONVERGED
             break
 
-    centers = compute_centers(aggregates(data, G))
+    centers = compute_centers(data, G)
     return SolverResult(F, centers, obj, SolverTrace(tuple(records)), termination)
 
 

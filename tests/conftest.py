@@ -20,7 +20,7 @@ def random_instance(rng, n, d, c, r=2.0):
 
 def bracket_gradient(data, g):
     """Gradient of q(g) = |X'g|^2 / 1'g: ``|x_i|^2 - |x_i - m|^2`` at g's center m."""
-    m = objective.compute_centers(objective.aggregates(data, PowerMembership(g[:, None])))[0]
+    m = objective.compute_centers(data, PowerMembership(g[:, None]))[0]
     return data.sq_norms - np.einsum("id,id->i", data.points - m, data.points - m)
 
 

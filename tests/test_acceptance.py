@@ -84,7 +84,7 @@ def test_criterion_3_surrogate_conditions():
         c = int(rng.integers(2, 6))
         data, F_t, G_t = random_instance(rng, n, d, c)
         # h(. | G_t) is the fuzzy-means cost at G_t's optimal centers
-        centers_t = compute_centers(aggregates(data, G_t))
+        centers_t = compute_centers(data, G_t)
         obj_t = phi(data, G_t)
         worst_tangency = max(worst_tangency,
                              abs(fcm_objective(data, F_t, centers_t, 2.0) - obj_t)
@@ -202,7 +202,7 @@ def test_criterion_7_classic_coincidence():
         F_mm = F_cl = F0
         for _ in range(full_mm.trace.records[-1].outer_iter):
             F_mm = update_membership_mm(data, to_power(F_mm, cfg.r), cfg.r)
-            centers = compute_centers(aggregates(data, to_power(F_cl, cfg.r)))
+            centers = compute_centers(data, to_power(F_cl, cfg.r))
             F_cl = classic_update_oracle(data, centers, cfg.r)
             worst = max(worst, float(np.max(np.abs(F_mm.values - F_cl.values))))
             total_steps += 1

@@ -58,7 +58,7 @@ for c in (20, 57, 100):
 # threads at each of these four
 for c in (10, 20):
     F = init_random(data.n, c, 0)
-    centers = compute_centers(aggregates(data, to_power(F, 2.0)))
+    centers = compute_centers(data, to_power(F, 2.0))
     mm = solve_fcm_mm(data, F, SolverConfig(c=c, r=2.0, max_outer_iters=5))
     print("fcm_objective", c, fcm_objective(data, F, centers, 2.0).hex(),
           fcm_objective(data, mm.F_final, mm.centers_final, 2.0).hex())

@@ -111,6 +111,19 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_overflowing_objective_is_an_error(self, tmp_path, capsys):
+        # unstandardized points near 1e155: phi's sums overflow at the start
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(f"{1e155 * i},{-2e155 * i}\n" for i in range(1, 9)))
+        manifest = RunManifest(cfg=SolverConfig(c=2), algorithms=("mm",),
+                               output_dir=str(tmp_path / "out"), csv_path=str(path),
+                               standardize=False)
+        status, results = cmd_run(manifest)
+        assert status == 1 and results is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective ") and "outer iteration 0 is not finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_atomic_write_leaves_other_temp_files_alone(self, tmp_path):
         target = tmp_path / "summary.json"
         other = tmp_path / "summary.json.tmp"

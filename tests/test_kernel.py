@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from fcmm import solvers
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import MembershipMatrix, init_random, to_power
-from fcmm.objective import aggregates, compute_centers
+from fcmm.objective import compute_centers
 from fcmm.oracle import CHECKS, SCALES, _single_step, classic_update_oracle
 from fcmm.solvers import (SolverConfig, _memberships_from_brackets, irw_auxiliary,
                           solve_fcm_mm, solve_irw_fcm, update_membership_classic,
@@ -116,7 +116,7 @@ def _offset_instance(r, gap=5e-7, row=0):
     F = MembershipMatrix.from_values(rng.dirichlet(np.ones(3), size=30))
     G = to_power(F, r)
     for _ in range(30):  # the center moves with that point; this contracts
-        center = compute_centers(aggregates(DataMatrix.from_points(points), G))[0]
+        center = compute_centers(DataMatrix.from_points(points), G)[0]
         points[row] = center + [gap, 0.0]
     return DataMatrix.from_points(points), G
 
@@ -148,7 +148,7 @@ class TestNearCenterBrackets:
     @pytest.mark.parametrize("r", [2.0, 1.5])
     def test_offset_data_mm_matches_classic(self, r):
         data, G = _offset_instance(r)
-        centers = compute_centers(aggregates(data, G))
+        centers = compute_centers(data, G)
         assert np.sum((data.points[0] - centers[0]) ** 2) < 1e-12
         F_mm = update_membership_mm(data, G, r)
         F_cl = classic_update_oracle(data, centers, r)
@@ -272,7 +272,7 @@ class TestRowBlocks:
         F[:, 2:] = values
         F[on] = np.eye(4)[:2]
         G = to_power(MembershipMatrix.from_values(F), r)
-        centers = compute_centers(aggregates(data, G))
+        centers = compute_centers(data, G)
         np.testing.assert_array_equal(centers[:2], data.points[on])
         if kind == "mm":
             update = lambda: update_membership_mm(data, G, r).values
@@ -293,7 +293,7 @@ class TestRowBlocks:
         # row 20 lies in the third 8-row block, 5e-7 from center 0, near 1e3
         monkeypatch.setattr(solvers, "_BLOCK_ROWS", 8)
         data, G = _offset_instance(r, row=20)
-        centers = compute_centers(aggregates(data, G))
+        centers = compute_centers(data, G)
         assert np.sum((data.points[20] - centers[0]) ** 2) < 1e-12
         F_mm = update_membership_mm(data, G, r)
         F_cl = classic_update_oracle(data, centers, r)

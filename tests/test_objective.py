@@ -5,10 +5,9 @@ import pytest
 
 from conftest import bracket_gradient, count_products, random_instance
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
-from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
-from fcmm.objective import (ClusterAggregates, _sq_distances, _weighted_cost, aggregates,
-                            compute_centers, fcm_objective, phi)
+from fcmm.objective import (_sq_distances, _weighted_cost, aggregates, compute_centers,
+                            fcm_objective, phi)
 from fcmm.oracle import finite_diff_gradient, gram_quad_oracle
 from fcmm.solvers import (SolverConfig, solve_fcm_classic,
                           update_membership_classic)
@@ -103,9 +102,17 @@ class TestHeldAggregates:
 
 
 class TestComputeCenters:
+    def test_reuses_the_product_phi_took(self, monkeypatch):
+        data, _, G = random_instance(np.random.default_rng(28), 30, 4, 3)
+        products = count_products(monkeypatch)
+        phi(data, G)
+        centers = compute_centers(data, G)
+        assert centers.tobytes() == (aggregates(data, G).y / G.col_sums[:, None]).tobytes()
+        assert len(products) == 1
+
     def test_uniform_centroid(self):
         data = DataMatrix.from_points([[0.0, 0.0], [2.0, 2.0]])
-        centers = compute_centers(aggregates(data, single_cluster([1.0, 1.0])))
+        centers = compute_centers(data, single_cluster([1.0, 1.0]))
         np.testing.assert_array_equal(centers, [[1.0, 1.0]])
 
     def test_indicator_reproduces_point(self):
@@ -114,13 +121,13 @@ class TestComputeCenters:
         for i in range(6):
             g = np.zeros(6)
             g[i] = 1.0
-            centers = compute_centers(aggregates(data, single_cluster(g)))
+            centers = compute_centers(data, single_cluster(g))
             np.testing.assert_allclose(centers[0], data.points[i], rtol=1e-15)
 
     def test_centers_in_data_bounding_box(self):
         rng = np.random.default_rng(24)
         data, _, G = random_instance(rng, 40, 3, 4)
-        centers = compute_centers(aggregates(data, G))
+        centers = compute_centers(data, G)
         lo, hi = data.points.min(axis=0), data.points.max(axis=0)
         assert np.all(centers >= lo - 1e-12) and np.all(centers <= hi + 1e-12)
 
@@ -132,21 +139,16 @@ class TestComputeCenters:
         F = solve_fcm_classic(data, init_random(data.n, 2, 1), cfg).F_final
         # polish to the fixed point before testing stationarity
         for _ in range(2000):
-            centers = compute_centers(aggregates(data, to_power(F, 2.0)))
+            centers = compute_centers(data, to_power(F, 2.0))
             F_next = update_membership_classic(data, centers, 2.0)
             if np.max(np.abs(F_next.values - F.values)) <= 1e-14:
                 F = F_next
                 break
             F = F_next
-        c0 = compute_centers(aggregates(data, to_power(F, 2.0)))
-        F1 = update_membership_classic(data, compute_centers(aggregates(data, to_power(F, 2.0))), 2.0)
-        c1 = compute_centers(aggregates(data, to_power(F1, 2.0)))
+        c0 = compute_centers(data, to_power(F, 2.0))
+        F1 = update_membership_classic(data, compute_centers(data, to_power(F, 2.0)), 2.0)
+        c1 = compute_centers(data, to_power(F1, 2.0))
         assert np.max(np.abs(c1 - c0)) <= 1e-9
-
-    def test_hand_built_zero_mass_rejected(self):
-        agg = ClusterAggregates(np.ones((2, 3)), np.full(2, 3.0), np.array([1.0, 0.0]))
-        with pytest.raises(DegenerateClusterError):
-            compute_centers(agg)
 
 
 def reference_cost(G, dists):
@@ -200,7 +202,7 @@ class TestObjectiveValues:
     def test_zero_at_own_centers(self):
         data = DataMatrix.from_points([[0.0, 0.0], [4.0, 0.0]])
         F = MembershipMatrix.from_values([[1.0, 0.0], [0.0, 1.0]])
-        centers = compute_centers(aggregates(data, to_power(F, 2.0)))
+        centers = compute_centers(data, to_power(F, 2.0))
         assert fcm_objective(data, F, centers, 2.0) == 0.0
 
     def test_symmetric_two_point_instance(self):
@@ -223,7 +225,7 @@ class TestObjectiveValues:
             data, F, G = random_instance(rng, int(rng.integers(6, 30)),
                                          int(rng.integers(1, 5)),
                                          int(rng.integers(2, 5)))
-            centers = compute_centers(aggregates(data, G))
+            centers = compute_centers(data, G)
             a = phi(data, G)
             b = fcm_objective(data, F, centers, 2.0)
             assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
@@ -231,7 +233,7 @@ class TestObjectiveValues:
     def test_phi_six_point_instance(self):
         rng = np.random.default_rng(32)
         data, F, G = random_instance(rng, 6, 2, 2)
-        centers = compute_centers(aggregates(data, G))
+        centers = compute_centers(data, G)
         assert phi(data, G) == pytest.approx(fcm_objective(data, F, centers, 2.0), rel=1e-10)
 
     def test_fcm_objective_rejects_bad_input(self):
@@ -259,7 +261,7 @@ class TestObjectiveValues:
 
 
 def anchor_centers(data, G_t):
-    return compute_centers(aggregates(data, G_t))
+    return compute_centers(data, G_t)
 
 
 class TestMajorizer:

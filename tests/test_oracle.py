@@ -349,7 +349,7 @@ class TestSurrogateArgmin:
         # the fuzzy-means cost at the anchor's centers
         rng = np.random.default_rng(76)
         data, _, G_t = random_instance(rng, 15, 2, 3)
-        centers_t = compute_centers(aggregates(data, G_t))
+        centers_t = compute_centers(data, G_t)
         F_star = update_membership_mm(data, G_t, 2.0)
         h_star = fcm_objective(data, F_star, centers_t, 2.0)
         tol = 1e-9 * (1.0 + abs(h_star))
@@ -383,7 +383,7 @@ class TestSurrogateArgmin:
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_same_bits_as_one_objective_per_trial(self, r):
         data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, r)
-        centers_t = compute_centers(aggregates(data, G_t))
+        centers_t = compute_centers(data, G_t)
         h_star = fcm_objective(data, update_membership_mm(data, G_t, r), centers_t, r)
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -401,7 +401,7 @@ class TestSurrogateArgmin:
         # center, which each draw beats (f**r <= f), so max_error is the
         # best draw's margin and every draw's bits can move it.
         data, _, G_t = random_instance(np.random.default_rng(80), 40, 2, 3, 1.5)
-        centers_t = compute_centers(aggregates(data, G_t))
+        centers_t = compute_centers(data, G_t)
 
         def farthest(data, G, r):
             far = np.square(data.points[:, None, :] - centers_t).sum(axis=2).argmax(axis=1)
@@ -479,7 +479,7 @@ class TestDescentChainAudit:
         obj = phi(data, G)
         worst = 0.0
         for _ in range(40):
-            centers = compute_centers(aggregates(data, G))
+            centers = compute_centers(data, G)
             F_next = update_membership_mm(data, G, r)
             G_next = to_power(F_next, r)
             h_next = fcm_objective(data, F_next, centers, r)
@@ -585,7 +585,7 @@ def test_a_checks_draws_are_its_own(monkeypatch, burned):
 
 
 def _undivided(compute_centers):
-    return lambda agg: agg.y  # the weighted sums, not divided by the masses
+    return lambda data, G: aggregates(data, G).y  # the weighted sums, not divided by the masses
 
 
 def _sharper(update_membership_classic):

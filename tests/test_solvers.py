@@ -106,7 +106,7 @@ class TestIrwUpdate:
                                          int(rng.integers(1, 5)),
                                          int(rng.integers(2, 5)))
             F_irw = update_membership_irw(data, G, irw_auxiliary(data, G), R)
-            centers = compute_centers(aggregates(data, G))
+            centers = compute_centers(data, G)
             F_classic = classic_update_oracle(data, centers, R)
             assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
 
@@ -145,7 +145,7 @@ class TestMmUpdate:
                                          int(rng.integers(1, 5)),
                                          int(rng.integers(2, 5)))
             F_mm = update_membership_mm(data, G, R)
-            centers = compute_centers(aggregates(data, G))
+            centers = compute_centers(data, G)
             F_classic = classic_update_oracle(data, centers, R)
             assert np.max(np.abs(F_mm.values - F_classic.values)) <= 1e-12
 
@@ -164,7 +164,7 @@ def blob_instance(seed=0):
 
 def polish_fixed_point(data, F, r=R, tol=1e-14, iters=3000):
     for _ in range(iters):
-        centers = compute_centers(aggregates(data, to_power(F, r)))
+        centers = compute_centers(data, to_power(F, r))
         F_next = update_membership_classic(data, centers, r)
         delta = np.max(np.abs(F_next.values - F.values))
         F = F_next
@@ -606,3 +606,18 @@ class TestEveryResultHoldsState:
         assert result.centers_final.shape == (cfg.c, data.d)
         assert np.isfinite(result.objective_final)
         assert len(result.trace) == 1 if expected == "degenerate" else len(result.trace) >= 1
+
+    @pytest.mark.parametrize("objective", [np.inf, -np.inf, np.nan])
+    def test_record_refuses_a_non_finite_objective(self, objective):
+        with pytest.raises(ValueError, match="at outer iteration 3 is not finite"):
+            solvers.TraceRecord(3, objective, 0, 3, 1)
+
+    @pytest.mark.parametrize("solve", [solve_fcm_classic, solve_fcm_mm])
+    @pytest.mark.parametrize("scale, first_bad", [(1e150, 4), (1e152, 0)])
+    def test_overflowing_objective_raises_at_its_iteration(self, solve, scale, first_bad):
+        # the objective, about 1.7e304 at 1e150, fits a float; phi's |y_j|^2 overflows
+        # first, to -inf from iteration 4, and at 1e152 to NaN at the start
+        base = make_blobs(SyntheticSpec(blob_count=3, points_per_blob=3000, dim=2, seed=0))
+        data = DataMatrix.from_points(base.points * scale)
+        with pytest.raises(ValueError, match=f"at outer iteration {first_bad} is not finite"):
+            solve(data, init_random(data.n, 3, 0), SolverConfig(c=3))

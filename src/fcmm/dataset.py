@@ -131,11 +131,13 @@ def make_blobs(spec: SyntheticSpec) -> DataMatrix:
     rng = np.random.default_rng(spec.seed)
     centers = rng.uniform(-spec.blob_center_scale, spec.blob_center_scale,
                           size=(spec.blob_count, spec.dim))
-    blocks = [
-        centers[k] + rng.normal(0.0, spec.blob_stddev, size=(spec.points_per_blob, spec.dim))
-        for k in range(spec.blob_count)
-    ]
-    return DataMatrix.from_points(np.vstack(blocks))
+    out = np.empty((int(spec.blob_count) * int(spec.points_per_blob), spec.dim))  # cannot wrap
+    for center, block in zip(centers, out.reshape(spec.blob_count, -1, spec.dim)):
+        rng.standard_normal(out=block)  # bitwise as center + rng.normal(0.0, stddev)
+        block *= spec.blob_stddev
+        block += center
+    out.setflags(write=False)
+    return DataMatrix(out)
 
 
 def _is_number(cell: str) -> bool:
@@ -190,7 +192,8 @@ def load_csv(path, drop_columns: Iterable[int] = ()) -> DataMatrix:
             if not math.isfinite(value):
                 raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-finite value: {cell!r}")
             out[i, k] = value
-    return DataMatrix.from_points(out)
+    out.setflags(write=False)
+    return DataMatrix(out)
 
 
 def standardize(data: DataMatrix) -> DataMatrix:
@@ -209,5 +212,6 @@ def standardize(data: DataMatrix) -> DataMatrix:
     if not 2.0**-500 < std.min() <= std.max() < np.inf:  # squares may have left the float range
         unit = np.ldexp(1.0, np.frexp(np.abs(centered).max(axis=0))[1] - 1)  # exact rescale
         std = (centered / unit).std(axis=0, ddof=1) * unit
-    scale = np.where(std > _ZERO_VARIANCE_RTOL * np.abs(mean), std, 1.0)
-    return DataMatrix.from_points(centered / scale)
+    centered /= np.where(std > _ZERO_VARIANCE_RTOL * np.abs(mean), std, 1.0)
+    centered.setflags(write=False)
+    return DataMatrix(centered)

@@ -111,9 +111,10 @@ def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
     _integer(n, "n", 1)
     _integer(c, "c", 2)
     _integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    exp = rng.standard_exponential(size=(n, c))
-    return MembershipMatrix.from_values(exp / exp.sum(axis=1, keepdims=True))
+    exp = np.random.default_rng(seed).standard_exponential(size=(n, c))
+    exp /= exp.sum(axis=1, keepdims=True)
+    exp.setflags(write=False)
+    return MembershipMatrix(exp)
 
 
 def to_power(F: MembershipMatrix, r: float) -> PowerMembership:

@@ -7,6 +7,28 @@ from fcmm.objective import phi
 from fcmm.solvers import SolverConfig, solve_fcm_mm
 
 
+def blobs_stacked(spec):
+    """make_blobs's earlier definition: one temporary per blob, stacked."""
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.uniform(-spec.blob_center_scale, spec.blob_center_scale,
+                          size=(spec.blob_count, spec.dim))
+    return np.vstack([
+        centers[k] + rng.normal(0.0, spec.blob_stddev, size=(spec.points_per_blob, spec.dim))
+        for k in range(spec.blob_count)])
+
+
+def standardized_by_copy(points):
+    """standardize's earlier definition: every step into a new array."""
+    mean = points.mean(axis=0)
+    centered = points - mean
+    with np.errstate(over="ignore"):
+        std = centered.std(axis=0, ddof=1)
+    if not 2.0**-500 < std.min() <= std.max() < np.inf:
+        unit = np.ldexp(1.0, np.frexp(np.abs(centered).max(axis=0))[1] - 1)
+        std = (centered / unit).std(axis=0, ddof=1) * unit
+    return centered / np.where(std > 1e-13 * np.abs(mean), std, 1.0)
+
+
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
@@ -208,6 +230,24 @@ class TestMakeBlobs:
         plain = SyntheticSpec(blob_count=2, points_per_blob=5, dim=3, seed=4)
         assert np.array_equal(make_blobs(spec).points, make_blobs(plain).points)
 
+    def test_small_numpy_integer_counts_do_not_wrap(self):
+        # 200 * 200 wraps in uint8; the row count must not
+        spec = SyntheticSpec(blob_count=np.uint8(200), points_per_blob=np.uint8(200),
+                             dim=np.uint8(1), seed=3)
+        plain = SyntheticSpec(blob_count=200, points_per_blob=200, dim=1, seed=3)
+        assert make_blobs(spec).points.tobytes() == make_blobs(plain).points.tobytes()
+
+    @pytest.mark.parametrize("blob_stddev", [0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("dim", [1, 50])
+    @pytest.mark.parametrize("blob_count", [1, 20])
+    def test_bitwise_the_stacked_definition(self, blob_count, dim, blob_stddev):
+        for seed in (0, 1, 29):
+            spec = SyntheticSpec(blob_count=blob_count, points_per_blob=7, dim=dim,
+                                 blob_stddev=blob_stddev, seed=seed)
+            data, expected = make_blobs(spec), DataMatrix(blobs_stacked(spec))
+            assert data.points.tobytes() == expected.points.tobytes()
+            assert data.sq_norms.tobytes() == expected.sq_norms.tobytes()
+
     def test_solver_recovers_blob_centers(self):
         # tight, well-separated blobs; ground truth from the block layout
         spec = SyntheticSpec(blob_count=3, points_per_blob=50, dim=2,
@@ -272,6 +312,17 @@ class TestStandardize:
         padded = standardize(DataMatrix.from_points(np.column_stack([iris_raw.points,
                                                                      np.full(150, 5.0)])))
         assert padded.points[:, :4].tobytes() == direct.tobytes()
+
+    # a constant column and, beyond about 1e+-154, every column take the rescale
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_bitwise_the_copying_definition(self, scale, constant):
+        points = np.random.default_rng(8).normal(1.0, 2.0, size=(40, 3)) * scale
+        if constant:
+            points[:, 1] = 7.0 * scale
+        data = DataMatrix.from_points(points)
+        got = standardize(data)
+        assert got.points.tobytes() == standardized_by_copy(data.points).tobytes()
 
     def test_sq_norms_recomputed(self):
         data = standardize(DataMatrix.from_points([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0]]))

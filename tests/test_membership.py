@@ -45,6 +45,14 @@ class TestInitRandom:
         with pytest.raises(ValueError, match=message):
             init_random(**{"n": 4, "c": 2, "seed": 0, field: value})
 
+    @pytest.mark.parametrize("n, c", [(1, 2), (7, 3), (500, 20)])
+    def test_bitwise_the_copying_definition(self, n, c):
+        # init_random's earlier definition: normalised into a new array
+        for seed in (0, 9, 123):
+            exp = np.random.default_rng(seed).standard_exponential(size=(n, c))
+            expected = exp / exp.sum(axis=1, keepdims=True)
+            assert init_random(n, c, seed).values.tobytes() == expected.tobytes()
+
     def test_numpy_integers_accepted(self):
         assert np.array_equal(init_random(np.int64(5), np.int32(3), np.uint8(7)).values,
                               init_random(5, 3, 7).values)

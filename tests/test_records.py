@@ -11,9 +11,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fcmm import membership
-from fcmm.dataset import DataMatrix
-from fcmm.membership import MembershipMatrix, PowerMembership, to_power
+from fcmm import dataset, membership
+from fcmm.dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
+from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
 from fcmm.solvers import update_membership_classic
 
 RECORDS = {
@@ -96,19 +96,48 @@ def test_read_only_array_owning_its_memory_is_held_as_is(record):
     assert getattr(cls(a), name) is a and getattr(factory(a), name) is a
 
 
-def test_solver_path_holds_its_arrays_without_a_copy(monkeypatch):
-    # the kernel's fresh F and to_power's fresh G are frozen and adopted, not copied
-    held, own = [], membership._own_matrix
+def _spy_on_own_matrix(monkeypatch, module):
+    """Record every (given, held) pair that ``module``'s records pass through ``_own_matrix``."""
+    held, own = [], module._own_matrix
 
     def spy(value, name):
         owned = own(value, name)
         held.append((value, owned))
         return owned
 
-    monkeypatch.setattr(membership, "_own_matrix", spy)
+    monkeypatch.setattr(module, "_own_matrix", spy)
+    return held
+
+
+def test_solver_path_holds_its_arrays_without_a_copy(monkeypatch):
+    # the kernel's fresh F and to_power's fresh G are frozen and adopted, not copied
+    held = _spy_on_own_matrix(monkeypatch, membership)
     rng = np.random.default_rng(0)
     data = DataMatrix.from_points(rng.normal(size=(50, 3)))
     F = update_membership_classic(data, rng.normal(size=(4, 3)), 2.0)
     G = to_power(F, 2.0)
     assert len(held) == 2 and held[0][1] is F.values and held[1][1] is G.values
     assert all(np.shares_memory(given, owned) for given, owned in held)
+
+
+SET_UP = {
+    "make_blobs": (dataset, lambda path, data: make_blobs(
+        SyntheticSpec(blob_count=3, points_per_blob=40, dim=4, seed=2)).points),
+    "standardize": (dataset, lambda path, data: standardize(data).points),
+    "load_csv": (dataset, lambda path, data: load_csv(path, drop_columns={4}).points),
+    "init_random": (membership, lambda path, data: init_random(120, 3, 5).values),
+}
+
+
+@pytest.mark.parametrize("build", SET_UP)
+def test_set_up_path_holds_its_arrays_without_a_copy(monkeypatch, iris_path, build):
+    # each set-up function fills one fresh array, freezes it and hands it over as is
+    data = DataMatrix.from_points(np.random.default_rng(0).normal(3.0, 2.0, size=(60, 4)))
+    before = data.points.tobytes()
+    module, run = SET_UP[build]
+    held = _spy_on_own_matrix(monkeypatch, module)
+    result = run(iris_path, data)
+    assert len(held) == 1 and held[0][0] is held[0][1] is result
+    assert not result.flags.writeable and result.base is None
+    # standardize's input keeps its bits and shares nothing with the result
+    assert data.points.tobytes() == before and not np.shares_memory(data.points, result)

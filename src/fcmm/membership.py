@@ -94,7 +94,7 @@ def _column_sums(values: np.ndarray) -> np.ndarray:
     non-finite sum is a ValueError, a zero column a DegenerateClusterError.
     """
     sums = np.einsum("ij->j", values)
-    if not 0.0 < sums.min() <= sums.max() < np.inf:  # also False on a NaN sum
+    if not 0.0 < np.minimum.reduce(sums) <= np.maximum.reduce(sums) < np.inf:  # False on NaN
         if not np.isfinite(sums).all():
             raise ValueError(f"powered membership values must be finite, column sums {sums.tolist()}")
         raise DegenerateClusterError(f"cluster(s) {np.flatnonzero(sums <= 0.0).tolist()} "

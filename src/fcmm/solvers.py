@@ -132,7 +132,7 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: flo
     smallest bracket. Rows go to ``out``, of the brackets' shape.
     """
     c = brackets.shape[1]
-    low = float(row_min.min())
+    low = float(np.minimum.reduce(row_min))
     if r == 2.0 and low > 0.0 and c / low < np.inf:
         values = np.reciprocal(brackets, out=out)
         values /= (values @ np.ones(c))[:, None]
@@ -158,11 +158,15 @@ def _near_center(brackets, row_min, points, sq_norms, centers, top) -> None:
     where that rounding would exceed ~1e-12 of the bracket, get theirs from the
     differences by :func:`fcmm.objective._sq_distances`, as fcm_objective does, and
     their smallest taken again; so the kernel sees a zero bracket only at a center.
+    Rounding is monotone, so no row can pass when the smallest ``row_min`` is at
+    least ``1e-4 (max x_i.x_i + top)``: the block then skips the per-row scan.
     """
-    rows = np.flatnonzero(row_min < 1e-4 * (sq_norms + top))
+    if np.minimum.reduce(row_min) >= 1e-4 * (np.maximum.reduce(sq_norms) + top):
+        return  # also False on a NaN, which takes the scan
+    rows = (row_min < 1e-4 * (sq_norms + top)).nonzero()[0]
     if rows.size:
         brackets[:, rows] = _sq_distances(points[rows], centers)
-        row_min[rows] = brackets[:, rows].min(axis=0)
+        row_min[rows] = np.minimum.reduce(brackets[:, rows], axis=0)
 
 
 def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarray:
@@ -175,15 +179,15 @@ def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarr
     center, and the kernel runs in cache into one column-major n x c result.
     """
     center_sq = np.einsum("cd,cd->c", centers, centers)
-    top = center_sq.max()
-    values = np.empty((data.n, centers.shape[0]), order="F")
-    starts = range(0, max(data.n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS)
-    for start, stop in zip(starts, [*starts[1:], data.n]):
+    top, scaled, center_col = np.maximum.reduce(center_sq), -2.0 * centers, center_sq[:, None]
+    n, values = data.n, np.empty((data.n, centers.shape[0]), order="F")
+    for start in range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS if start + 2 * _BLOCK_ROWS <= n else n
         points, sq_norms = data.points[start:stop], data.sq_norms[start:stop]
         # Built c x b, so broadcasts and per-point scans run along the points.
-        brackets = (-2.0 * centers) @ points.T
-        brackets += center_sq[:, None] + sq_norms
-        row_min = brackets.min(axis=0)
+        brackets = scaled @ points.T
+        brackets += center_col + sq_norms
+        row_min = np.minimum.reduce(brackets, axis=0)
         _near_center(brackets, row_min, points, sq_norms, centers, top)
         _memberships_from_brackets(brackets.T, row_min, r, values[start:stop])
     return values
@@ -276,7 +280,7 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     G_mm = to_power(F_mm, cfg.r)
     prev, values, powered = F.values, F_mm.values, G_mm.values
     inner, s = 1, None
-    while inner < max_inner and np.abs(values - prev).max() > INNER_TOL:
+    while inner < max_inner and np.maximum.reduce(np.abs(values - prev), axis=None) > INNER_TOL:
         if s is None:
             s = irw_auxiliary(data, G)
         centers = _irw_centers(*_weighted_sums(data, powered), s)

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import read_summary
+from fcmm import solvers
 from fcmm.cli import (RunManifest, SYNTHETIC_PRESETS, TRACE_HEADER, cmd_compare,
-                      cmd_run, cmd_validate, iris_manifest, load_manifest_dataset, main,
-                      manifest_from_args, _atomic_write, _parser, updates_to_reach)
+                      cmd_run, cmd_validate, execute, iris_manifest, load_manifest_dataset,
+                      main, manifest_from_args, _atomic_write, _parser, updates_to_reach)
 from fcmm.dataset import SyntheticSpec, load_csv
-from fcmm.solvers import SolverConfig
+from fcmm.membership import init_random
+from fcmm.solvers import SOLVERS, SolverConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -168,6 +170,59 @@ class TestCmdCompare:
         status, report = cmd_compare(manifest)
         assert status == 1 and report is None
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _spy(monkeypatch, owner, name, calls, tag):
+    """Replace ``owner``'s ``name`` (an attribute, or a SOLVERS key) by a spy
+    that appends ``tag(args)`` to ``calls`` and then runs the original."""
+    setter = monkeypatch.setitem if isinstance(owner, dict) else monkeypatch.setattr
+    original = owner[name] if isinstance(owner, dict) else getattr(owner, name)
+
+    def spy(*args):
+        calls.append(tag(args))
+        return original(*args)
+    setter(owner, name, spy)
+
+
+class TestClassicAndMMShareOneSolve:
+    """Classic's run is bitwise MM's, so with both selected MM is solved once."""
+
+    @pytest.mark.parametrize("command", [execute, cmd_run, cmd_compare])
+    @pytest.mark.parametrize("algos", [("classic", "mm"), ("mm", "classic"),
+                                       ("classic", "irw", "mm")])
+    def test_one_outer_loop_for_the_pair(self, monkeypatch, tmp_path, command, algos):
+        caps = []  # the inner-step cap of every _run_outer call
+        _spy(monkeypatch, solvers, "_run_outer", caps, lambda args: args[3])
+        manifest = blobs_manifest(tmp_path, algorithms=algos)
+        command(manifest)
+        assert sorted(caps) == sorted(manifest.cfg.max_inner_iters if name == "irw" else 1
+                                      for name in algos if name != "classic")
+
+    def test_both_names_hold_the_one_result(self, tmp_path):
+        algos = ("classic", "irw", "mm")
+        status, results = cmd_run(blobs_manifest(tmp_path, algorithms=algos))
+        assert status == 0 and tuple(results) == algos
+        assert results["classic"] is results["mm"]
+        assert ((tmp_path / "classic_trace.csv").read_bytes()
+                == (tmp_path / "mm_trace.csv").read_bytes())
+        summary = read_summary(tmp_path / "summary.json")
+        assert summary["classic"] == summary["mm"]
+
+    @pytest.mark.parametrize("algos", [("classic",), ("mm",), ("irw", "mm"), ("mm", "irw")])
+    def test_other_selections_solve_as_before(self, monkeypatch, tmp_path, algos):
+        manifest = blobs_manifest(tmp_path, algorithms=algos)
+        data = load_manifest_dataset(manifest)
+        F0 = init_random(data.n, manifest.cfg.c, manifest.cfg.seed)
+        direct = {name: SOLVERS[name](data, F0, manifest.cfg) for name in algos}
+        called = []
+        for name in algos:
+            _spy(monkeypatch, SOLVERS, name, called, lambda args, name=name: name)
+        results = execute(manifest)
+        assert called == list(algos) and tuple(results) == algos
+        for name, result in results.items():
+            assert (result.trace.objectives().tobytes()
+                    == direct[name].trace.objectives().tobytes())
+            np.testing.assert_array_equal(result.F_final.values, direct[name].F_final.values)
 
 
 class TestCmdValidate:

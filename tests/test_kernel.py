@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from fcmm import solvers
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs, standardize
 from fcmm.membership import MembershipMatrix, init_random, to_power
-from fcmm.objective import compute_centers
+from fcmm.objective import _sq_distances, compute_centers
 from fcmm.oracle import CHECKS, SCALES, _single_step, classic_update_oracle
 from fcmm.solvers import (SolverConfig, _memberships_from_brackets, irw_auxiliary,
                           solve_fcm_mm, solve_irw_fcm, update_membership_classic,
@@ -163,6 +163,60 @@ class TestNearCenterBrackets:
                                                   SCALES["full"])
                       if rep.check_name == "classic_coincidence")
         assert report.passed, report
+
+
+def _scan_only(brackets, row_min, points, sq_norms, centers, top):
+    """The near-center step's per-row rule with no block guard; the rows it takes."""
+    rows = np.flatnonzero(row_min < 1e-4 * (sq_norms + top))
+    if rows.size:
+        brackets[:, rows] = _sq_distances(points[rows], centers)
+        row_min[rows] = brackets[:, rows].min(axis=0)
+    return rows
+
+
+def _guard_block(case):
+    """A c x b block of expanded brackets whose smallest bracket ``case`` places
+    against the guard's bound ``1e-4 (max x_i.x_i + top)``, and its inputs."""
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(40, 3)) + (1e3 if case == "offset" else 0.0)
+    centers = points.mean(axis=0) + [[4.0, 4.0, 4.0], [-4.0, -4.0, -4.0], [4.0, -4.0, 0.0]]
+    sq_norms = np.einsum("id,id->i", points, points)
+    brackets = _expanded_brackets(points, centers)
+    top = np.einsum("cd,cd->c", centers, centers).max()
+    bound = 1e-4 * (sq_norms.max() + top)
+    assert (brackets.min() < bound) == (case == "offset")
+    row = sq_norms.argmin() if case == "below, smaller norm" else sq_norms.argmax()
+    brackets[0, row] = {"at": bound, "nan": np.nan}.get(case, np.nextafter(bound, 0.0))
+    return brackets, brackets.min(axis=0), points, sq_norms, centers, top, row
+
+
+class TestNearCenterGuard:
+    """The block guard skips only scans that would take no row."""
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    @pytest.mark.parametrize("case, taken", [
+        ("at", "none"), ("below", "row"), ("below, smaller norm", "none"),
+        ("offset", "all"), ("nan", "none")])
+    def test_guard_is_the_per_row_rule(self, monkeypatch, case, taken, r):
+        brackets, row_min, points, sq_norms, centers, top, row = _guard_block(case)
+        want_brackets, want_min = brackets.copy(), row_min.copy()
+        rows = _scan_only(want_brackets, want_min, points, sq_norms, centers, top)
+        assert rows.tolist() == {"none": [], "row": [row], "all": list(range(40))}[taken]
+        recomputed, sq_distances = [], solvers._sq_distances
+
+        def spy(points, centers):
+            recomputed.append(points)
+            return sq_distances(points, centers)
+        monkeypatch.setattr(solvers, "_sq_distances", spy)
+        solvers._near_center(brackets, row_min, points, sq_norms, centers, top)
+        assert len(recomputed) == (rows.size > 0)
+        if rows.size:
+            np.testing.assert_array_equal(recomputed[0], points[rows])
+        assert brackets.tobytes() == want_brackets.tobytes()
+        assert row_min.tobytes() == want_min.tobytes()
+        got, want = (_memberships_from_brackets(b.T, m, r, np.empty((40, 3), order="F"))
+                     for b, m in ((brackets, row_min), (want_brackets, want_min)))
+        assert got.tobytes() == want.tobytes()
 
 
 # Classic has no entry: at these centers it is the mm entry's code.

@@ -83,7 +83,7 @@ class PowerMembership:
 
 def _check_finite(values: np.ndarray) -> None:
     """:class:`MembershipMatrix`'s rule on an array: a ValueError unless every value is finite."""
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise ValueError("membership values must be finite")
 
 

@@ -1,11 +1,15 @@
 """Three fuzzy-means solvers under one interface.
 
-:func:`update_membership_classic` is the one closed-form update: memberships
-from c x d centers. The other two updates compute their centers and call it.
+:func:`_classic_values` is the one closed-form kernel: memberships from
+c x d centers m and the constant term k_j of the expanded brackets
+``x_i.x_i + k_j - 2 x_i.m_j``. :func:`update_membership_classic` gives it
+``m_j.m_j``, and the MM update computes its centers and calls that;
+:func:`update_membership_irw` gives it the frozen ``s_j^2``.
 
 * :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
   inner step is the surrogate (MM) step at the anchor; further inner
-  steps freeze the scalars s_j there and repeat the linearized update.
+  steps freeze the scalars s_j there and repeat the linearized update,
+  whose bracket constants ``s_j^2`` are built once per outer iteration.
 * :func:`solve_fcm_mm` is that scheme capped at one inner step: bitwise
   ``solve_irw_fcm`` with ``max_inner_iters=1``.
 * :func:`solve_fcm_classic` alternates optimal centers with the classic
@@ -117,8 +121,8 @@ _BLOCK_ROWS = 8192
 INNER_TOL = 1e-8  # max membership change that ends the re-weighting inner loop
 
 
-def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: float,
-                               out: np.ndarray) -> np.ndarray:
+def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: float,
+                               r: float, out: np.ndarray) -> np.ndarray:
     """Closed-form row update shared by all three solvers.
 
     Rows with every bracket (squared point-center distance) positive get
@@ -129,10 +133,11 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: flo
     largest weight is exactly 1 and the result is finite at any data scale.
     A row with a bracket at or below 0 has its point on a center: it splits
     uniformly over those clusters, 0 elsewhere. ``row_min`` holds each row's
-    smallest bracket. Rows go to ``out``, of the brackets' shape.
+    smallest bracket and ``low`` the smallest of those as a Python float
+    (``c / low`` is then inf past the float range, without a warning), as
+    :func:`_near_center` returns it. Rows go to ``out``, of the brackets' shape.
     """
     c = brackets.shape[1]
-    low = float(np.minimum.reduce(row_min))
     if r == 2.0 and low > 0.0 and c / low < np.inf:
         values = np.reciprocal(brackets, out=out)
         values /= (values @ np.ones(c))[:, None]
@@ -149,28 +154,35 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, r: flo
     return values
 
 
-def _near_center(brackets, row_min, points, sq_norms, centers, top) -> None:
-    """Recompute in place the c x b brackets of points near a center, and their ``row_min``.
+def _near_center(brackets, row_min, points, sq_norms, centers, top) -> float:
+    """Recompute in place the c x b brackets of points near a center, and their ``row_min``;
+    return the block's smallest bracket, ``row_min``'s minimum after the recompute.
 
     The expanded bracket ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` rounds at about eps
     (x_i.x_i + m_j.m_j), so near a center it loses digits and may round negative.
-    Points with a bracket below ``1e-4 (x_i.x_i + top)``, ``top`` the largest m_j.m_j,
+    Points with a bracket below ``1e-4 (x_i.x_i + top)``, ``top`` the largest
+    constant term (m_j.m_j, or the re-weighting s_j^2 that equals it),
     where that rounding would exceed ~1e-12 of the bracket, get theirs from the
     differences by :func:`fcmm.objective._sq_distances`, as fcm_objective does, and
     their smallest taken again; so the kernel sees a zero bracket only at a center.
     Rounding is monotone, so no row can pass when the smallest ``row_min`` is at
     least ``1e-4 (max x_i.x_i + top)``: the block then skips the per-row scan.
     """
-    if np.minimum.reduce(row_min) >= 1e-4 * (np.maximum.reduce(sq_norms) + top):
-        return  # also False on a NaN, which takes the scan
+    low = float(np.minimum.reduce(row_min))
+    if low >= 1e-4 * (np.maximum.reduce(sq_norms) + top):
+        return low  # also False on a NaN, which takes the scan
     rows = (row_min < 1e-4 * (sq_norms + top)).nonzero()[0]
     if rows.size:
         brackets[:, rows] = _sq_distances(points[rows], centers)
         row_min[rows] = np.minimum.reduce(brackets[:, rows], axis=0)
+        low = float(np.minimum.reduce(row_min))
+    return low
 
 
-def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarray:
-    """The memberships of :func:`update_membership_classic` as a writable array.
+def _classic_values(data: DataMatrix, centers: np.ndarray, center_sq: np.ndarray,
+                    top: float, r: float) -> np.ndarray:
+    """Memberships from the brackets ``x_i.x_i + center_sq_j - 2 x_i.m_j`` at the
+    c x d centers m, as a writable array; ``top`` is the largest ``center_sq_j``.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
@@ -178,8 +190,7 @@ def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarr
     brackets from one product, :func:`_near_center` recomputes those near a
     center, and the kernel runs in cache into one column-major n x c result.
     """
-    center_sq = np.einsum("cd,cd->c", centers, centers)
-    top, scaled, center_col = np.maximum.reduce(center_sq), -2.0 * centers, center_sq[:, None]
+    scaled, center_col = -2.0 * centers, center_sq[:, None]
     n, values = data.n, np.empty((data.n, centers.shape[0]), order="F")
     for start in range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS if start + 2 * _BLOCK_ROWS <= n else n
@@ -188,8 +199,8 @@ def _classic_values(data: DataMatrix, centers: np.ndarray, r: float) -> np.ndarr
         brackets = scaled @ points.T
         brackets += center_col + sq_norms
         row_min = np.minimum.reduce(brackets, axis=0)
-        _near_center(brackets, row_min, points, sq_norms, centers, top)
-        _memberships_from_brackets(brackets.T, row_min, r, values[start:stop])
+        low = _near_center(brackets, row_min, points, sq_norms, centers, top)
+        _memberships_from_brackets(brackets.T, row_min, low, r, values[start:stop])
     return values
 
 
@@ -197,11 +208,12 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
                               r: float) -> MembershipMatrix:
     """The closed-form update of all three solvers, from c x d centers.
 
-    :func:`_classic_values` computes it, held read-only without a copy; the
-    difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
+    :func:`_classic_values` computes it at ``m_j.m_j``, held read-only without
+    a copy; the difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
     """
     _real(r, "r", 1.0)
-    values = _classic_values(data, centers, r)
+    center_sq = np.einsum("cd,cd->c", centers, centers)
+    values = _classic_values(data, centers, center_sq, np.maximum.reduce(center_sq), r)
     values.setflags(write=False)
     return MembershipMatrix(values)
 
@@ -218,10 +230,21 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
 
     The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
     the squared distance to the center ``s_j y_j / |y_j|`` of
-    :func:`_irw_centers`; those centers go to :func:`update_membership_classic`.
+    :func:`_irw_centers`; :func:`_classic_values` takes those centers with
+    ``s_j^2`` as the constant term, which stays fixed while s is frozen,
+    so the solver builds it once per outer iteration. ``s`` holds one
+    scalar per cluster; any other shape is a ValueError.
     """
-    agg = aggregates(data, G)
-    return update_membership_classic(data, _irw_centers(agg.y, agg.quad, s), r)
+    _real(r, "r", 1.0)
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != (G.c,):
+        raise ValueError(f"s must have shape ({G.c},), one scalar per cluster; "
+                         f"got shape {s.shape}")
+    agg, s_sq = aggregates(data, G), s * s
+    centers = _irw_centers(agg.y, agg.quad, s)
+    values = _classic_values(data, centers, s_sq, np.maximum.reduce(s_sq), r)
+    values.setflags(write=False)
+    return MembershipMatrix(values)
 
 
 def _irw_centers(y: np.ndarray, quad: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -229,7 +252,7 @@ def _irw_centers(y: np.ndarray, quad: np.ndarray, s: np.ndarray) -> np.ndarray:
     sums y, norm held at s_j. Undefined where quad_j = |y_j|^2 = 0 (all-zero
     weighted cluster image), a DegenerateClusterError naming those clusters.
     """
-    if (quad <= 0.0).any():
+    if np.fmin.reduce(quad) <= 0.0:  # False on NaN, as (quad <= 0.0).any()
         dead = np.flatnonzero(quad <= 0.0).tolist()
         raise DegenerateClusterError(
             f"cluster(s) {dead} have zero weighted image, re-weighting undefined")
@@ -275,6 +298,7 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
 
     Steps 2.. run :func:`update_membership_irw` and :func:`to_power` on plain
     arrays, with every check of their records; records are built for the last step.
+    The brackets' constant ``s_j^2`` and its maximum are built once, beside s.
     """
     F_mm = update_membership_mm(data, G, cfg.r)
     G_mm = to_power(F_mm, cfg.r)
@@ -283,8 +307,10 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     while inner < max_inner and np.maximum.reduce(np.abs(values - prev), axis=None) > INNER_TOL:
         if s is None:
             s = irw_auxiliary(data, G)
+            s_sq = s * s
+            top = np.maximum.reduce(s_sq)
         centers = _irw_centers(*_weighted_sums(data, powered), s)
-        prev, values = values, _classic_values(data, centers, cfg.r)
+        prev, values = values, _classic_values(data, centers, s_sq, top, cfg.r)
         _check_finite(values)
         powered = values ** cfg.r
         _column_sums(powered)

@@ -18,17 +18,17 @@ from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import init_random, to_power
 from fcmm.objective import aggregates, phi
 from fcmm.solvers import (INNER_TOL, SolverConfig, irw_auxiliary, solve_irw_fcm,
-                          update_membership_classic, update_membership_irw,
-                          update_membership_mm)
+                          update_membership_irw, update_membership_mm)
 
 
 def irw_step(data, G, s, r):
-    """``update_membership_irw``, checked bitwise against its definition:
-    the classic update at the centers ``s_j y_j / |y_j|``."""
+    """``update_membership_irw``, checked bitwise against its definition: the
+    expanded brackets at the centers ``s_j y_j / |y_j|``, constant term ``s_j^2``."""
     F = update_membership_irw(data, G, s, r)
     agg = aggregates(data, G)
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
-    assert F.values.tobytes() == update_membership_classic(data, centers, r).values.tobytes()
+    assert F.values.tobytes() == solvers._classic_values(data, centers, s * s,
+                                                         (s * s).max(), r).tobytes()
     return F
 
 

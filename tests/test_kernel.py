@@ -62,7 +62,8 @@ def bracket_matrices(draw):
 def run_kernel(brackets, r):
     """The kernel into a column-major result, as the blocked update calls it."""
     out = np.empty(brackets.shape, order="F")
-    return _memberships_from_brackets(brackets, brackets.min(axis=1), r, out)
+    row_min = brackets.min(axis=1)
+    return _memberships_from_brackets(brackets, row_min, float(row_min.min()), r, out)
 
 
 class TestKernelMatchesLogSpace:
@@ -208,13 +209,14 @@ class TestNearCenterGuard:
             recomputed.append(points)
             return sq_distances(points, centers)
         monkeypatch.setattr(solvers, "_sq_distances", spy)
-        solvers._near_center(brackets, row_min, points, sq_norms, centers, top)
+        low = solvers._near_center(brackets, row_min, points, sq_norms, centers, top)
         assert len(recomputed) == (rows.size > 0)
+        assert np.array_equal(low, want_min.min(), equal_nan=True)
         if rows.size:
             np.testing.assert_array_equal(recomputed[0], points[rows])
         assert brackets.tobytes() == want_brackets.tobytes()
         assert row_min.tobytes() == want_min.tobytes()
-        got, want = (_memberships_from_brackets(b.T, m, r, np.empty((40, 3), order="F"))
+        got, want = (_memberships_from_brackets(b.T, m, low, r, np.empty((40, 3), order="F"))
                      for b, m in ((brackets, row_min), (want_brackets, want_min)))
         assert got.tobytes() == want.tobytes()
 

@@ -617,7 +617,8 @@ def _stale_row_min(near_center):
 
 
 def _skipped(near_center):
-    return lambda *args: None  # near-center rows stay in the expanded form
+    # near-center rows stay in the expanded form, and so does the smallest bracket
+    return lambda brackets, row_min, *rest: float(np.minimum.reduce(row_min))
 
 
 def _unsplit(memberships):
@@ -653,7 +654,9 @@ def _nan_cost(weighted_cost):
 @pytest.mark.parametrize("module, name, plant, caught_by", [
     (fcmm.oracle, "compute_centers", _undivided,
      {"gradient_fd", "tangency", "classic_coincidence", "descent_chain"}),
-    (fcmm.solvers, "update_membership_classic", _sharper, {"classic_coincidence"}),
+    # MM's step alone goes through update_membership_classic, so it parts from IRW's
+    (fcmm.solvers, "update_membership_classic", _sharper,
+     {"classic_coincidence", "single_step_equivalence"}),
     (fcmm.oracle, "phi", _inflated, {"tangency", "descent_chain"}),
     (fcmm.oracle, "_gram_matrix", _per_shape, {"gram_agreement", "gradient_fd"}),
     (fcmm.solvers, "_sq_distances", _expanded,

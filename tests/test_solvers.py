@@ -9,7 +9,8 @@ from fcmm.exceptions import DegenerateClusterError
 from fcmm.membership import (MembershipMatrix, PowerMembership, init_random,
                              to_power, validate)
 from fcmm.objective import aggregates, compute_centers, fcm_objective, phi
-from fcmm.oracle import classic_update_oracle, descent_chain_audit, gram_quad_oracle
+from fcmm.oracle import (_draw_instance, _draw_on_centers, classic_update_oracle,
+                         descent_chain_audit, gram_quad_oracle)
 from fcmm.solvers import (SolverConfig, irw_auxiliary, solve_fcm_classic, solve_fcm_mm,
                           solve_irw_fcm, update_membership_classic, update_membership_irw,
                           update_membership_mm)
@@ -124,6 +125,31 @@ class TestIrwUpdate:
             centers = y * (s / np.linalg.norm(y, axis=1))[:, None]
             F_classic = classic_update_oracle(data, centers, r)
             assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
+
+    def test_battery_draws_match_oracle_at_own_centers(self):
+        # the battery's draws, a quarter with points on and 1e-9 from the centers;
+        # the oracle takes the differences to s_j y_j / |y_j|, the kernel s_j^2
+        rng = np.random.default_rng(56)
+        for k in range(1000):
+            if k % 4:
+                data, G, r = _draw_instance(rng, 100)
+            else:
+                data, G, r = _draw_on_centers(rng, 100, (3.0, 1.5, 2.0)[k // 4 % 3])
+            s = irw_auxiliary(data, G)
+            y = aggregates(data, G).y
+            centers = y * (s / np.linalg.norm(y, axis=1))[:, None]
+            F_irw = update_membership_irw(data, G, s, r)
+            F_classic = classic_update_oracle(data, centers, r)
+            assert np.max(np.abs(F_irw.values - F_classic.values)) <= 1e-12
+
+    @pytest.mark.parametrize("wrong", [lambda s: s[:1], lambda s: 0.5, lambda s: s[:2],
+                                       lambda s: s.reshape(3, 1)],
+                             ids=["length-1", "float", "length-2", "column"])
+    def test_s_of_another_shape_is_refused(self, wrong):
+        data, _, G = random_instance(np.random.default_rng(57), 20, 2, 3)
+        s = irw_auxiliary(data, G)
+        with pytest.raises(ValueError, match=r"s must have shape \(3,\)"):
+            update_membership_irw(data, G, wrong(s), R)
 
 
 class TestMmUpdate:
@@ -263,6 +289,40 @@ class TestSolveIrw:
         # One product per G: the start's, then each inner step's (the last in
         # phi); the anchor's auxiliary and the final centers reuse theirs.
         assert len(products) == 1 + k
+
+    def test_anchor_constants_built_once_per_outer_iteration(self, iris_data, monkeypatch):
+        # s, s^2 and its maximum come once per outer iteration that takes a second
+        # inner step, and every later step's kernel call takes those same objects
+        scalars, constants = [], []
+        auxiliary, kernel = solvers.irw_auxiliary, solvers._classic_values
+
+        def spied_auxiliary(data, G):
+            scalars.append(auxiliary(data, G))
+            return scalars[-1]
+
+        def spied_kernel(data, centers, center_sq, top, r):
+            constants.append((center_sq, top))
+            return kernel(data, centers, center_sq, top, r)
+
+        monkeypatch.setattr(solvers, "irw_auxiliary", spied_auxiliary)
+        monkeypatch.setattr(solvers, "_classic_values", spied_kernel)
+        F0 = init_random(iris_data.n, 3, 3)
+        for solve in (solve_fcm_mm, solve_fcm_classic):
+            solve(iris_data, F0, SolverConfig(c=3))
+        assert scalars == []
+        constants.clear()
+        result = solve_irw_fcm(iris_data, F0, SolverConfig(c=3))
+        inner = [rec.inner_iters for rec in result.trace.records[1:]]
+        assert len(scalars) == sum(k >= 2 for k in inner) > 0
+        assert len(constants) == sum(inner)
+        anchors, start = iter(scalars), 0
+        for k in inner:
+            steps, start = constants[start:start + k], start + k
+            if k >= 2:
+                s, (s_sq, top) = next(anchors), steps[1]
+                assert s_sq.tobytes() == (s * s).tobytes() and top == (s * s).max()
+                assert all(sq is s_sq and t is top for sq, t in steps[2:])
+                assert steps[0][0] is not s_sq  # the MM step takes its centers' own
 
     def test_zero_image_at_anchor_takes_the_mm_step(self):
         # Uniform memberships on symmetric data: every y_j is exactly 0, so

@@ -4,12 +4,14 @@
 c x d centers m and the constant term k_j of the expanded brackets
 ``x_i.x_i + k_j - 2 x_i.m_j``. :func:`update_membership_classic` gives it
 ``m_j.m_j``, and the MM update computes its centers and calls that;
-:func:`update_membership_irw` gives it the frozen ``s_j^2``.
+:func:`update_membership_irw` gives it the frozen ``s_j^2``. Both hand it
+the centers times -2 and the near-center skip bound of :func:`_guard_bound`.
 
 * :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
   inner step is the surrogate (MM) step at the anchor; further inner
   steps freeze the scalars s_j there and repeat the linearized update,
-  whose bracket constants ``s_j^2`` are built once per outer iteration.
+  whose constants (``-2 s_j``, ``s_j^2``, the near-center bound) are
+  built once per outer iteration.
 * :func:`solve_fcm_mm` is that scheme capped at one inner step: bitwise
   ``solve_irw_fcm`` with ``max_inner_iters=1``.
 * :func:`solve_fcm_classic` alternates optimal centers with the classic
@@ -23,6 +25,7 @@ so their trajectories and work counts are directly comparable.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -140,13 +143,13 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     c = brackets.shape[1]
     if r == 2.0 and low > 0.0 and c / low < np.inf:
         values = np.reciprocal(brackets, out=out)
-        values /= (values @ np.ones(c))[:, None]
+        values /= (values @ _ones(c))[:, None]
     else:
         # Split rows may turn inf, nan or negative here; they are overwritten below.
         with np.errstate(all="ignore"):
             values = np.divide(row_min[:, None], brackets, out=out)
             np.power(values, 1.0 / (r - 1.0), out=values)
-            values /= (values @ np.ones(c))[:, None]
+            values /= (values @ _ones(c))[:, None]
     if low <= 0.0:
         split = row_min <= 0.0
         hits = brackets[split] <= 0.0
@@ -154,7 +157,20 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     return values
 
 
-def _near_center(brackets, row_min, points, sq_norms, centers, top) -> float:
+@functools.cache
+def _ones(c: int) -> np.ndarray:
+    """The read-only all-ones vector of length c that sums a block's rows."""
+    ones = np.ones(c)
+    ones.setflags(write=False)
+    return ones
+
+
+def _guard_bound(data: DataMatrix, top) -> float:
+    """:func:`_near_center`'s skip bound ``1e-4 (max_i x_i.x_i + top)`` over all the data."""
+    return float(1e-4 * (np.maximum.reduce(data.sq_norms) + top))
+
+
+def _near_center(brackets, row_min, points, sq_norms, scaled, top, bound) -> float:
     """Recompute in place the c x b brackets of points near a center, and their ``row_min``;
     return the block's smallest bracket, ``row_min``'s minimum after the recompute.
 
@@ -165,24 +181,26 @@ def _near_center(brackets, row_min, points, sq_norms, centers, top) -> float:
     where that rounding would exceed ~1e-12 of the bracket, get theirs from the
     differences by :func:`fcmm.objective._sq_distances`, as fcm_objective does, and
     their smallest taken again; so the kernel sees a zero bracket only at a center.
+    The centers are ``-0.5 * scaled``, exact since the kernel's scale is a power of two.
     Rounding is monotone, so no row can pass when the smallest ``row_min`` is at
-    least ``1e-4 (max x_i.x_i + top)``: the block then skips the per-row scan.
+    least ``bound``, :func:`_guard_bound` over every block: the block skips the scan.
     """
     low = float(np.minimum.reduce(row_min))
-    if low >= 1e-4 * (np.maximum.reduce(sq_norms) + top):
+    if low >= bound:
         return low  # also False on a NaN, which takes the scan
     rows = (row_min < 1e-4 * (sq_norms + top)).nonzero()[0]
     if rows.size:
-        brackets[:, rows] = _sq_distances(points[rows], centers)
+        brackets[:, rows] = _sq_distances(points[rows], -0.5 * scaled)
         row_min[rows] = np.minimum.reduce(brackets[:, rows], axis=0)
         low = float(np.minimum.reduce(row_min))
     return low
 
 
-def _classic_values(data: DataMatrix, centers: np.ndarray, center_sq: np.ndarray,
-                    top: float, r: float) -> np.ndarray:
+def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
+                    top: float, bound: float, r: float) -> np.ndarray:
     """Memberships from the brackets ``x_i.x_i + center_sq_j - 2 x_i.m_j`` at the
-    c x d centers m, as a writable array; ``top`` is the largest ``center_sq_j``.
+    c x d centers m, given as ``scaled = -2 m``, as a writable array; ``top`` is
+    the largest ``center_sq_j`` and ``bound`` its :func:`_guard_bound`.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
@@ -190,8 +208,8 @@ def _classic_values(data: DataMatrix, centers: np.ndarray, center_sq: np.ndarray
     brackets from one product, :func:`_near_center` recomputes those near a
     center, and the kernel runs in cache into one column-major n x c result.
     """
-    scaled, center_col = -2.0 * centers, center_sq[:, None]
-    n, values = data.n, np.empty((data.n, centers.shape[0]), order="F")
+    center_col = center_sq[:, None]
+    n, values = data.n, np.empty((data.n, scaled.shape[0]), order="F")
     for start in range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS if start + 2 * _BLOCK_ROWS <= n else n
         points, sq_norms = data.points[start:stop], data.sq_norms[start:stop]
@@ -199,7 +217,7 @@ def _classic_values(data: DataMatrix, centers: np.ndarray, center_sq: np.ndarray
         brackets = scaled @ points.T
         brackets += center_col + sq_norms
         row_min = np.minimum.reduce(brackets, axis=0)
-        low = _near_center(brackets, row_min, points, sq_norms, centers, top)
+        low = _near_center(brackets, row_min, points, sq_norms, scaled, top, bound)
         _memberships_from_brackets(brackets.T, row_min, low, r, values[start:stop])
     return values
 
@@ -213,7 +231,8 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     """
     _real(r, "r", 1.0)
     center_sq = np.einsum("cd,cd->c", centers, centers)
-    values = _classic_values(data, centers, center_sq, np.maximum.reduce(center_sq), r)
+    top = np.maximum.reduce(center_sq)
+    values = _classic_values(data, -2.0 * centers, center_sq, top, _guard_bound(data, top), r)
     values.setflags(write=False)
     return MembershipMatrix(values)
 
@@ -231,26 +250,31 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
     The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
     the squared distance to the center ``s_j y_j / |y_j|`` of
     :func:`_irw_centers`; :func:`_classic_values` takes those centers with
-    ``s_j^2`` as the constant term, which stays fixed while s is frozen,
-    so the solver builds it once per outer iteration. ``s`` holds one
-    scalar per cluster; any other shape is a ValueError.
+    ``s_j^2`` as the constant term. That term, ``-2 s`` and the near-center
+    bound stay fixed while s is frozen, so the solver builds them once per
+    outer iteration. ``s`` holds one norm per cluster: another shape, or
+    an entry that is negative or not finite, is a ValueError.
     """
     _real(r, "r", 1.0)
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (G.c,):
         raise ValueError(f"s must have shape ({G.c},), one scalar per cluster; "
                          f"got shape {s.shape}")
+    if not ((s >= 0.0) & (s < np.inf)).all():  # False on NaN
+        raise ValueError(f"s must be finite and >= 0, a norm per cluster; got {s.tolist()}")
     agg, s_sq = aggregates(data, G), s * s
-    centers = _irw_centers(agg.y, agg.quad, s)
-    values = _classic_values(data, centers, s_sq, np.maximum.reduce(s_sq), r)
+    top = np.maximum.reduce(s_sq)
+    scaled = _irw_centers(agg.y, agg.quad, -2.0 * s)
+    values = _classic_values(data, scaled, s_sq, top, _guard_bound(data, top), r)
     values.setflags(write=False)
     return MembershipMatrix(values)
 
 
 def _irw_centers(y: np.ndarray, quad: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Re-weighting centers ``s_j y_j / |y_j|``: direction from the weighted
-    sums y, norm held at s_j. Undefined where quad_j = |y_j|^2 = 0 (all-zero
-    weighted cluster image), a DegenerateClusterError naming those clusters.
+    sums y, norm held at |s_j|; the kernel takes them scaled, from ``-2 s``.
+    Undefined where quad_j = |y_j|^2 = 0 (all-zero weighted cluster image),
+    a DegenerateClusterError naming those clusters.
     """
     if np.fmin.reduce(quad) <= 0.0:  # False on NaN, as (quad <= 0.0).any()
         dead = np.flatnonzero(quad <= 0.0).tolist()
@@ -298,23 +322,30 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
 
     Steps 2.. run :func:`update_membership_irw` and :func:`to_power` on plain
     arrays, with every check of their records; records are built for the last step.
-    The brackets' constant ``s_j^2`` and its maximum are built once, beside s.
+    The constants of the frozen s (``-2 s``, ``s_j^2``, its maximum and the
+    near-center bound) are built once, beside s. A step's finiteness is read off
+    its stop test: the previous values are finite, so the largest change is
+    finite exactly when every new value is.
     """
     F_mm = update_membership_mm(data, G, cfg.r)
     G_mm = to_power(F_mm, cfg.r)
-    prev, values, powered = F.values, F_mm.values, G_mm.values
-    inner, s = 1, None
-    while inner < max_inner and np.maximum.reduce(np.abs(values - prev), axis=None) > INNER_TOL:
-        if s is None:
-            s = irw_auxiliary(data, G)
-            s_sq = s * s
-            top = np.maximum.reduce(s_sq)
-        centers = _irw_centers(*_weighted_sums(data, powered), s)
-        prev, values = values, _classic_values(data, centers, s_sq, top, cfg.r)
-        _check_finite(values)
+    values, powered, inner = F_mm.values, G_mm.values, 1
+    moved = max_inner > 1 and np.maximum.reduce(np.abs(values - F.values), axis=None) > INNER_TOL
+    if moved:
+        s = irw_auxiliary(data, G)
+        s_sq = s * s
+        top = np.maximum.reduce(s_sq)
+        neg_two_s, bound = -2.0 * s, _guard_bound(data, top)
+    while moved:
+        scaled = _irw_centers(*_weighted_sums(data, powered), neg_two_s)
+        prev, values = values, _classic_values(data, scaled, s_sq, top, bound, cfg.r)
+        change = np.maximum.reduce(np.abs(values - prev), axis=None)
+        if not change < np.inf:  # inf or NaN
+            _check_finite(values)  # raises
         powered = values ** cfg.r
         _column_sums(powered)
         inner += 1
+        moved = inner < max_inner and change > INNER_TOL
     if inner == 1:
         return F_mm, G_mm, 1
     values.setflags(write=False)

@@ -23,12 +23,18 @@ from fcmm.solvers import (INNER_TOL, SolverConfig, irw_auxiliary, solve_irw_fcm,
 
 def irw_step(data, G, s, r):
     """``update_membership_irw``, checked bitwise against its definition: the
-    expanded brackets at the centers ``s_j y_j / |y_j|``, constant term ``s_j^2``."""
+    expanded brackets at the centers ``s_j y_j / |y_j|``, handed to the kernel
+    as ``-2 s_j y_j / |y_j|`` (exactly -2 times them), constant term ``s_j^2``
+    and the near-center skip bound ``1e-4 (max_i x_i.x_i + max_j s_j^2)``."""
     F = update_membership_irw(data, G, s, r)
     agg = aggregates(data, G)
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
-    assert F.values.tobytes() == solvers._classic_values(data, centers, s * s,
-                                                         (s * s).max(), r).tobytes()
+    scaled = agg.y * (-2.0 * s / np.sqrt(agg.quad))[:, None]
+    assert scaled.tobytes() == (-2.0 * centers).tobytes()
+    top = (s * s).max()
+    bound = 1e-4 * (data.sq_norms.max() + top)
+    assert F.values.tobytes() == solvers._classic_values(data, scaled, s * s, top, bound,
+                                                         r).tobytes()
     return F
 
 
@@ -97,6 +103,48 @@ def test_more_than_one_row_block():
     assert result.trace.records[1].inner_iters >= 2
 
 
+def test_near_center_recompute_on_later_inner_steps(monkeypatch):
+    # Offset data: the near-center bound 1e-4 (x_i.x_i + s_j^2) grows with the
+    # offset, so rows near their re-weighting center take the difference-form
+    # recompute on inner steps 2.., at the centers the kernel recovers from -2 s_j y_j/|y_j|
+    data = standardize(make_blobs(SyntheticSpec(seed=0, **SYNTHETIC_PRESETS["blobs-small"])))
+    data = DataMatrix.from_points(data.points + 1e3)
+    F0, cfg = init_random(data.n, 3, 0), SolverConfig(c=3, max_outer_iters=3)
+    step, recomputed_at = [0], []
+    classic, kernel = solvers.update_membership_classic, solvers._classic_values
+    near_center, sq_distances = solvers._near_center, solvers._sq_distances
+
+    def spied_classic(*args):  # the MM step, inner step 1
+        step[0] = 0
+        return classic(*args)
+
+    def spied_kernel(*args):
+        step[0] += 1
+        return kernel(*args)
+
+    def spied_near_center(*args):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_sq_distances",
+                          lambda *a: calls.append(1) or sq_distances(*a))
+            low = near_center(*args)
+        recomputed_at.extend([step[0]] * len(calls))
+        return low
+
+    with monkeypatch.context() as patch:
+        for name, spy in [("update_membership_classic", spied_classic),
+                          ("_classic_values", spied_kernel), ("_near_center", spied_near_center)]:
+            patch.setattr(solvers, name, spy)
+        solve_irw_fcm(data, F0, cfg)
+    assert max(recomputed_at) >= 2
+    assert assert_parity(data, F0, cfg).trace.records[1].inner_iters >= 2
+
+
+def _one_inf(values):
+    values[0, 0] = np.inf
+    return values
+
+
 class TestDegenerateInnerSteps:
     """A collapse on an inner step ends the solve as the double loop's would."""
 
@@ -135,12 +183,17 @@ class TestDegenerateInnerSteps:
         assert result.termination == "degenerate"
         assert result.F_final is F0 and len(result.trace) == 1
 
-    @pytest.mark.parametrize("spoil, message", [
-        (lambda values: values * np.nan, "membership values must be finite"),
+    @pytest.mark.parametrize("spoil, message, max_inner", [
+        (lambda values: values * np.nan, "membership values must be finite", 100),
         pytest.param(lambda values: values * 1e200, "powered membership values must be finite",
-                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
-    ], ids=["memberships", "mass"])
-    def test_non_finite(self, iris_data, monkeypatch, spoil, message):
+                     100, marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+        # anchored: the step itself refuses them, before to_power's column sums
+        (_one_inf, "^membership values must be finite$", 100),
+        # the spoiled step is the last the cap allows, so no later stop test reads it
+        (lambda values: values * np.nan, "^membership values must be finite$", 2),
+    ], ids=["memberships", "mass", "one-inf", "memberships-at-cap"])
+    def test_non_finite(self, iris_data, monkeypatch, spoil, message, max_inner):
         self.spoil_second_update(monkeypatch, spoil)
         with pytest.raises(ValueError, match=message):
-            solve_irw_fcm(iris_data, init_random(iris_data.n, 3, 0), SolverConfig(c=3))
+            solve_irw_fcm(iris_data, init_random(iris_data.n, 3, 0),
+                          SolverConfig(c=3, max_inner_iters=max_inner))

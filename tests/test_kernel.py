@@ -199,7 +199,26 @@ class TestNearCenterGuard:
         ("at", "none"), ("below", "row"), ("below, smaller norm", "none"),
         ("offset", "all"), ("nan", "none")])
     def test_guard_is_the_per_row_rule(self, monkeypatch, case, taken, r):
-        brackets, row_min, points, sq_norms, centers, top, row = _guard_block(case)
+        block = _guard_block(case)
+        _, _, _, sq_norms, _, top, _ = block
+        self.assert_per_row_rule(monkeypatch, block, 1e-4 * (sq_norms.max() + top), taken, r)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_data_wide_bound_scans_a_block_its_own_bound_skips(self, monkeypatch, r):
+        # the "at" block is the first of two; the second's points are farther out,
+        # so the bound over all the data sends the first to the scan, which takes no row
+        block = _guard_block("at")
+        _, row_min, points, sq_norms, _, top, _ = block
+        data = DataMatrix.from_points(np.vstack([points, 2.0 * points]))
+        bound = solvers._guard_bound(data, top)
+        assert 1e-4 * (sq_norms.max() + top) <= row_min.min() < bound
+        self.assert_per_row_rule(monkeypatch, block, bound, "none", r)
+
+    @staticmethod
+    def assert_per_row_rule(monkeypatch, block, bound, taken, r):
+        """``_near_center`` at the skip bound ``bound`` leaves the block's brackets,
+        ``row_min``, smallest bracket and memberships bitwise as the per-row rule does."""
+        brackets, row_min, points, sq_norms, centers, top, row = block
         want_brackets, want_min = brackets.copy(), row_min.copy()
         rows = _scan_only(want_brackets, want_min, points, sq_norms, centers, top)
         assert rows.tolist() == {"none": [], "row": [row], "all": list(range(40))}[taken]
@@ -209,9 +228,10 @@ class TestNearCenterGuard:
             recomputed.append(points)
             return sq_distances(points, centers)
         monkeypatch.setattr(solvers, "_sq_distances", spy)
-        low = solvers._near_center(brackets, row_min, points, sq_norms, centers, top)
+        low = solvers._near_center(brackets, row_min, points, sq_norms, -2.0 * centers, top,
+                                   bound)
         assert len(recomputed) == (rows.size > 0)
-        assert np.array_equal(low, want_min.min(), equal_nan=True)
+        assert np.float64(low).tobytes() == want_min.min().tobytes()
         if rows.size:
             np.testing.assert_array_equal(recomputed[0], points[rows])
         assert brackets.tobytes() == want_brackets.tobytes()

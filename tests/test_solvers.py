@@ -151,6 +151,26 @@ class TestIrwUpdate:
         with pytest.raises(ValueError, match=r"s must have shape \(3,\)"):
             update_membership_irw(data, G, wrong(s), R)
 
+    @pytest.mark.parametrize("wrong", [lambda s: -s, lambda s: np.where([0, 1, 0], np.nan, s),
+                                       lambda s: np.where([0, 0, 1], np.inf, s)],
+                             ids=["negated", "nan", "inf"])
+    def test_s_negative_or_not_finite_is_refused(self, wrong):
+        # -s would mirror the centers; a NaN or inf would surface as non-finite memberships
+        data, _, G = random_instance(np.random.default_rng(57), 20, 2, 3)
+        s = irw_auxiliary(data, G)
+        with pytest.raises(ValueError, match=r"s must be finite and >= 0"):
+            update_membership_irw(data, G, wrong(s), R)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_zero_s_puts_every_center_at_the_origin(self, r):
+        # MM's own center when y_j = 0: every bracket of a row is x_i.x_i
+        data, _, G = random_instance(np.random.default_rng(58), 20, 2, 3)
+        F = update_membership_irw(data, G, np.zeros(3), r)
+        assert F.values.tobytes() == update_membership_classic(data, np.zeros((3, 2)),
+                                                               r).values.tobytes()
+        assert np.ptp(F.values, axis=1).max() == 0.0
+        np.testing.assert_allclose(F.values, 1.0 / 3.0, rtol=1e-15)
+
 
 class TestMmUpdate:
     def test_matches_irw_single_step(self):
@@ -291,8 +311,9 @@ class TestSolveIrw:
         assert len(products) == 1 + k
 
     def test_anchor_constants_built_once_per_outer_iteration(self, iris_data, monkeypatch):
-        # s, s^2 and its maximum come once per outer iteration that takes a second
-        # inner step, and every later step's kernel call takes those same objects
+        # s, s^2, its maximum and the near-center bound come once per outer iteration
+        # that takes a second inner step, and every later step's kernel call takes
+        # those same objects
         scalars, constants = [], []
         auxiliary, kernel = solvers.irw_auxiliary, solvers._classic_values
 
@@ -300,9 +321,9 @@ class TestSolveIrw:
             scalars.append(auxiliary(data, G))
             return scalars[-1]
 
-        def spied_kernel(data, centers, center_sq, top, r):
-            constants.append((center_sq, top))
-            return kernel(data, centers, center_sq, top, r)
+        def spied_kernel(data, scaled, center_sq, top, bound, r):
+            constants.append((center_sq, top, bound))
+            return kernel(data, scaled, center_sq, top, bound, r)
 
         monkeypatch.setattr(solvers, "irw_auxiliary", spied_auxiliary)
         monkeypatch.setattr(solvers, "_classic_values", spied_kernel)
@@ -319,9 +340,10 @@ class TestSolveIrw:
         for k in inner:
             steps, start = constants[start:start + k], start + k
             if k >= 2:
-                s, (s_sq, top) = next(anchors), steps[1]
+                s, (s_sq, top, bound) = next(anchors), steps[1]
                 assert s_sq.tobytes() == (s * s).tobytes() and top == (s * s).max()
-                assert all(sq is s_sq and t is top for sq, t in steps[2:])
+                assert bound == 1e-4 * (iris_data.sq_norms.max() + top)
+                assert all(sq is s_sq and t is top and b is bound for sq, t, b in steps[2:])
                 assert steps[0][0] is not s_sq  # the MM step takes its centers' own
 
     def test_zero_image_at_anchor_takes_the_mm_step(self):

@@ -110,20 +110,20 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
     return _weighted_cost(F.values ** r, _sq_distances(data.points, centers))
 
 
-def _sq_distances(points: np.ndarray, centers) -> list:
-    """``|x_i - m_j|^2`` from the point-center differences: one contiguous
-    n-vector per center. At fixed centers they serve any number of F.
+def _sq_distances(points: np.ndarray, centers) -> np.ndarray:
+    """``|x_i - m_j|^2`` from the point-center differences, for one center,
+    c x d centers or a stack of them, as an array or nested lists: shape
+    ``centers.shape[:-1] + (n,)``, one contiguous n-vector per center. At
+    fixed centers they serve any number of F.
 
     The package's one difference-form distance routine: :func:`fcm_objective`,
     the kernel's near-center step
     :func:`~fcmm.solvers._near_center` and the oracle's checks
-    at fixed centers all call it.
+    at fixed centers all call it. Each center's row has the same bits
+    however many centers or sets of centers one call takes.
     """
-    out = []
-    for center in centers:
-        diff = points - center
-        out.append(np.einsum("id,id->i", diff, diff))
-    return out
+    diff = points - np.asarray(centers, dtype=np.float64)[..., None, :]
+    return np.einsum("...d,...d->...", diff, diff)
 
 
 def _running_sum(terms: np.ndarray):
@@ -137,16 +137,18 @@ def _running_sum(terms: np.ndarray):
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
-def _weighted_cost(G: np.ndarray, dists: list):
+def _weighted_cost(G: np.ndarray, dists: np.ndarray):
     """``sum_j g_.j . dists[j]`` for powered memberships G: over the points
     from 0.0 for each cluster, then over the clusters in order from 0.0,
     the bits of that plain double loop on any BLAS thread count.
 
-    G is n x c, giving a float, or a k x n x c stack, giving each slice's
-    float in a length-k array. One pass over all clusters holds two
-    temporaries of G's size.
+    G is n x c, giving a float, or a stack of them with any leading axes,
+    giving each slice's float in an array of those axes; the c x n
+    ``dists`` broadcast against G's slices, so a stack of distances pairs
+    with a stack of G. One pass over all clusters holds two temporaries
+    of the broadcast size.
     """
-    total = _running_sum(_running_sum(np.swapaxes(G, -1, -2) * np.array(dists)))
+    total = _running_sum(_running_sum(np.swapaxes(G, -1, -2) * np.asarray(dists)))
     return float(total) if G.ndim == 2 else total
 
 

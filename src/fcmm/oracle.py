@@ -9,11 +9,12 @@ suite and the ``validate`` command, whose battery is the table ``CHECKS``.
 The Gram oracles, the finite differences and the fuzzy-means costs call no
 BLAS: every sum is a running sum in a plain Python loop's order from 0.0,
 so the results are bitwise those loops' on any BLAS thread count. The
-finite differences take all 2n perturbed vectors in row chunks, and a
-check at fixed centers takes the points' squared distances to them once
-and costs a stack of memberships in one array pass (a chunk of
-certificate trials, an audit step's two h values, an anchor's domination
-samples). Only domination loops in Python per sample, for one ``phi`` call
+finite differences take all 2n perturbed vectors in row chunks, and the
+descent audit certifies its steps a chunk at a time. A check at fixed
+centers takes the points' squared distances to them once and costs a
+stack of memberships in one array pass (a chunk of certificate trials,
+an audit chunk's pairs of h values, an anchor's domination samples).
+Only domination loops in Python per sample, for one ``phi`` call
 each: the program's phi is what it checks. The Gram matrix (intended for
 n <= 200) is built on the first Gram oracle call for a ``DataMatrix`` and
 held on that object.
@@ -30,11 +31,13 @@ from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, _check_finite, init_random, to_power
 from .objective import (_running_sum, _sq_distances, _weighted_cost, aggregates,
                         compute_centers, phi)
-from .solvers import (SolverConfig, _check_start, irw_auxiliary, update_membership_irw,
-                      update_membership_mm)
+from .solvers import (SolverConfig, _centers, _check_start, irw_auxiliary,
+                      update_membership_irw, update_membership_mm)
 
 _CHUNK = 256  # trials per draw in surrogate_argmin_oracle
-_FD_TERMS = 1 << 17  # Gram products per chunk in finite_diff_gradient (1 MB)
+# Terms per chunk (1 MB): Gram products in finite_diff_gradient, point-center
+# coordinate differences in descent_chain_audit
+_TERMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarra
 
     The 2n perturbed vectors' quadratic forms (by :func:`_quad_forms`) and
     sums are running sums from 0.0, so every bit is a plain loop's. They
-    are taken for a chunk of components at a time, at most ``_FD_TERMS``
+    are taken for a chunk of components at a time, at most ``_TERMS``
     Gram products or one component's 2n^2, so at n <= 256 no temporary
     exceeds 1 MB.
     """
@@ -132,7 +135,7 @@ def finite_diff_gradient(data: DataMatrix, g_t, step: float = 1e-5) -> np.ndarra
     gram = _gram_matrix(data)
     n = data.n
     out = np.empty(n)
-    width = max(1, _FD_TERMS // (2 * n * n))
+    width = max(1, _TERMS // (2 * n * n))
     for start in range(0, n, width):
         comps = np.arange(start, min(start + width, n))
         k = comps.size
@@ -150,10 +153,11 @@ def classic_update_oracle(data: DataMatrix, centers, r: float) -> MembershipMatr
 
     ``f_ij = 1 / sum_k (b_ij / b_ik)^(1/(r-1))`` with ``b_ij = |x_i - m_j|^2``
     from the n x c x d point-center differences. A point on one or more
-    centers (``b_ij == 0``) splits uniformly over them.
+    centers (``b_ij == 0``) splits uniformly over them. ``centers`` is read
+    as the solvers' update reads it.
     """
     _real(r, "r", 1.0)
-    diffs = data.points[:, None, :] - np.asarray(centers, dtype=np.float64)[None, :, :]
+    diffs = data.points[:, None, :] - _centers(data, centers)[None, :, :]
     b = np.square(diffs).sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         F = 1.0 / ((b[:, :, None] / b[:, None, :]) ** (1.0 / (r - 1.0))).sum(axis=2)
@@ -207,24 +211,31 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     each link within ``1e-10 * (1 + |phi(F)|)``. Errors are reported
     normalized by that scale, so the tolerance column reads 1e-10. h(. | G)
     is the fuzzy-means cost at G's optimal centers (see
-    :mod:`fcmm.objective`); the points' squared distances to them are
-    taken once per step for both h values, so the last link
-    compares that difference form with phi's expanded form. A start F0 the
+    :mod:`fcmm.objective`), so the last link compares that difference form
+    with phi's expanded form. The steps run in chunks of at most ``_TERMS``
+    point-center terms, c n d per step; each chunk then takes its steps'
+    squared distances in one call and both h values of every step in one
+    cost pass, with the same bits as one step at a time. A start F0 the
     solvers refuse is a ValueError before any step.
     """
     _integer(steps, "steps", 1)
     G = _check_start(data, F0, cfg)
-    errors = []
-    obj = phi(data, G)
-    for _ in range(steps):
-        dists = _sq_distances(data.points, compute_centers(data, G))
-        G_next = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
-        h_next, h_self = _weighted_cost(np.stack([G_next.values, G.values]), dists).tolist()
-        obj_next = phi(data, G_next)
+    width = max(1, _TERMS // (cfg.c * data.n * data.d))
+    errors, objs, values = [], [phi(data, G)], [G.values]
+    for start in range(0, steps, width):
+        centers, objs, values = [], objs[-1:], values[-1:]
+        for _ in range(min(width, steps - start)):
+            centers.append(compute_centers(data, G))
+            G = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
+            objs.append(phi(data, G))
+            values.append(G.values)
+        dists = _sq_distances(data.points, np.stack(centers))
+        pairs = np.stack([values[1:], values[:-1]], axis=1)  # [G_next, G] per step
+        h_next, h_self = _weighted_cost(pairs, dists[:, None]).T
+        obj, obj_next = np.array(objs[:-1]), np.array(objs[1:])
         scale = 1.0 + abs(obj)
-        errors += [(obj_next - h_next) / scale, (h_next - h_self) / scale,
-                   abs(h_self - obj) / scale]
-        G, obj = G_next, obj_next
+        errors += np.stack([(obj_next - h_next) / scale, (h_next - h_self) / scale,
+                            abs(h_self - obj) / scale], axis=1).ravel().tolist()
     return OracleReport.from_error("descent_chain", _worst(errors), 1e-10, steps)
 
 
@@ -299,7 +310,7 @@ def _gradient_fd(rng, size):
         data = DataMatrix.from_points(rng.normal(size=(n, d)))
         g_t = rng.uniform(0.1, 1.0, size=n)
         m = compute_centers(data, PowerMembership(g_t[:, None]))[0]
-        grad = data.sq_norms - _sq_distances(data.points, [m])[0]
+        grad = data.sq_norms - _sq_distances(data.points, m)
         fd = finite_diff_gradient(data, g_t, step=1e-5)
         errors.append(np.max(np.abs(fd - grad)) / (1.0 + np.max(np.abs(grad))))
     return [OracleReport.from_error("gradient_fd", _worst(errors), 1e-6, len(errors))]

@@ -222,14 +222,26 @@ def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
     return values
 
 
+def _centers(data: DataMatrix, centers) -> np.ndarray:
+    """``centers`` as a float64 array (one already is, as given) of c >= 1 rows
+    of ``data.d`` coordinates; any other shape is a ValueError naming it."""
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2 or not centers.shape[0] or centers.shape[1] != data.d:
+        raise ValueError(f"centers must have shape (c, {data.d}) with c >= 1; "
+                         f"got shape {centers.shape}")
+    return centers
+
+
 def update_membership_classic(data: DataMatrix, centers: np.ndarray,
                               r: float) -> MembershipMatrix:
     """The closed-form update of all three solvers, from c x d centers.
 
     :func:`_classic_values` computes it at ``m_j.m_j``, held read-only without
     a copy; the difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
+    ``centers`` is read as :func:`_centers` reads it.
     """
     _real(r, "r", 1.0)
+    centers = _centers(data, centers)
     center_sq = np.einsum("cd,cd->c", centers, centers)
     top = np.maximum.reduce(center_sq)
     values = _classic_values(data, -2.0 * centers, center_sq, top, _guard_bound(data, top), r)

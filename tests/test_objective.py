@@ -185,6 +185,11 @@ class TestCostMatchesDoubleLoopBitwise:
             assert _weighted_cost(G, dists).hex() == reference_cost(G, dists).hex()
         costs = _weighted_cost(stack, dists)
         assert costs.tobytes() == np.array([_weighted_cost(G, dists) for G in singles]).tobytes()
+        # a stack of distances broadcast against stacks of G, as the descent audit pairs them
+        paired = _weighted_cost(np.stack([stack, stack[::-1]]),
+                                np.stack([dists, 2.0 * dists])[:, None])
+        expected = np.array([costs, _weighted_cost(stack[::-1], 2.0 * dists)])
+        assert paired.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 8, 17, 129])
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
@@ -196,6 +201,41 @@ class TestCostMatchesDoubleLoopBitwise:
         centers = rng.normal(size=(c, 3))
         expected = reference_cost(F.values ** 1.5, _sq_distances(data.points, centers))
         assert fcm_objective(data, F, centers, 1.5).hex() == expected.hex()
+        assert fcm_objective(data, F, centers.tolist(), 1.5).hex() == expected.hex()
+
+
+def per_center_distances(points, centers):
+    """``|x_i - m_j|^2`` one center at a time, each an ``id,id->i`` pass over its differences."""
+    out = []
+    for center in centers:
+        diff = points - center
+        out.append(np.einsum("id,id->i", diff, diff))
+    return np.array(out)
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("d", [*range(1, 21), 32, 50, 64])
+    def test_a_stack_has_each_centers_bits(self, d):
+        # a (k, c, d) stack gives the k calls' c x n distances, each row one center's alone,
+        # as a call on that center by itself gives it
+        rng = np.random.default_rng(d)
+        for n in (1, 2, 3, 7, 100, 1000, 8192):
+            for scale in (1e-3, 1.0, 1e3):
+                points = scale * rng.normal(size=(n, d))
+                centers = scale * rng.normal(size=(2, 3, d))
+                dists = _sq_distances(points, centers)
+                assert dists.shape == (2, 3, n)
+                assert _sq_distances(points, centers[1, 2]).tobytes() == dists[1, 2].tobytes()
+                for got, one in zip(dists, centers):
+                    assert got.tobytes() == _sq_distances(points, one).tobytes()
+                    assert got.tobytes() == per_center_distances(points, one).tobytes()
+
+    def test_centers_as_lists(self):
+        rng = np.random.default_rng(30)
+        points, centers = rng.normal(size=(9, 2)), rng.normal(size=(3, 2))
+        expected = per_center_distances(points, centers).tobytes()
+        assert _sq_distances(points, centers.tolist()).tobytes() == expected
+        assert _sq_distances(points, list(centers)).tobytes() == expected
 
 
 class TestObjectiveValues:

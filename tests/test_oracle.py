@@ -121,7 +121,7 @@ class TestOraclesMatchDoubleLoopsBitwise:
     def test_finite_diff_gradient_in_chunks(self, monkeypatch, width):
         # chunks of `width` components (0: fewer products than one
         # component's, still one), the last short where 7 is no multiple
-        monkeypatch.setattr(fcmm.oracle, "_FD_TERMS", max(1, 2 * 7 * 7 * width))
+        monkeypatch.setattr(fcmm.oracle, "_TERMS", max(1, 2 * 7 * 7 * width))
         rng, data = seeded_points(7, 3, seed=90 + width)
         g_t = rng.uniform(0.1, 1.0, size=7)
         expected = reference_finite_diff(reference_gram(data.points), g_t.tolist(), 1e-5)
@@ -434,6 +434,26 @@ class TestSurrogateArgmin:
             surrogate_argmin_oracle(data, G_t, 2.0, trials=fcmm.oracle._CHUNK + 3, seed=0)
 
 
+def chain_worst(data, F, r, steps):
+    """The audit's largest scaled link error, one step at a time: two
+    ``fcm_objective`` calls at the step's centers and two ``phi`` values."""
+    G = to_power(F, r)
+    obj = phi(data, G)
+    worst = 0.0
+    for _ in range(steps):
+        centers = compute_centers(data, G)
+        F_next = update_membership_mm(data, G, r)
+        G_next = to_power(F_next, r)
+        h_next = fcm_objective(data, F_next, centers, r)
+        h_self = fcm_objective(data, F, centers, r)
+        obj_next = phi(data, G_next)
+        scale = 1.0 + abs(obj)
+        worst = max(worst, (obj_next - h_next) / scale, (h_next - h_self) / scale,
+                    abs(h_self - obj) / scale)
+        F, G, obj = F_next, G_next, obj_next
+    return worst
+
+
 class TestDescentChainAudit:
     def test_blobs_pass(self):
         from fcmm.dataset import SyntheticSpec, make_blobs
@@ -464,12 +484,17 @@ class TestDescentChainAudit:
         assert report.passed
 
 
-    def test_distances_taken_once_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("width, chunks", [(None, 1), (1, 20), (3, 7), (20, 1)],
+                             ids=["default-budget", "1-step", "3-steps", "20-steps"])
+    def test_distances_taken_once_per_chunk(self, monkeypatch, width, chunks):
+        # one call per chunk of `width` steps (None: the default budget, 2^17 // 180 steps)
+        if width is not None:
+            monkeypatch.setattr(fcmm.oracle, "_TERMS", width * 3 * 30 * 2)
         calls = count_distances(monkeypatch)
         data = DataMatrix.from_points(np.random.default_rng(82).normal(size=(30, 2)))
         assert descent_chain_audit(data, init_random(30, 3, 0), SolverConfig(c=3),
                                    steps=20).passed
-        assert len(calls) == 20
+        assert len(calls) == chunks
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_same_bits_as_two_objectives_per_step(self, r):
@@ -493,6 +518,36 @@ class TestDescentChainAudit:
                                      steps=40)
         assert worst > 0.0
         assert report.max_error.hex() == worst.hex()
+
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 14])
+    def test_chunks_same_bits_as_one_step_at_a_time(self, monkeypatch, steps):
+        # chunks of 4 steps: one step, one short chunk, exactly one, one and a
+        # step, three and a short one
+        monkeypatch.setattr(fcmm.oracle, "_TERMS", 4 * 3 * 30 * 2)
+        data = DataMatrix.from_points(np.random.default_rng(87).normal(size=(30, 2)))
+        F = init_random(30, 3, 2)
+        worst = chain_worst(data, F, 1.5, steps)  # grows with steps here: the last chunk sets it
+        report = descent_chain_audit(data, F, SolverConfig(c=3, r=1.5), steps)
+        assert worst > 0.0
+        assert report.max_error.hex() == worst.hex()
+        assert report.samples == steps
+
+    @pytest.mark.parametrize("call", [2, 11], ids=["first-chunk", "last-chunk"])
+    def test_nan_phi_in_one_chunk_fails(self, monkeypatch, call):
+        # chunks of 4 steps over 10; phi's calls are the start's, then one per
+        # step: NaN at step 1's, or at the last step's alone
+        monkeypatch.setattr(fcmm.oracle, "_TERMS", 4 * 3 * 30 * 2)
+        calls, phi_ = [], fcmm.oracle.phi
+
+        def nan_once(data, G):
+            calls.append(1)
+            return np.nan if len(calls) == call else phi_(data, G)
+
+        monkeypatch.setattr(fcmm.oracle, "phi", nan_once)
+        data = DataMatrix.from_points(np.random.default_rng(88).normal(size=(30, 2)))
+        report = descent_chain_audit(data, init_random(30, 3, 3), SolverConfig(c=3), 10)
+        assert len(calls) == 11
+        assert np.isnan(report.max_error) and not report.passed
 
     @pytest.mark.parametrize("start, c, match", [
         ("rows sum to 2", 3, "not row-stochastic"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,26 @@ class TestClassicUpdate:
         F = update_membership_classic(data, centers, R)
         np.testing.assert_array_equal(F.values[0], [1.0, 0.0])
         assert 0 < F.values[1, 0] < F.values[1, 1]
+
+
+@pytest.mark.parametrize("update", [update_membership_classic, classic_update_oracle])
+class TestCentersAsFcmObjectiveTakesThem:
+    """The update and its reference read ``centers`` as ``np.asarray`` does,
+    and refuse any shape but c >= 1 rows of ``data.d`` coordinates."""
+
+    def test_nested_lists_are_the_array(self, update):
+        data, _, G = random_instance(np.random.default_rng(85), 20, 2, 3)
+        centers = compute_centers(data, G)
+        got = update(data, centers.tolist(), R).values
+        assert got.tobytes() == update(data, centers, R).values.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 3), (3, 1), (1, 3, 2), (0, 2)],
+                             ids=["1-D", "too-wide", "too-narrow", "3-D", "no-centers"])
+    def test_other_shapes_refused(self, update, shape):
+        data = DataMatrix.from_points(np.random.default_rng(86).normal(size=(20, 2)))
+        message = f"centers must have shape (c, 2) with c >= 1; got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            update(data, np.ones(shape), R)
 
 
 class TestIrwAuxiliary:

@@ -18,6 +18,10 @@ import numpy as np
 # mean's magnitude are treated as constant and only centered.
 _ZERO_VARIANCE_RTOL = 1e-13
 
+# Elements per row block of standardize's passes: a block and its squares
+# stay in cache, and no pass builds a second n x d temporary.
+_BLOCK_ELEMENTS = 2**16
+
 # What a count and a real number may be; bool, a subclass of int, is neither.
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
@@ -75,10 +79,12 @@ class DataMatrix:
     def __post_init__(self):
         pts = _own_matrix(self.points, "points")  # a view is always copied, to C order
         pts = pts if pts.flags.c_contiguous else _own_matrix(pts[:], "points")
-        if not np.all(np.isfinite(pts)):
+        sq = np.einsum("ij,ij->i", pts, pts)
+        # a finite sum of squares has finite terms; NaN passes through the max,
+        # and rows whose squares overflow get the elementwise check too
+        if not np.maximum.reduce(sq) < np.inf and not np.all(np.isfinite(pts)):
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise ValueError(f"non-finite value at point {bad[0]}, feature {bad[1]}")
-        sq = np.einsum("ij,ij->i", pts, pts)
         sq.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "sq_norms", sq)
@@ -134,7 +140,8 @@ def make_blobs(spec: SyntheticSpec) -> DataMatrix:
     out = np.empty((int(spec.blob_count) * int(spec.points_per_blob), spec.dim))  # cannot wrap
     for center, block in zip(centers, out.reshape(spec.blob_count, -1, spec.dim)):
         rng.standard_normal(out=block)  # bitwise as center + rng.normal(0.0, stddev)
-        block *= spec.blob_stddev
+        if spec.blob_stddev != 1.0:  # a product with 1.0 is exact
+            block *= spec.blob_stddev
         block += center
     out.setflags(write=False)
     return DataMatrix(out)
@@ -196,6 +203,35 @@ def load_csv(path, drop_columns: Iterable[int] = ()) -> DataMatrix:
     return DataMatrix(out)
 
 
+def _deviation_sums(src, shift, out=None):
+    """Column sums of ``src - shift``, one row block at a time; bitwise numpy's
+    axis-0 sum for two or more columns, which adds one row after another.
+
+    With ``out`` the deviations are written there and summed as they are;
+    without, they are squared first. Each block is summed after the running
+    sum, placed in front of it as one extra row. The sums ignore overflow,
+    as ``np.std`` does.
+    """
+    n, d = src.shape
+    rows = max(1, _BLOCK_ELEMENTS // d)
+    buf = np.empty((min(n, rows) + 1, d))
+    total = None
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = np.subtract(src[start:stop], shift, out=buf[1:1 + stop - start])
+        if out is None:
+            np.square(block, out=block)
+        else:
+            out[start:stop] = block
+        with np.errstate(over="ignore"):
+            if total is None:
+                total = np.add.reduce(block, axis=0)
+            else:
+                buf[0] = total
+                total = np.add.reduce(buf[:1 + stop - start], axis=0)
+    return total
+
+
 def standardize(data: DataMatrix) -> DataMatrix:
     """Return a copy with each feature rescaled to sample mean 0, sample std 1.
 
@@ -206,9 +242,15 @@ def standardize(data: DataMatrix) -> DataMatrix:
     if data.n < 2:
         raise ValueError(f"standardize needs at least 2 points, got {data.n}")
     mean = data.points.mean(axis=0)
-    centered = data.points - mean
-    with np.errstate(over="ignore"):
-        std = centered.std(axis=0, ddof=1)
+    if data.d == 1:  # numpy sums a single column pairwise, not row by row
+        centered = data.points - mean
+        with np.errstate(over="ignore"):
+            std = centered.std(axis=0, ddof=1)
+    else:
+        centered = np.empty_like(data.points)
+        sums = _deviation_sums(data.points, mean, centered)
+        with np.errstate(over="ignore"):
+            std = np.sqrt(_deviation_sums(centered, sums / data.n) / (data.n - 1))
     if not 2.0**-500 < std.min() <= std.max() < np.inf:  # squares may have left the float range
         unit = np.ldexp(1.0, np.frexp(np.abs(centered).max(axis=0))[1] - 1)  # exact rescale
         std = (centered / unit).std(axis=0, ddof=1) * unit

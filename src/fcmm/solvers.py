@@ -224,11 +224,16 @@ def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
 
 def _centers(data: DataMatrix, centers) -> np.ndarray:
     """``centers`` as a float64 array (one already is, as given) of c >= 1 rows
-    of ``data.d`` coordinates; any other shape is a ValueError naming it."""
+    of ``data.d`` finite coordinates; any other shape, or an inf or NaN, is a
+    ValueError naming it."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or not centers.shape[0] or centers.shape[1] != data.d:
         raise ValueError(f"centers must have shape (c, {data.d}) with c >= 1; "
                          f"got shape {centers.shape}")
+    if not np.isfinite(centers).all():
+        bad = np.argwhere(~np.isfinite(centers))[0]
+        raise ValueError(f"centers must be finite; non-finite value at center {bad[0]}, "
+                         f"feature {bad[1]}")
     return centers
 
 

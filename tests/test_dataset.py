@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from fcmm import dataset
 from fcmm.dataset import DataMatrix, SyntheticSpec, load_csv, make_blobs, standardize
 from fcmm.membership import PowerMembership, init_random
 from fcmm.objective import phi
@@ -145,6 +148,24 @@ class TestDataMatrix:
             DataMatrix(np.array([[np.nan, 0.0], [0.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(ValueError, match="non-empty 2-D array"):
             DataMatrix(np.empty((0, 3)))
+
+    # finiteness is read off the row norms' largest value; any inf or NaN
+    # makes it non-finite and takes the elementwise check
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_non_finite_value_named_where_it_is(self, value, row):
+        points = np.random.default_rng(9).normal(size=(7, 4))
+        points[row, 2] = value
+        with pytest.raises(ValueError, match=f"^non-finite value at point {row}, feature 2$"):
+            DataMatrix(points)
+
+    def test_finite_points_whose_squares_overflow_accepted(self):
+        points = np.array([[1.0, 2.0], [1e200, -1e200], [3.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = DataMatrix(points)
+        assert data.points.tobytes() == points.tobytes()
+        assert data.sq_norms.tolist() == [5.0, np.inf, 9.25]
 
     def test_read_only_fortran_points_are_copied_to_c_order(self):
         a = np.asfortranarray(np.arange(6.0).reshape(3, 2))
@@ -324,6 +345,38 @@ class TestStandardize:
         got = standardize(data)
         assert got.points.tobytes() == standardized_by_copy(data.points).tobytes()
 
+    # row counts at and around one row block of d columns
+    @pytest.mark.parametrize("scale, offset, constant", [
+        (1.0, 0.0, False), (1e160, 0.0, False), (1e-160, 0.0, False), (1.0, 1e3, False),
+        (1.0, 0.0, True),
+    ], ids=["unit", "1e160", "1e-160", "offset", "constant"])
+    @pytest.mark.parametrize("rows", [lambda block: 2, lambda block: block - 1,
+                                      lambda block: block, lambda block: block + 1,
+                                      lambda block: 2 * block + block // 3],
+                             ids=["n=2", "block-1", "block", "block+1", "blocks"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
+    def test_bitwise_the_copying_definition_around_row_blocks(self, d, rows, scale, offset,
+                                                              constant):
+        n = rows(dataset._BLOCK_ELEMENTS // d)
+        points = np.random.default_rng(8).normal(1.0, 2.0, size=(n, d)) * scale + offset
+        if constant:
+            points[:, d // 2] = 7.0 * scale
+        data = DataMatrix.from_points(points)
+        got = standardize(data)
+        assert got.points.tobytes() == standardized_by_copy(data.points).tobytes()
+
+    # numpy sums one column pairwise, so only d >= 2 goes by row blocks
+    @pytest.mark.parametrize("d, blocked", [(1, 0), (2, 2)])
+    def test_one_column_takes_numpys_std(self, monkeypatch, d, blocked):
+        calls = []
+        sums = dataset._deviation_sums
+        monkeypatch.setattr(dataset, "_deviation_sums",
+                            lambda *args: calls.append(1) or sums(*args))
+        points = np.random.default_rng(10).normal(size=(30, d))
+        got = standardize(DataMatrix.from_points(points))
+        assert len(calls) == blocked
+        assert got.points.tobytes() == standardized_by_copy(points).tobytes()
+
     def test_sq_norms_recomputed(self):
         data = standardize(DataMatrix.from_points([[1.0, 2.0], [3.0, 1.0], [0.0, 0.0]]))
         expect = np.einsum("ij,ij->i", data.points, data.points)
@@ -332,3 +385,29 @@ class TestStandardize:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             standardize(DataMatrix.from_points([[1.0, 2.0]]))
+
+
+class TestNumpyRowOrder:
+    """What standardize's row blocks rely on: for two or more columns, numpy
+    sums axis 0 of a C-order array one row after another, so a block summed
+    behind the running sum, as one extra row in front of it, continues the
+    whole array's sum bit for bit. A numpy that sums in another order fails here."""
+
+    @staticmethod
+    def row_by_row(a):
+        total = a[0].copy()
+        for row in a[1:]:
+            total += row
+        return total
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (9, 3), (8_193, 2), (20_000, 5)])
+    def test_axis_0_sum_is_row_by_row(self, n, d):
+        a = np.random.default_rng(11).normal(size=(n, d)) * np.logspace(-3, 3, n)[:, None]
+        assert np.add.reduce(a, axis=0).tobytes() == self.row_by_row(a).tobytes()
+
+    @pytest.mark.parametrize("cut", [1, 4_096, 8_192, 8_193, 15_000])
+    def test_running_sum_in_front_of_a_block(self, cut):
+        a = np.random.default_rng(12).normal(size=(20_000, 3)) * np.logspace(3, -3, 20_000)[:, None]
+        head = np.add.reduce(a[:cut], axis=0)
+        tail = np.add.reduce(np.vstack([head, a[cut:]]), axis=0)
+        assert tail.tobytes() == np.add.reduce(a, axis=0).tobytes()

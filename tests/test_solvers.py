@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ class TestCentersAsFcmObjectiveTakesThem:
         message = f"centers must have shape (c, 2) with c >= 1; got shape {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             update(data, np.ones(shape), R)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+    def test_non_finite_centers_refused_before_any_warning(self, update, value):
+        data = DataMatrix.from_points(np.random.default_rng(87).normal(size=(20, 2)))
+        centers = np.zeros((3, 2))
+        centers[1, 0] = value
+        message = "centers must be finite; non-finite value at center 1, feature 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                update(data, centers, R)
 
 
 class TestIrwAuxiliary:

@@ -118,11 +118,30 @@ def init_random(n: int, c: int, seed: int) -> MembershipMatrix:
 
 
 def to_power(F: MembershipMatrix, r: float) -> PowerMembership:
-    """Compute G with g_ij = f_ij ** r and the per-cluster column sums."""
+    """Compute G with g_ij = f_ij ** r and the per-cluster column sums.
+
+    An update's F holds the G its kernel wrote (bitwise ``F ** 2`` at r = 2,
+    within rounding of ``F ** r`` elsewhere), returned here for that r. The
+    private ``_powered`` slot is not a field: ``==``, ``repr`` and a
+    :meth:`MembershipMatrix.from_values` copy ignore it.
+    """
     _real(r, "r", 1.0)
+    held = F.__dict__.get("_powered")
+    if held is not None and held[0] == r:
+        return PowerMembership(held[1])
     values = F.values ** r
     values.setflags(write=False)
     return PowerMembership(values)
+
+
+def _holding_power(values: np.ndarray, powered: np.ndarray, r: float) -> MembershipMatrix:
+    """F of ``values`` holding ``powered``, its G at r, for :func:`to_power`;
+    both are made read-only, without a copy."""
+    values.setflags(write=False)
+    powered.setflags(write=False)
+    F = MembershipMatrix(values)
+    object.__setattr__(F, "_powered", (r, powered))
+    return F
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,10 @@ import numpy as np
 from .dataset import DataMatrix, _real
 from .membership import MembershipMatrix, PowerMembership
 
+# Terms per chunk (1 MB) of point-center coordinate differences, or of Gram
+# products in fcmm.oracle's finite differences
+_TERMS = 1 << 17
+
 
 @dataclass(frozen=True)
 class ClusterAggregates:
@@ -103,11 +107,18 @@ def fcm_objective(data: DataMatrix, F: MembershipMatrix, centers: np.ndarray,
     loop does, the same bits on any BLAS thread count. That running sum is
     up to ten times slower than BLAS dot products; at 100,000 x 10, c = 10
     it takes about a fifth of the call, and the distances most of the rest.
+    Distances and sums over the points go a chunk of centers at a time, at
+    most ``_TERMS`` differences or one center's n d: one pass's bits, without
+    its c x n x d temporary.
     """
     _real(r, "r", 1.0)
-    if F.n != data.n or np.shape(centers) != (F.c, data.d):
+    centers = np.asarray(centers, dtype=np.float64)
+    if F.n != data.n or centers.shape != (F.c, data.d):
         raise ValueError("dimension mismatch between data, memberships and centers")
-    return _weighted_cost(F.values ** r, _sq_distances(data.points, centers))
+    G, width = F.values ** r, max(1, _TERMS // (data.n * data.d))
+    sums = [_running_sum(G[:, j:j + width].T * _sq_distances(data.points, centers[j:j + width]))
+            for j in range(0, F.c, width)]
+    return float(_running_sum(np.concatenate(sums)))
 
 
 def _sq_distances(points: np.ndarray, centers) -> np.ndarray:

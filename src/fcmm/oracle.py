@@ -29,15 +29,12 @@ import numpy as np
 
 from .dataset import DataMatrix, SyntheticSpec, _integer, _real, make_blobs
 from .membership import MembershipMatrix, PowerMembership, _check_finite, init_random, to_power
-from .objective import (_running_sum, _sq_distances, _weighted_cost, aggregates,
+from .objective import (_TERMS, _running_sum, _sq_distances, _weighted_cost, aggregates,
                         compute_centers, phi)
 from .solvers import (SolverConfig, _centers, _check_start, irw_auxiliary,
                       update_membership_irw, update_membership_mm)
 
 _CHUNK = 256  # trials per draw in surrogate_argmin_oracle
-# Terms per chunk (1 MB): Gram products in finite_diff_gradient, point-center
-# coordinate differences in descent_chain_audit
-_TERMS = 1 << 17
 
 
 @dataclass(frozen=True)

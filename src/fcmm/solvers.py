@@ -1,11 +1,12 @@
 """Three fuzzy-means solvers under one interface.
 
-:func:`_classic_values` is the one closed-form kernel: memberships from
-c x d centers m and the constant term k_j of the expanded brackets
-``x_i.x_i + k_j - 2 x_i.m_j``. :func:`update_membership_classic` gives it
-``m_j.m_j``, and the MM update computes its centers and calls that;
-:func:`update_membership_irw` gives it the frozen ``s_j^2``. Both hand it
-the centers times -2 and the near-center skip bound of :func:`_guard_bound`.
+:func:`_classic_values` is the one closed-form kernel: memberships F, and
+G = F^r from the same ratios, from c x d centers m and the constant term
+k_j of the expanded brackets ``x_i.x_i + k_j - 2 x_i.m_j``.
+:func:`update_membership_classic` gives it ``m_j.m_j``, and the MM update
+computes its centers and calls that; :func:`update_membership_irw` gives
+it the frozen ``s_j^2``. Both hand it the centers times -2 and the
+near-center skip bound of :func:`_guard_bound`, and return F holding its G.
 
 * :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
   inner step is the surrogate (MM) step at the anchor; further inner
@@ -34,7 +35,7 @@ import numpy as np
 from .dataset import DataMatrix, _integer, _real
 from .exceptions import DegenerateClusterError
 from .membership import (MembershipMatrix, PowerMembership, _check_finite, _column_sums,
-                         to_power, validate)
+                         _holding_power, to_power, validate)
 from .objective import _sq_distances, _weighted_sums, aggregates, compute_centers, phi
 
 TERMINATION_CONVERGED = "converged"
@@ -125,7 +126,7 @@ INNER_TOL = 1e-8  # max membership change that ends the re-weighting inner loop
 
 
 def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: float,
-                               r: float, out: np.ndarray) -> np.ndarray:
+                               r: float, out: np.ndarray, powered) -> np.ndarray:
     """Closed-form row update shared by all three solvers.
 
     Rows with every bracket (squared point-center distance) positive get
@@ -139,6 +140,16 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     smallest bracket and ``low`` the smallest of those as a Python float
     (``c / low`` is then inf past the float range, without a warning), as
     :func:`_near_center` returns it. Rows go to ``out``, of the brackets' shape.
+
+    At r != 2, G = F^r goes to ``powered`` from the ratios ``q = min_k b_ik / b_ij``
+    taken above: r p = p + 1 for p = 1/(r-1), so ``f^r = q f S^(1-r)`` with
+    ``S = sum_k q_ik^p``, two multiplies in cache for a second power over the
+    array; F's operations are unchanged. G parts from ``f ** r`` by four
+    roundings and ``((1 + a) (1 + b))^(r-1) q^e``, a and b the errors of the
+    power and the division giving f and e that of the rounded p (S's error
+    cancels): with eps = 2^-52 and a power within 1 ulp, ``|G - f ** r| <=
+    (2 (r + 1) + (r - 1) (|ln f| + 2 ln c)) eps f ** r``, plus a subnormal's
+    ulps. Split rows get ``f ** r``; at r = 2 the caller takes ``F * F``.
     """
     c = brackets.shape[1]
     if r == 2.0 and low > 0.0 and c / low < np.inf:
@@ -147,13 +158,19 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     else:
         # Split rows may turn inf, nan or negative here; they are overwritten below.
         with np.errstate(all="ignore"):
-            values = np.divide(row_min[:, None], brackets, out=out)
-            np.power(values, 1.0 / (r - 1.0), out=values)
-            values /= (values @ _ones(c))[:, None]
+            ratios = np.divide(row_min[:, None], brackets, out=out if r == 2.0 else powered)
+            values = np.power(ratios, 1.0 / (r - 1.0), out=out)
+            sums = values @ _ones(c)
+            values /= sums[:, None]
+            if r != 2.0:
+                powered *= values
+                powered *= (sums ** (1.0 - r))[:, None]
     if low <= 0.0:
         split = row_min <= 0.0
         hits = brackets[split] <= 0.0
         values[split] = hits / hits.sum(axis=1, keepdims=True)
+        if r != 2.0:
+            powered[split] = values[split] ** r
     return values
 
 
@@ -197,19 +214,21 @@ def _near_center(brackets, row_min, points, sq_norms, scaled, top, bound) -> flo
 
 
 def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
-                    top: float, bound: float, r: float) -> np.ndarray:
-    """Memberships from the brackets ``x_i.x_i + center_sq_j - 2 x_i.m_j`` at the
-    c x d centers m, given as ``scaled = -2 m``, as a writable array; ``top`` is
-    the largest ``center_sq_j`` and ``bound`` its :func:`_guard_bound`.
+                    top: float, bound: float, r: float):
+    """Memberships F from the brackets ``x_i.x_i + center_sq_j - 2 x_i.m_j`` at
+    the c x d centers m, given as ``scaled = -2 m``, and G = F^r, as two writable
+    arrays; ``top`` is the largest ``center_sq_j`` and ``bound`` its :func:`_guard_bound`.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
     rounds a few-row product differently). Each block builds its c x b
     brackets from one product, :func:`_near_center` recomputes those near a
-    center, and the kernel runs in cache into one column-major n x c result.
+    center, and the kernel runs in cache into column-major n x c results. At
+    r != 2 it writes G beside F; at r = 2 G is ``F * F``, one pass after the loop.
     """
     center_col = center_sq[:, None]
-    n, values = data.n, np.empty((data.n, scaled.shape[0]), order="F")
+    n, shape = data.n, (data.n, scaled.shape[0])
+    values, powered = np.empty(shape, order="F"), None if r == 2.0 else np.empty(shape, order="F")
     for start in range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS if start + 2 * _BLOCK_ROWS <= n else n
         points, sq_norms = data.points[start:stop], data.sq_norms[start:stop]
@@ -218,8 +237,9 @@ def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
         brackets += center_col + sq_norms
         row_min = np.minimum.reduce(brackets, axis=0)
         low = _near_center(brackets, row_min, points, sq_norms, scaled, top, bound)
-        _memberships_from_brackets(brackets.T, row_min, low, r, values[start:stop])
-    return values
+        _memberships_from_brackets(brackets.T, row_min, low, r, values[start:stop],
+                                   None if powered is None else powered[start:stop])
+    return values, values * values if powered is None else powered
 
 
 def _centers(data: DataMatrix, centers) -> np.ndarray:
@@ -242,16 +262,16 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     """The closed-form update of all three solvers, from c x d centers.
 
     :func:`_classic_values` computes it at ``m_j.m_j``, held read-only without
-    a copy; the difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
+    a copy, with its G for :func:`~fcmm.membership.to_power`; the
+    difference-form reference is :func:`fcmm.oracle.classic_update_oracle`.
     ``centers`` is read as :func:`_centers` reads it.
     """
     _real(r, "r", 1.0)
     centers = _centers(data, centers)
     center_sq = np.einsum("cd,cd->c", centers, centers)
     top = np.maximum.reduce(center_sq)
-    values = _classic_values(data, -2.0 * centers, center_sq, top, _guard_bound(data, top), r)
-    values.setflags(write=False)
-    return MembershipMatrix(values)
+    return _holding_power(*_classic_values(data, -2.0 * centers, center_sq, top,
+                                           _guard_bound(data, top), r), r)
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
@@ -282,9 +302,8 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
     agg, s_sq = aggregates(data, G), s * s
     top = np.maximum.reduce(s_sq)
     scaled = _irw_centers(agg.y, agg.quad, -2.0 * s)
-    values = _classic_values(data, scaled, s_sq, top, _guard_bound(data, top), r)
-    values.setflags(write=False)
-    return MembershipMatrix(values)
+    return _holding_power(*_classic_values(data, scaled, s_sq, top, _guard_bound(data, top), r),
+                          r)
 
 
 def _irw_centers(y: np.ndarray, quad: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -338,7 +357,8 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     or the cap is hit. Returns the new F and G and the inner steps, one update each.
 
     Steps 2.. run :func:`update_membership_irw` and :func:`to_power` on plain
-    arrays, with every check of their records; records are built for the last step.
+    arrays, the kernel's F and G, with every check of their records; records are
+    built for the last step.
     The constants of the frozen s (``-2 s``, ``s_j^2``, its maximum and the
     near-center bound) are built once, beside s. A step's finiteness is read off
     its stop test: the previous values are finite, so the largest change is
@@ -355,11 +375,10 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
         neg_two_s, bound = -2.0 * s, _guard_bound(data, top)
     while moved:
         scaled = _irw_centers(*_weighted_sums(data, powered), neg_two_s)
-        prev, values = values, _classic_values(data, scaled, s_sq, top, bound, cfg.r)
+        prev, (values, powered) = values, _classic_values(data, scaled, s_sq, top, bound, cfg.r)
         change = np.maximum.reduce(np.abs(values - prev), axis=None)
         if not change < np.inf:  # inf or NaN
             _check_finite(values)  # raises
-        powered = values ** cfg.r
         _column_sums(powered)
         inner += 1
         moved = inner < max_inner and change > INNER_TOL
@@ -404,6 +423,8 @@ def _run_outer(data: DataMatrix, F0: MembershipMatrix, cfg: SolverConfig,
             break
 
     centers = compute_centers(data, G)
+    if F is not F0:  # a step's record, rebuilt so that the result keeps no G alive
+        F = MembershipMatrix(F.values)
     return SolverResult(F, centers, obj, SolverTrace(tuple(records)), termination)
 
 

@@ -25,7 +25,8 @@ def irw_step(data, G, s, r):
     """``update_membership_irw``, checked bitwise against its definition: the
     expanded brackets at the centers ``s_j y_j / |y_j|``, handed to the kernel
     as ``-2 s_j y_j / |y_j|`` (exactly -2 times them), constant term ``s_j^2``
-    and the near-center skip bound ``1e-4 (max_i x_i.x_i + max_j s_j^2)``."""
+    and the near-center skip bound ``1e-4 (max_i x_i.x_i + max_j s_j^2)``; the
+    record holds the kernel's G, which ``to_power`` returns."""
     F = update_membership_irw(data, G, s, r)
     agg = aggregates(data, G)
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
@@ -33,8 +34,9 @@ def irw_step(data, G, s, r):
     assert scaled.tobytes() == (-2.0 * centers).tobytes()
     top = (s * s).max()
     bound = 1e-4 * (data.sq_norms.max() + top)
-    assert F.values.tobytes() == solvers._classic_values(data, scaled, s * s, top, bound,
-                                                         r).tobytes()
+    values, powered = solvers._classic_values(data, scaled, s * s, top, bound, r)
+    assert F.values.tobytes() == values.tobytes()
+    assert to_power(F, r).values.tobytes() == powered.tobytes()
     return F
 
 
@@ -161,21 +163,22 @@ class TestDegenerateInnerSteps:
 
     @staticmethod
     def spoil_second_update(monkeypatch, spoil):
-        """Pass the kernel's second array (the first re-weighting step) through ``spoil``."""
+        """Pass both arrays of the kernel's second call (the first re-weighting
+        step), F and G, through ``spoil``."""
         calls = []
         kernel = solvers._classic_values
 
         def spoiled(*args):
-            values = kernel(*args)
+            arrays = kernel(*args)
             calls.append(1)
-            return spoil(values) if len(calls) == 2 else values
+            return tuple(map(spoil, arrays)) if len(calls) == 2 else arrays
 
         monkeypatch.setattr(solvers, "_classic_values", spoiled)
 
     def test_zero_mass(self, iris_data, monkeypatch):
-        def zero_column(values):
-            values[:, 1] = 0.0
-            return values
+        def zero_column(array):
+            array[:, 1] = 0.0
+            return array
 
         self.spoil_second_update(monkeypatch, zero_column)
         F0 = init_random(iris_data.n, 3, 0)
@@ -185,7 +188,8 @@ class TestDegenerateInnerSteps:
 
     @pytest.mark.parametrize("spoil, message, max_inner", [
         (lambda values: values * np.nan, "membership values must be finite", 100),
-        pytest.param(lambda values: values * 1e200, "powered membership values must be finite",
+        # finite memberships whose powered column sums overflow
+        pytest.param(lambda array: array * 1e308, "powered membership values must be finite",
                      100, marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
         # anchored: the step itself refuses them, before to_power's column sums
         (_one_inf, "^membership values must be finite$", 100),

@@ -60,17 +60,20 @@ def bracket_matrices(draw):
 
 
 def run_kernel(brackets, r):
-    """The kernel into a column-major result, as the blocked update calls it."""
+    """F and G = F^r from the kernel into column-major results, as the blocked
+    update calls it: the kernel writes G at r != 2, the update takes F * F at r = 2."""
     out = np.empty(brackets.shape, order="F")
+    powered = None if r == 2.0 else np.empty(brackets.shape, order="F")
     row_min = brackets.min(axis=1)
-    return _memberships_from_brackets(brackets, row_min, float(row_min.min()), r, out)
+    F = _memberships_from_brackets(brackets, row_min, float(row_min.min()), r, out, powered)
+    return F, F * F if powered is None else powered
 
 
 class TestKernelMatchesLogSpace:
     @settings(max_examples=300, deadline=None)
     @given(brackets=bracket_matrices(), r=st.sampled_from(R_VALUES))
     def test_agrees_with_reference(self, brackets, r):
-        F = run_kernel(brackets, r)
+        F, _ = run_kernel(brackets, r)
         reference = log_space_reference(brackets, r)
         split = (brackets <= 0.0).any(axis=1)
         np.testing.assert_array_equal(F[split], reference[split])
@@ -81,7 +84,7 @@ class TestKernelMatchesLogSpace:
         # the smallest bracket's reciprocal overflows (1 / 2e-310 = inf),
         # so r = 2 must take the row-min route
         brackets = np.array([[2e-310, 1e-309]])
-        F = run_kernel(brackets, 2.0)
+        F, _ = run_kernel(brackets, 2.0)
         assert np.all(np.isfinite(F))
         assert abs(F.sum() - 1.0) <= 1e-15
         np.testing.assert_allclose(F, log_space_reference(brackets, 2.0),
@@ -105,9 +108,101 @@ class TestKernelMatchesLogSpace:
             expected = "reciprocal" if np.isfinite(c / low) else "scaled"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            F = run_kernel(brackets, 2.0)
+            F, _ = run_kernel(brackets, 2.0)
         np.testing.assert_array_equal(F, routes[expected])
         assert np.max(np.abs(F - log_space_reference(brackets, 2.0))) <= 1e-13
+
+
+POWER_R = (1.05, 1.2, 1.5, 2.0, 3.0, 20.0, 150.0, 200.0)
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def power_brackets(draw):
+    """:func:`bracket_matrices`, now and then with a bracket below the floor
+    ``c / DBL_MAX`` under which the r = 2 reciprocal would overflow."""
+    brackets = draw(bracket_matrices())
+    if draw(st.booleans()):
+        brackets[draw(st.integers(0, brackets.shape[0] - 1)),
+                 draw(st.integers(0, brackets.shape[1] - 1))] = 2e-310
+    return brackets
+
+
+class TestKernelPower:
+    """G = F^r, written beside F from the kernel's own ratios."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(brackets=power_brackets(), r=st.sampled_from(POWER_R))
+    def test_within_the_docstring_bound_of_f_to_the_r(self, brackets, r):
+        F, G = run_kernel(brackets, r)
+        want = F ** r
+        split = (brackets <= 0.0).any(axis=1)
+        np.testing.assert_array_equal(G[split], want[split])
+        if r == 2.0:
+            assert G.tobytes() == want.tobytes()
+        log_f = np.log(F, out=np.zeros_like(F), where=F > 0.0)  # G = f ** r = 0 at f = 0
+        c = brackets.shape[1]
+        bound = (2 * (r + 1) + (r - 1) * (np.abs(log_f) + 2 * np.log(c))) * EPS * want
+        assert np.all(np.abs(G - want) <= bound + 16 * np.finfo(np.float64).smallest_subnormal)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="no extended precision")
+    @pytest.mark.parametrize("r", [r for r in POWER_R if r != 2.0])
+    def test_no_less_accurate_than_f_to_the_r(self, r):
+        # against the update in extended precision, over 20,000 rows of brackets
+        # e^-20..e^20: G's worst relative error is that of F ** r, up to its extra
+        # multiplies' rounding
+        brackets = np.exp(np.random.default_rng(11).uniform(-20.0, 20.0, size=(4000, 5)))
+        F, G = run_kernel(brackets, r)
+        long = brackets.astype(np.longdouble)
+        w = (long.min(axis=1, keepdims=True) / long) ** (1 / (np.longdouble(r) - 1))
+        exact = (w / w.sum(axis=1, keepdims=True)) ** np.longdouble(r)
+        normal = exact > np.finfo(np.float64).tiny / EPS
+
+        def worst(approx):
+            return float(np.max(np.abs(approx[normal] - exact[normal]) / exact[normal]))
+
+        assert worst(G) <= worst(F ** r) + 2 * EPS
+
+    @pytest.mark.parametrize("r", [1.2, 2.0, 3.0])
+    def test_update_holds_the_kernels_g(self, iris_data, r):
+        # at r = 2 the update's G is F * F, bitwise F ** 2; elsewhere the
+        # kernel's, which to_power returns for that r alone
+        centers = iris_data.points[[0, 60, 120]]
+        F = update_membership_classic(iris_data, centers, r)
+        center_sq = np.einsum("cd,cd->c", centers, centers)
+        values, powered = solvers._classic_values(
+            iris_data, -2.0 * centers, center_sq, center_sq.max(),
+            solvers._guard_bound(iris_data, center_sq.max()), r)
+        assert F.values.tobytes() == values.tobytes()
+        assert to_power(F, r).values.tobytes() == powered.tobytes()
+        if r == 2.0:
+            assert powered.tobytes() == (values ** 2.0).tobytes()
+        else:
+            assert powered.tobytes() != (values ** r).tobytes()  # the held G, not a new power
+        assert powered.flags.f_contiguous
+        for other in (1.5, 2.0):
+            if other != r:
+                assert to_power(F, other).values.tobytes() == (values ** other).tobytes()
+        copy = MembershipMatrix.from_values(F.values)
+        assert copy == F and repr(copy) == repr(F)
+        assert to_power(copy, r).values.tobytes() == (values ** r).tobytes()
+
+
+def test_numpy_power_two_is_bitwise_x_times_x():
+    # the r = 2 contract (G = F * F is bitwise F ** 2) rests on numpy's x ** 2.0
+    # fast path; a numpy that changes it fails here by name
+    rng = np.random.default_rng(13)
+    values = np.asfortranarray(rng.random((1000, 7)))
+    values[::7, 0] = 0.0
+    values[1::7, 1] = 1.0
+    values[2::7, 2] = rng.random(143) * np.finfo(np.float64).smallest_normal  # subnormal
+    values[3::7, 3] = np.finfo(np.float64).smallest_subnormal
+    values[:, 4] = np.linspace(0.0, 1.0, 1000)
+    values[:, 5] = np.sqrt(np.finfo(np.float64).smallest_normal) * rng.random(1000)
+    square = values ** 2.0
+    assert square.flags.f_contiguous
+    assert square.tobytes() == (values * values).tobytes()
+    assert (values[2::7] ** 2.0).tobytes() == (values[2::7] * values[2::7]).tobytes()
 
 
 def _offset_instance(r, gap=5e-7, row=0):
@@ -236,7 +331,8 @@ class TestNearCenterGuard:
             np.testing.assert_array_equal(recomputed[0], points[rows])
         assert brackets.tobytes() == want_brackets.tobytes()
         assert row_min.tobytes() == want_min.tobytes()
-        got, want = (_memberships_from_brackets(b.T, m, low, r, np.empty((40, 3), order="F"))
+        got, want = (_memberships_from_brackets(b.T, m, low, r, np.empty((40, 3), order="F"),
+                                                np.empty((40, 3), order="F"))
                      for b, m in ((brackets, row_min), (want_brackets, want_min)))
         assert got.tobytes() == want.tobytes()
 

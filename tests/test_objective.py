@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bracket_gradient, count_products, random_instance
+from fcmm import objective
 from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
 from fcmm.objective import (_sq_distances, _weighted_cost, aggregates, compute_centers,
@@ -194,13 +195,23 @@ class TestCostMatchesDoubleLoopBitwise:
     @pytest.mark.parametrize("n", [1, 2, 8, 17, 129])
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_fcm_objective(self, n, c, order):
+    @pytest.mark.parametrize("width", [None, 1, 2], ids=["default-budget", "1-center",
+                                                          "2-centers"])
+    def test_fcm_objective(self, monkeypatch, n, c, order, width):
+        # the distances come a chunk of `width` centers at a time (None: the
+        # default budget, every center here in one chunk)
         rng = np.random.default_rng(20 * n + c)
         data = DataMatrix.from_points(rng.normal(size=(n, 3)))
         F = MembershipMatrix(np.asarray(rng.dirichlet(np.ones(c), size=n), order=order))
         centers = rng.normal(size=(c, 3))
         expected = reference_cost(F.values ** 1.5, _sq_distances(data.points, centers))
+        chunks = []
+        monkeypatch.setattr(objective, "_sq_distances",
+                            lambda *args: chunks.append(1) or _sq_distances(*args))
+        if width is not None:
+            monkeypatch.setattr(objective, "_TERMS", width * n * 3)
         assert fcm_objective(data, F, centers, 1.5).hex() == expected.hex()
+        assert len(chunks) == -(-c // (width or c))
         assert fcm_objective(data, F, centers.tolist(), 1.5).hex() == expected.hex()
 
 

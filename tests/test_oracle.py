@@ -16,7 +16,8 @@ import fcmm.solvers
 from conftest import bracket_gradient, random_instance
 from fcmm.dataset import DataMatrix
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
-from fcmm.objective import aggregates, compute_centers, fcm_objective, phi
+from fcmm.objective import (_sq_distances, _weighted_cost, aggregates, compute_centers,
+                            fcm_objective, phi)
 from fcmm.oracle import (OracleReport, classic_update_oracle, descent_chain_audit,
                          finite_diff_gradient, gram_quad_oracle, gram_vector_oracle,
                          run_suite, surrogate_argmin_oracle)
@@ -436,21 +437,24 @@ class TestSurrogateArgmin:
 
 def chain_worst(data, F, r, steps):
     """The audit's largest scaled link error, one step at a time: two
-    ``fcm_objective`` calls at the step's centers and two ``phi`` values."""
+    surrogate values at the step's centers and two ``phi`` values.
+
+    Each h is ``fcm_objective``'s sum, on the chain's own G (the kernel's,
+    which ``to_power`` returns for an update's F) rather than on ``F ** r``.
+    """
     G = to_power(F, r)
     obj = phi(data, G)
     worst = 0.0
     for _ in range(steps):
         centers = compute_centers(data, G)
-        F_next = update_membership_mm(data, G, r)
-        G_next = to_power(F_next, r)
-        h_next = fcm_objective(data, F_next, centers, r)
-        h_self = fcm_objective(data, F, centers, r)
+        G_next = to_power(update_membership_mm(data, G, r), r)
+        dists = _sq_distances(data.points, centers)
+        h_next, h_self = _weighted_cost(G_next.values, dists), _weighted_cost(G.values, dists)
         obj_next = phi(data, G_next)
         scale = 1.0 + abs(obj)
         worst = max(worst, (obj_next - h_next) / scale, (h_next - h_self) / scale,
                     abs(h_self - obj) / scale)
-        F, G, obj = F_next, G_next, obj_next
+        G, obj = G_next, obj_next
     return worst
 
 
@@ -499,21 +503,7 @@ class TestDescentChainAudit:
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_same_bits_as_two_objectives_per_step(self, r):
         data = DataMatrix.from_points(np.random.default_rng(83).normal(size=(30, 2)))
-        F = init_random(30, 3, 1)
-        G = to_power(F, r)
-        obj = phi(data, G)
-        worst = 0.0
-        for _ in range(40):
-            centers = compute_centers(data, G)
-            F_next = update_membership_mm(data, G, r)
-            G_next = to_power(F_next, r)
-            h_next = fcm_objective(data, F_next, centers, r)
-            h_self = fcm_objective(data, F, centers, r)
-            obj_next = phi(data, G_next)
-            scale = 1.0 + abs(obj)
-            worst = max(worst, (obj_next - h_next) / scale, (h_next - h_self) / scale,
-                        abs(h_self - obj) / scale)
-            F, G, obj = F_next, G_next, obj_next
+        worst = chain_worst(data, init_random(30, 3, 1), r, 40)
         report = descent_chain_audit(data, init_random(30, 3, 1), SolverConfig(c=3, r=r),
                                      steps=40)
         assert worst > 0.0

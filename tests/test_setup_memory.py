@@ -1,4 +1,5 @@
-"""Set-up builds each large array once.
+"""Set-up builds each large array once, and the difference-form objective
+holds one center's differences at a time.
 
 numpy reports its allocations to ``tracemalloc``, so the traced peak of
 one set-up call, over the bytes of the array it returns, counts the n x d
@@ -12,6 +13,7 @@ import pytest
 
 from fcmm.dataset import SyntheticSpec, make_blobs, standardize
 from fcmm.membership import init_random
+from fcmm.objective import fcm_objective
 
 N, D = 20_000, 20
 SPEC = SyntheticSpec(blob_count=20, points_per_blob=N // 20, dim=D, seed=0)
@@ -39,3 +41,18 @@ def _traced_peak_ratio(build):
 def test_set_up_peak_memory(build, bound):
     data = make_blobs(SPEC)  # built before tracing: standardize's input is not counted
     assert _traced_peak_ratio(lambda: build(data)) <= bound
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0])
+def test_fcm_objective_peak_memory(r):
+    # c = 10 centers over 20,000 x 20 points: G and one center's n x d
+    # differences at a time, plus a few n-vectors, not the c x n x d stack
+    data, c = make_blobs(SPEC), 10
+    F, centers = init_random(N, c, 0), data.points[:c].copy()
+    tracemalloc.start()
+    try:
+        fcm_objective(data, F, centers, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (N * D + N * c + 8 * N)

@@ -1,5 +1,7 @@
+import gc
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -480,9 +482,43 @@ class TestTrajectoryCoincidence:
         blobs = standardize(make_blobs(SyntheticSpec(blob_count=4, points_per_blob=500,
                                                      dim=3, seed=0)))
         runs.append((blobs, init_random(blobs.n, 4, 1), SolverConfig(c=4, r=1.2)))
+        # r != 2: both take each step's G from the kernel
+        runs.append((iris_data, init_random(iris_data.n, 3, 0), SolverConfig(c=3, r=1.2)))
         for data, F0, cfg in runs:
             assert_bitwise_same_run(solve_fcm_mm(data, F0, cfg),
                                     solve_fcm_classic(data, F0, cfg))
+
+
+class TestHeldPower:
+    """The updates hold their kernel's G on the F they return, for to_power."""
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    @pytest.mark.parametrize("solve", [solve_fcm_mm, solve_irw_fcm])
+    def test_result_does_not_keep_a_g_alive(self, iris_data, monkeypatch, solve, r):
+        made, kernel = [], solvers._classic_values
+
+        def spied_kernel(*args):
+            values, powered = kernel(*args)
+            made.append(weakref.ref(powered))
+            return values, powered
+
+        monkeypatch.setattr(solvers, "_classic_values", spied_kernel)
+        result = solve(iris_data, init_random(iris_data.n, 3, 0), SolverConfig(c=3, r=r))
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+        assert to_power(result.F_final, r).values.tobytes() == (
+            result.F_final.values ** r).tobytes()
+
+    def test_a_step_reads_the_g_its_update_holds(self, iris_data):
+        # r = 1.5: the second step's centers come from the first update's held G
+        F0, r = init_random(iris_data.n, 3, 0), 1.5
+        F1 = update_membership_mm(iris_data, to_power(F0, r), r)
+        held = to_power(F1, r)
+        assert held.values.tobytes() != (F1.values ** r).tobytes()
+        F2 = update_membership_mm(iris_data, held, r)
+        result = solve_fcm_mm(iris_data, F0, SolverConfig(c=3, r=r, max_outer_iters=2))
+        assert result.F_final.values.tobytes() == F2.values.tobytes()
+        assert result.trace.records[1].objective.hex() == phi(iris_data, held).hex()
 
 
 class TestStoppingRule:

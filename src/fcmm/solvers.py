@@ -5,14 +5,14 @@ G = F^r from the same ratios, from c x d centers m and the constant term
 k_j of the expanded brackets ``x_i.x_i + k_j - 2 x_i.m_j``.
 :func:`update_membership_classic` gives it ``m_j.m_j``, and the MM update
 computes its centers and calls that; :func:`update_membership_irw` gives
-it the frozen ``s_j^2``. Both hand it the centers times -2 and the
-near-center skip bound of :func:`_guard_bound`, and return F holding its G.
+it the frozen ``s_j^2``. Both hand it the centers times -2 and the fixed
+terms :func:`_bracket_terms` builds from k, and return F holding its G.
 
 * :func:`solve_irw_fcm` is the double-loop re-weighting scheme. Its first
   inner step is the surrogate (MM) step at the anchor; further inner
   steps freeze the scalars s_j there and repeat the linearized update,
-  whose constants (``-2 s_j``, ``s_j^2``, the near-center bound) are
-  built once per outer iteration.
+  whose constants (``-2 s_j`` and the terms of ``s_j^2``) are built once
+  per outer iteration.
 * :func:`solve_fcm_mm` is that scheme capped at one inner step: bitwise
   ``solve_irw_fcm`` with ``max_inner_iters=1``.
 * :func:`solve_fcm_classic` alternates optimal centers with the classic
@@ -26,7 +26,6 @@ so their trajectories and work counts are directly comparable.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -123,10 +122,11 @@ class SolverResult:
 
 _BLOCK_ROWS = 8192
 INNER_TOL = 1e-8  # max membership change that ends the re-weighting inner loop
+_NEAR = 1e-4  # a bracket below _NEAR (x_i.x_i + top) is recomputed from the differences
 
 
 def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: float,
-                               r: float, out: np.ndarray, powered) -> np.ndarray:
+                               r: float, out: np.ndarray, powered, ones) -> np.ndarray:
     """Closed-form row update shared by all three solvers.
 
     Rows with every bracket (squared point-center distance) positive get
@@ -139,7 +139,8 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     uniformly over those clusters, 0 elsewhere. ``row_min`` holds each row's
     smallest bracket and ``low`` the smallest of those as a Python float
     (``c / low`` is then inf past the float range, without a warning), as
-    :func:`_near_center` returns it. Rows go to ``out``, of the brackets' shape.
+    :func:`_near_center` returns it. Rows go to ``out``, of the brackets' shape;
+    ``ones``, c ones, sums them.
 
     At r != 2, G = F^r goes to ``powered`` from the ratios ``q = min_k b_ik / b_ij``
     taken above: r p = p + 1 for p = 1/(r-1), so ``f^r = q f S^(1-r)`` with
@@ -151,16 +152,15 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     (2 (r + 1) + (r - 1) (|ln f| + 2 ln c)) eps f ** r``, plus a subnormal's
     ulps. Split rows get ``f ** r``; at r = 2 the caller takes ``F * F``.
     """
-    c = brackets.shape[1]
-    if r == 2.0 and low > 0.0 and c / low < np.inf:
+    if r == 2.0 and low > 0.0 and brackets.shape[1] / low < np.inf:
         values = np.reciprocal(brackets, out=out)
-        values /= (values @ _ones(c))[:, None]
+        values /= (values @ ones)[:, None]
     else:
         # Split rows may turn inf, nan or negative here; they are overwritten below.
         with np.errstate(all="ignore"):
             ratios = np.divide(row_min[:, None], brackets, out=out if r == 2.0 else powered)
             values = np.power(ratios, 1.0 / (r - 1.0), out=out)
-            sums = values @ _ones(c)
+            sums = values @ ones
             values /= sums[:, None]
             if r != 2.0:
                 powered *= values
@@ -174,17 +174,13 @@ def _memberships_from_brackets(brackets: np.ndarray, row_min: np.ndarray, low: f
     return values
 
 
-@functools.cache
-def _ones(c: int) -> np.ndarray:
-    """The read-only all-ones vector of length c that sums a block's rows."""
-    ones = np.ones(c)
-    ones.setflags(write=False)
-    return ones
-
-
-def _guard_bound(data: DataMatrix, top) -> float:
-    """:func:`_near_center`'s skip bound ``1e-4 (max_i x_i.x_i + top)`` over all the data."""
-    return float(1e-4 * (np.maximum.reduce(data.sq_norms) + top))
+def _bracket_terms(data: DataMatrix, const: np.ndarray):
+    """What :func:`_classic_values` holds fixed for the constant term ``const``: it
+    as a column, its maximum ``top``, :func:`_near_center`'s skip bound
+    ``_NEAR (max_i x_i.x_i + top)`` over all the data, and c ones that sum a row."""
+    top = np.maximum.reduce(const)
+    return (const[:, None], top, float(_NEAR * (np.maximum.reduce(data.sq_norms) + top)),
+            np.ones(const.shape[0]))
 
 
 def _near_center(brackets, row_min, points, sq_norms, scaled, top, bound) -> float:
@@ -193,19 +189,19 @@ def _near_center(brackets, row_min, points, sq_norms, scaled, top, bound) -> flo
 
     The expanded bracket ``x_i.x_i + m_j.m_j - 2 x_i.m_j`` rounds at about eps
     (x_i.x_i + m_j.m_j), so near a center it loses digits and may round negative.
-    Points with a bracket below ``1e-4 (x_i.x_i + top)``, ``top`` the largest
+    Points with a bracket below ``_NEAR (x_i.x_i + top)``, ``top`` the largest
     constant term (m_j.m_j, or the re-weighting s_j^2 that equals it),
     where that rounding would exceed ~1e-12 of the bracket, get theirs from the
     differences by :func:`fcmm.objective._sq_distances`, as fcm_objective does, and
     their smallest taken again; so the kernel sees a zero bracket only at a center.
     The centers are ``-0.5 * scaled``, exact since the kernel's scale is a power of two.
     Rounding is monotone, so no row can pass when the smallest ``row_min`` is at
-    least ``bound``, :func:`_guard_bound` over every block: the block skips the scan.
+    least ``bound``, that rule over every block: the block skips the scan.
     """
     low = float(np.minimum.reduce(row_min))
     if low >= bound:
         return low  # also False on a NaN, which takes the scan
-    rows = (row_min < 1e-4 * (sq_norms + top)).nonzero()[0]
+    rows = (row_min < _NEAR * (sq_norms + top)).nonzero()[0]
     if rows.size:
         brackets[:, rows] = _sq_distances(points[rows], -0.5 * scaled)
         row_min[rows] = np.minimum.reduce(brackets[:, rows], axis=0)
@@ -213,11 +209,10 @@ def _near_center(brackets, row_min, points, sq_norms, scaled, top, bound) -> flo
     return low
 
 
-def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
-                    top: float, bound: float, r: float):
-    """Memberships F from the brackets ``x_i.x_i + center_sq_j - 2 x_i.m_j`` at
-    the c x d centers m, given as ``scaled = -2 m``, and G = F^r, as two writable
-    arrays; ``top`` is the largest ``center_sq_j`` and ``bound`` its :func:`_guard_bound`.
+def _classic_values(data: DataMatrix, scaled: np.ndarray, terms, r: float):
+    """Memberships F from the brackets ``x_i.x_i + k_j - 2 x_i.m_j`` at the c x d
+    centers m, given as ``scaled = -2 m``, and G = F^r, as two writable arrays;
+    ``terms`` is :func:`_bracket_terms` of the constant term k.
 
     Blocks of ``_BLOCK_ROWS`` rows start at row 0 and the last takes the
     remainder, so n below twice that is one block and none is short (BLAS
@@ -226,7 +221,7 @@ def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
     center, and the kernel runs in cache into column-major n x c results. At
     r != 2 it writes G beside F; at r = 2 G is ``F * F``, one pass after the loop.
     """
-    center_col = center_sq[:, None]
+    const, top, bound, ones = terms
     n, shape = data.n, (data.n, scaled.shape[0])
     values, powered = np.empty(shape, order="F"), None if r == 2.0 else np.empty(shape, order="F")
     for start in range(0, max(n - _BLOCK_ROWS, 0) + 1, _BLOCK_ROWS):
@@ -234,11 +229,11 @@ def _classic_values(data: DataMatrix, scaled: np.ndarray, center_sq: np.ndarray,
         points, sq_norms = data.points[start:stop], data.sq_norms[start:stop]
         # Built c x b, so broadcasts and per-point scans run along the points.
         brackets = scaled @ points.T
-        brackets += center_col + sq_norms
+        brackets += const + sq_norms
         row_min = np.minimum.reduce(brackets, axis=0)
         low = _near_center(brackets, row_min, points, sq_norms, scaled, top, bound)
         _memberships_from_brackets(brackets.T, row_min, low, r, values[start:stop],
-                                   None if powered is None else powered[start:stop])
+                                   None if powered is None else powered[start:stop], ones)
     return values, values * values if powered is None else powered
 
 
@@ -268,10 +263,8 @@ def update_membership_classic(data: DataMatrix, centers: np.ndarray,
     """
     _real(r, "r", 1.0)
     centers = _centers(data, centers)
-    center_sq = np.einsum("cd,cd->c", centers, centers)
-    top = np.maximum.reduce(center_sq)
-    return _holding_power(*_classic_values(data, -2.0 * centers, center_sq, top,
-                                           _guard_bound(data, top), r), r)
+    terms = _bracket_terms(data, np.einsum("cd,cd->c", centers, centers))
+    return _holding_power(*_classic_values(data, -2.0 * centers, terms, r), r)
 
 
 def irw_auxiliary(data: DataMatrix, G: PowerMembership) -> np.ndarray:
@@ -287,10 +280,10 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
     The re-weighting bracket ``x_i.x_i + s_j^2 - 2 s_j x_i.y_j / |y_j|`` is
     the squared distance to the center ``s_j y_j / |y_j|`` of
     :func:`_irw_centers`; :func:`_classic_values` takes those centers with
-    ``s_j^2`` as the constant term. That term, ``-2 s`` and the near-center
-    bound stay fixed while s is frozen, so the solver builds them once per
-    outer iteration. ``s`` holds one norm per cluster: another shape, or
-    an entry that is negative or not finite, is a ValueError.
+    ``s_j^2`` as the constant term. Its terms and ``-2 s`` stay fixed while
+    s is frozen, so the solver builds them once per outer iteration. ``s``
+    holds one norm per cluster: another shape, or an entry that is negative
+    or not finite, is a ValueError.
     """
     _real(r, "r", 1.0)
     s = np.asarray(s, dtype=np.float64)
@@ -299,11 +292,9 @@ def update_membership_irw(data: DataMatrix, G: PowerMembership, s: np.ndarray,
                          f"got shape {s.shape}")
     if not ((s >= 0.0) & (s < np.inf)).all():  # False on NaN
         raise ValueError(f"s must be finite and >= 0, a norm per cluster; got {s.tolist()}")
-    agg, s_sq = aggregates(data, G), s * s
-    top = np.maximum.reduce(s_sq)
+    agg = aggregates(data, G)
     scaled = _irw_centers(agg.y, agg.quad, -2.0 * s)
-    return _holding_power(*_classic_values(data, scaled, s_sq, top, _guard_bound(data, top), r),
-                          r)
+    return _holding_power(*_classic_values(data, scaled, _bracket_terms(data, s * s), r), r)
 
 
 def _irw_centers(y: np.ndarray, quad: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -359,10 +350,10 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     Steps 2.. run :func:`update_membership_irw` and :func:`to_power` on plain
     arrays, the kernel's F and G, with every check of their records; records are
     built for the last step.
-    The constants of the frozen s (``-2 s``, ``s_j^2``, its maximum and the
-    near-center bound) are built once, beside s. A step's finiteness is read off
-    its stop test: the previous values are finite, so the largest change is
-    finite exactly when every new value is.
+    The constants of the frozen s (``-2 s`` and the :func:`_bracket_terms` of
+    ``s_j^2``) are built once, beside s, and every later step takes the same
+    objects. A step's finiteness is read off its stop test: the previous values
+    are finite, so the largest change is finite exactly when every new value is.
     """
     F_mm = update_membership_mm(data, G, cfg.r)
     G_mm = to_power(F_mm, cfg.r)
@@ -370,12 +361,10 @@ def _reweighting_step(data: DataMatrix, F: MembershipMatrix, G: PowerMembership,
     moved = max_inner > 1 and np.maximum.reduce(np.abs(values - F.values), axis=None) > INNER_TOL
     if moved:
         s = irw_auxiliary(data, G)
-        s_sq = s * s
-        top = np.maximum.reduce(s_sq)
-        neg_two_s, bound = -2.0 * s, _guard_bound(data, top)
+        neg_two_s, terms = -2.0 * s, _bracket_terms(data, s * s)
     while moved:
         scaled = _irw_centers(*_weighted_sums(data, powered), neg_two_s)
-        prev, (values, powered) = values, _classic_values(data, scaled, s_sq, top, bound, cfg.r)
+        prev, (values, powered) = values, _classic_values(data, scaled, terms, cfg.r)
         change = np.maximum.reduce(np.abs(values - prev), axis=None)
         if not change < np.inf:  # inf or NaN
             _check_finite(values)  # raises

@@ -25,8 +25,9 @@ def irw_step(data, G, s, r):
     """``update_membership_irw``, checked bitwise against its definition: the
     expanded brackets at the centers ``s_j y_j / |y_j|``, handed to the kernel
     as ``-2 s_j y_j / |y_j|`` (exactly -2 times them), constant term ``s_j^2``
-    and the near-center skip bound ``1e-4 (max_i x_i.x_i + max_j s_j^2)``; the
-    record holds the kernel's G, which ``to_power`` returns."""
+    with its maximum, the near-center skip bound ``1e-4 (max_i x_i.x_i + max_j s_j^2)``
+    and the ones that sum a row, all built here by formula; the record holds the
+    kernel's G, which ``to_power`` returns."""
     F = update_membership_irw(data, G, s, r)
     agg = aggregates(data, G)
     centers = agg.y * (s / np.sqrt(agg.quad))[:, None]
@@ -34,7 +35,8 @@ def irw_step(data, G, s, r):
     assert scaled.tobytes() == (-2.0 * centers).tobytes()
     top = (s * s).max()
     bound = 1e-4 * (data.sq_norms.max() + top)
-    values, powered = solvers._classic_values(data, scaled, s * s, top, bound, r)
+    terms = ((s * s)[:, None], top, bound, np.ones(s.size))
+    values, powered = solvers._classic_values(data, scaled, terms, r)
     assert F.values.tobytes() == values.tobytes()
     assert to_power(F, r).values.tobytes() == powered.tobytes()
     return F

@@ -65,7 +65,8 @@ def run_kernel(brackets, r):
     out = np.empty(brackets.shape, order="F")
     powered = None if r == 2.0 else np.empty(brackets.shape, order="F")
     row_min = brackets.min(axis=1)
-    F = _memberships_from_brackets(brackets, row_min, float(row_min.min()), r, out, powered)
+    F = _memberships_from_brackets(brackets, row_min, float(row_min.min()), r, out, powered,
+                                   np.ones(brackets.shape[1]))
     return F, F * F if powered is None else powered
 
 
@@ -171,8 +172,7 @@ class TestKernelPower:
         F = update_membership_classic(iris_data, centers, r)
         center_sq = np.einsum("cd,cd->c", centers, centers)
         values, powered = solvers._classic_values(
-            iris_data, -2.0 * centers, center_sq, center_sq.max(),
-            solvers._guard_bound(iris_data, center_sq.max()), r)
+            iris_data, -2.0 * centers, solvers._bracket_terms(iris_data, center_sq), r)
         assert F.values.tobytes() == values.tobytes()
         assert to_power(F, r).values.tobytes() == powered.tobytes()
         if r == 2.0:
@@ -303,9 +303,12 @@ class TestNearCenterGuard:
         # the "at" block is the first of two; the second's points are farther out,
         # so the bound over all the data sends the first to the scan, which takes no row
         block = _guard_block("at")
-        _, row_min, points, sq_norms, _, top, _ = block
+        _, row_min, points, sq_norms, centers, top, _ = block
         data = DataMatrix.from_points(np.vstack([points, 2.0 * points]))
-        bound = solvers._guard_bound(data, top)
+        const, built_top, bound, ones = solvers._bracket_terms(
+            data, np.einsum("cd,cd->c", centers, centers))
+        assert const.shape == (3, 1) and built_top == top and ones.tolist() == [1.0] * 3
+        assert bound == 1e-4 * (data.sq_norms.max() + top)
         assert 1e-4 * (sq_norms.max() + top) <= row_min.min() < bound
         self.assert_per_row_rule(monkeypatch, block, bound, "none", r)
 
@@ -332,7 +335,7 @@ class TestNearCenterGuard:
         assert brackets.tobytes() == want_brackets.tobytes()
         assert row_min.tobytes() == want_min.tobytes()
         got, want = (_memberships_from_brackets(b.T, m, low, r, np.empty((40, 3), order="F"),
-                                                np.empty((40, 3), order="F"))
+                                                np.empty((40, 3), order="F"), np.ones(3))
                      for b, m in ((brackets, row_min), (want_brackets, want_min)))
         assert got.tobytes() == want.tobytes()
 

@@ -666,6 +666,17 @@ def _skipped(near_center):
     return lambda brackets, row_min, *rest: float(np.minimum.reduce(row_min))
 
 
+def _never_scanned(bracket_terms):
+    # a skip bound of -inf: every block skips its near-center scan. A bound of
+    # inf makes every block scan instead, which takes the same rows and gives
+    # the same bits (tests/test_kernel.py's guard tests), so that mutant is
+    # equivalent and has no row.
+    def never_scanned(data, const):
+        const, top, _, ones = bracket_terms(data, const)
+        return const, top, -np.inf, ones
+    return never_scanned
+
+
 def _unsplit(memberships):
     # the kernel's own source without its ``if low <= 0.0:`` block, compiled
     # in its module: a point on a center keeps the general route's 0/0
@@ -715,6 +726,8 @@ def _nan_cost(weighted_cost):
                         pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")]),
     (fcmm.solvers, "_near_center", _skipped,
      {"classic_coincidence", "single_step_equivalence"}),
+    (fcmm.solvers, "_bracket_terms", _never_scanned,
+     {"classic_coincidence", "single_step_equivalence"}),
     (fcmm.solvers, "_memberships_from_brackets", _unsplit,
      {"classic_coincidence", "single_step_equivalence"}),
     # the helper IRW's inner steps share with update_membership_irw
@@ -728,8 +741,8 @@ def _nan_cost(weighted_cost):
      {"tangency", "domination", "descent_chain", "surrogate_argmin"}),
 ], ids=["center-mass", "kernel-exponent", "phi-scale", "gram-per-shape",
         "near-center-recompute", "stale-row-min", "near-center-recompute-off",
-        "split-rows-not-split", "irw-centers-unnormalized", "surrogate-cost-halved",
-        "quad-form-halved", "phi-nan", "surrogate-cost-nan"])
+        "skip-bound-never-scans", "split-rows-not-split", "irw-centers-unnormalized",
+        "surrogate-cost-halved", "quad-form-halved", "phi-nan", "surrogate-cost-nan"])
 def test_run_suite_catches_a_planted_bug(monkeypatch, module, name, plant, caught_by):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     failed = {r.check_name for r in run_suite("quick", seed=0) if not r.passed}

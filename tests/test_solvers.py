@@ -347,40 +347,51 @@ class TestSolveIrw:
         assert len(products) == 1 + k
 
     def test_anchor_constants_built_once_per_outer_iteration(self, iris_data, monkeypatch):
-        # s, s^2, its maximum and the near-center bound come once per outer iteration
-        # that takes a second inner step, and every later step's kernel call takes
-        # those same objects
-        scalars, constants = [], []
-        auxiliary, kernel = solvers.irw_auxiliary, solvers._classic_values
+        # s and the terms of s^2 come once per outer iteration that takes a second
+        # inner step, and every later step's kernel call takes that same terms object
+        scalars, built, constants = [], [], []
+        auxiliary, builder, kernel = (solvers.irw_auxiliary, solvers._bracket_terms,
+                                      solvers._classic_values)
 
         def spied_auxiliary(data, G):
             scalars.append(auxiliary(data, G))
             return scalars[-1]
 
-        def spied_kernel(data, scaled, center_sq, top, bound, r):
-            constants.append((center_sq, top, bound))
-            return kernel(data, scaled, center_sq, top, bound, r)
+        def spied_builder(data, const):
+            built.append(builder(data, const))
+            return built[-1]
+
+        def spied_kernel(data, scaled, terms, r):
+            constants.append(terms)
+            return kernel(data, scaled, terms, r)
 
         monkeypatch.setattr(solvers, "irw_auxiliary", spied_auxiliary)
+        monkeypatch.setattr(solvers, "_bracket_terms", spied_builder)
         monkeypatch.setattr(solvers, "_classic_values", spied_kernel)
         F0 = init_random(iris_data.n, 3, 3)
         for solve in (solve_fcm_mm, solve_fcm_classic):
             solve(iris_data, F0, SolverConfig(c=3))
         assert scalars == []
+        built.clear()
         constants.clear()
         result = solve_irw_fcm(iris_data, F0, SolverConfig(c=3))
         inner = [rec.inner_iters for rec in result.trace.records[1:]]
         assert len(scalars) == sum(k >= 2 for k in inner) > 0
         assert len(constants) == sum(inner)
-        anchors, start = iter(scalars), 0
+        # one build for each MM step and one for each second step; none after
+        assert len(built) == len(inner) + len(scalars)
+        anchors, start, terms_made = iter(scalars), 0, iter(built)
         for k in inner:
             steps, start = constants[start:start + k], start + k
+            assert steps[0] is next(terms_made)  # the MM step takes its centers' own
             if k >= 2:
-                s, (s_sq, top, bound) = next(anchors), steps[1]
-                assert s_sq.tobytes() == (s * s).tobytes() and top == (s * s).max()
+                s, terms = next(anchors), next(terms_made)
+                const, top, bound, ones = steps[1]
+                assert steps[1] is terms and steps[0] is not terms
+                assert const.tobytes() == (s * s).tobytes() and const.shape == (3, 1)
+                assert top == (s * s).max() and ones.tolist() == [1.0] * 3
                 assert bound == 1e-4 * (iris_data.sq_norms.max() + top)
-                assert all(sq is s_sq and t is top and b is bound for sq, t, b in steps[2:])
-                assert steps[0][0] is not s_sq  # the MM step takes its centers' own
+                assert all(step is terms for step in steps[2:])
 
     def test_zero_image_at_anchor_takes_the_mm_step(self):
         # Uniform memberships on symmetric data: every y_j is exactly 0, so

@@ -10,10 +10,11 @@ The Gram oracles, the finite differences and the fuzzy-means costs call no
 BLAS: every sum is a running sum in a plain Python loop's order from 0.0,
 so the results are bitwise those loops' on any BLAS thread count. The
 finite differences take all 2n perturbed vectors in row chunks, and the
-descent audit certifies its steps a chunk at a time. A check at fixed
-centers takes the points' squared distances to them once and costs a
-stack of memberships in one array pass (a chunk of certificate trials,
-an audit chunk's pairs of h values, an anchor's domination samples).
+descent audit certifies its steps a chunk at a time, up to G's first
+bitwise repeat. A check at fixed centers takes the points' squared
+distances to them once and costs a stack of memberships in one array
+pass (a chunk of certificate trials, an audit chunk's pairs of h
+values, an anchor's domination samples).
 Only domination loops in Python per sample, for one ``phi`` call
 each: the program's phi is what it checks. The Gram matrix (intended for
 n <= 200) is built on the first Gram oracle call for a ``DataMatrix`` and
@@ -214,6 +215,13 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     squared distances in one call and both h values of every step in one
     cost pass, with the same bits as one step at a time. A start F0 the
     solvers refuse is a ValueError before any step.
+
+    An MM step reads only G's bits (data, r and the BLAS thread count are
+    fixed within a call), so once G equals an earlier state of its chunk
+    bitwise, every later step replays one already certified: the audit
+    stops there, with the full run's ``max_error`` and ``samples`` still
+    ``steps``. The chunk's states are looked up by phi and confirmed by
+    ``np.array_equal``; a phi match alone never stops it.
     """
     _integer(steps, "steps", 1)
     G = _check_start(data, F0, cfg)
@@ -221,11 +229,16 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
     errors, objs, values = [], [phi(data, G)], [G.values]
     for start in range(0, steps, width):
         centers, objs, values = [], objs[-1:], values[-1:]
+        held = {objs[0]: [values[0]]}  # the chunk's states by their phi
         for _ in range(min(width, steps - start)):
             centers.append(compute_centers(data, G))
             G = to_power(update_membership_mm(data, G, cfg.r), cfg.r)
             objs.append(phi(data, G))
             values.append(G.values)
+            same_phi = held.setdefault(objs[-1], [])
+            if repeat := any(np.array_equal(G.values, held_g) for held_g in same_phi):
+                break
+            same_phi.append(G.values)
         dists = _sq_distances(data.points, np.stack(centers))
         pairs = np.stack([values[1:], values[:-1]], axis=1)  # [G_next, G] per step
         h_next, h_self = _weighted_cost(pairs, dists[:, None]).T
@@ -233,6 +246,8 @@ def descent_chain_audit(data: DataMatrix, F0: MembershipMatrix,
         scale = 1.0 + abs(obj)
         errors += np.stack([(obj_next - h_next) / scale, (h_next - h_self) / scale,
                             abs(h_self - obj) / scale], axis=1).ravel().tolist()
+        if repeat:  # every later step replays one certified above
+            break
     return OracleReport.from_error("descent_chain", _worst(errors), 1e-10, steps)
 
 

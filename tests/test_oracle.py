@@ -14,13 +14,13 @@ import fcmm.objective
 import fcmm.oracle
 import fcmm.solvers
 from conftest import bracket_gradient, random_instance
-from fcmm.dataset import DataMatrix
+from fcmm.dataset import DataMatrix, SyntheticSpec, make_blobs
 from fcmm.membership import MembershipMatrix, PowerMembership, init_random, to_power
 from fcmm.objective import (_sq_distances, _weighted_cost, aggregates, compute_centers,
                             fcm_objective, phi)
-from fcmm.oracle import (OracleReport, classic_update_oracle, descent_chain_audit,
-                         finite_diff_gradient, gram_quad_oracle, gram_vector_oracle,
-                         run_suite, surrogate_argmin_oracle)
+from fcmm.oracle import (OracleReport, _draw_instance, classic_update_oracle,
+                         descent_chain_audit, finite_diff_gradient, gram_quad_oracle,
+                         gram_vector_oracle, run_suite, surrogate_argmin_oracle)
 from fcmm.solvers import SolverConfig, solve_fcm_mm, update_membership_mm
 
 
@@ -458,13 +458,31 @@ def chain_worst(data, F, r, steps):
     return worst
 
 
+def blob_chain(seed):
+    """The descent check's chain: three blobs of 20 points in 2-D and a
+    random start, both from ``seed``. At r = 2, G first repeats an earlier
+    state bitwise at step 43, 52, 73, 24, 50, 26, 33 and 42 for seeds 8-15."""
+    data = make_blobs(SyntheticSpec(blob_count=3, points_per_blob=20, dim=2,
+                                    blob_stddev=0.5, blob_center_scale=5.0, seed=seed))
+    return data, init_random(data.n, 3, seed)
+
+
+def count_updates(monkeypatch):
+    """List that grows by one per MM step the audit takes."""
+    calls, update = [], fcmm.oracle.update_membership_mm
+
+    def counted(data, G, r):
+        calls.append(1)
+        return update(data, G, r)
+
+    monkeypatch.setattr(fcmm.oracle, "update_membership_mm", counted)
+    return calls
+
+
 class TestDescentChainAudit:
     def test_blobs_pass(self):
-        from fcmm.dataset import SyntheticSpec, make_blobs
-        data = make_blobs(SyntheticSpec(blob_count=3, points_per_blob=20, dim=2,
-                                        blob_stddev=0.5, blob_center_scale=5.0, seed=0))
-        report = descent_chain_audit(data, init_random(data.n, 3, 0),
-                                     SolverConfig(c=3), steps=50)
+        data, F = blob_chain(0)
+        report = descent_chain_audit(data, F, SolverConfig(c=3), steps=50)
         assert report.passed
         assert report.samples == 50
 
@@ -479,7 +497,6 @@ class TestDescentChainAudit:
             descent_chain_audit(data, init_random(5, 2, 0), SolverConfig(c=2), steps=0)
 
     def test_fixed_point_gives_equalities(self):
-        from fcmm.dataset import SyntheticSpec, make_blobs
         data = make_blobs(SyntheticSpec(blob_count=2, points_per_blob=25, dim=2,
                                         blob_stddev=0.2, blob_center_scale=5.0, seed=3))
         settled = solve_fcm_mm(data, init_random(data.n, 2, 4),
@@ -538,6 +555,64 @@ class TestDescentChainAudit:
         report = descent_chain_audit(data, init_random(30, 3, 3), SolverConfig(c=3), 10)
         assert len(calls) == 11
         assert np.isnan(report.max_error) and not report.passed
+
+    @pytest.mark.parametrize("seed, r", [*((seed, 2.0) for seed in range(8, 16)),
+                                         (11, 1.5), (13, 1.5), (14, 1.5),
+                                         (8, 3.0), (11, 3.0), (13, 3.0)])
+    def test_repeat_gives_the_full_runs_bits(self, monkeypatch, seed, r):
+        # every chain here repeats a state within 100 steps and stops there,
+        # having certified every step it took, the repeating one too
+        data, F = blob_chain(seed)
+        worst = chain_worst(data, F, r, 100)
+        calls, certified, distances = count_updates(monkeypatch), [], fcmm.oracle._sq_distances
+
+        def counted(points, centers):
+            certified.append(len(centers))
+            return distances(points, centers)
+
+        monkeypatch.setattr(fcmm.oracle, "_sq_distances", counted)
+        report = descent_chain_audit(data, F, SolverConfig(c=3, r=r), steps=100)
+        assert report.max_error.hex() == worst.hex()
+        assert report.samples == 100
+        assert sum(certified) == len(calls) < 100
+
+    def test_a_phi_match_alone_never_stops(self, monkeypatch):
+        # every state shares one phi; seed 8's chain first repeats at step 43
+        monkeypatch.setattr(fcmm.oracle, "phi", lambda data, G: 1.0)
+        calls = count_updates(monkeypatch)
+        data, F = blob_chain(8)
+        descent_chain_audit(data, F, SolverConfig(c=3), steps=40)
+        assert len(calls) == 40
+
+    @pytest.mark.parametrize("width, updates", [(1, 60), (4, 44), (8, 44), (None, 43)],
+                             ids=["1-step", "4-steps", "8-steps", "default-budget"])
+    def test_repeats_looked_up_in_the_chunk(self, monkeypatch, width, updates):
+        # seed 8's G_43 is G_39, so G_44 is G_40: chunks of 4 or 8 steps start
+        # at state 40 and find the repeat at step 44; chunks of one step hold
+        # two states and find only a fixed point, so they run every step
+        data, F = blob_chain(8)
+        worst = chain_worst(data, F, 2.0, 60)
+        if width is not None:
+            monkeypatch.setattr(fcmm.oracle, "_TERMS", width * 3 * 60 * 2)
+        calls = count_updates(monkeypatch)
+        report = descent_chain_audit(data, F, SolverConfig(c=3), steps=60)
+        assert report.max_error.hex() == worst.hex()
+        assert report.samples == 60
+        assert len(calls) == updates
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_a_step_reads_only_the_bits_of_g(self, r):
+        # the replay rule's premise: a G holding its aggregates and a bare
+        # copy of its values step to the same bits, phi too
+        rng = np.random.default_rng(89)
+        for _ in range(70):
+            data, G, _ = _draw_instance(rng, 30, r)
+            aggregates(data, G)
+            bare = PowerMembership.from_values(G.values.copy())
+            assert "_aggregates" in G.__dict__ and "_aggregates" not in bare.__dict__
+            steps = [to_power(update_membership_mm(data, start, r), r) for start in (G, bare)]
+            assert np.array_equal(steps[0].values, steps[1].values)
+            assert phi(data, steps[0]).hex() == phi(data, steps[1]).hex()
 
     @pytest.mark.parametrize("start, c, match", [
         ("rows sum to 2", 3, "not row-stochastic"),
